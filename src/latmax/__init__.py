@@ -2,6 +2,7 @@
 
 from .cdim2 import (
     Complement,
+    Complements,
     NoCaseMatches,
     OpCounter,
     classify_complement,

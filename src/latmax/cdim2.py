@@ -3,8 +3,9 @@
 The first chain is the identity order 1 < 2 < ... < m; the second is a
 permutation phi.  A first pass registers, for every point j, the prefix
 C1(j) = {1..j}, the prefix C2(j) of chain 2 up to j, and the point closure
-(j) = C1(j) ∩ C2(j), all symbolically.  A second pass walks every j once and
-decides with O(1) integer comparisons which of the intervals [(j), C1(j)],
+(j) = C1(j) ∩ C2(j), all symbolically: the inverse permutation and two
+running prefix maxima stand in for them.  A second pass decides at every j,
+with O(1) integer comparisons, which of the intervals [(j), C1(j)],
 [(j), C2(j)], or their union, is the complement of a maximal sublattice:
 
 * positions on chain 2 come from the inverse permutation, so membership
@@ -13,22 +14,33 @@ decides with O(1) integer comparisons which of the intervals [(j), C1(j)],
   (C1(j) ⊆ C2(j) iff every point up to j sits within the first
   phi^-1(j) positions of chain 2).
 
-Output order is ascending j with the chain-1 interval before the chain-2
-one.  Complements are returned as symbolic descriptors (point j plus the
-two prefix lengths); materialization against a geometry is on demand and
-costs O(lattice size).
+Both passes are whole-array numpy operations; the second is five boolean
+masks over j.  Two arbitrary chains need no block decomposition: renaming
+every point by its position on chain 1 turns chain 1 into the identity, and
+the points of the result are renamed back.
+
+The result is a columnar :class:`Complements` sequence (point j, kind code,
+and the two prefix lengths) in ascending j, the chain-1 interval before the
+chain-2 one.  :class:`Complement` descriptors are built only when the
+sequence is indexed or iterated; materialization against a geometry is on
+demand and costs O(lattice size).
 """
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .geometry import ChainSpec, ConvexGeometry, _as_chain
+import numpy as np
+
+from .geometry import BadPermutation, ChainSpec, ConvexGeometry, _as_chain
 from .report import COUNTEREXAMPLE, HOLDS, SKIPPED, CheckReport
 from .sublattice import is_sublattice
 
 __all__ = [
     "Complement",
+    "Complements",
     "NoCaseMatches",
     "OpCounter",
     "classify_complement",
@@ -48,6 +60,19 @@ TYPE1 = "Type1"
 TYPE2 = "Type2"
 TYPE3 = "Type3"
 
+# Kind codes of the columnar result: KINDS[code] = (shape, case).
+KINDS = (
+    (SHAPE_CHAIN1, TYPE1),
+    (SHAPE_CHAIN2, TYPE1),
+    (SHAPE_CHAIN1, TYPE2),
+    (SHAPE_CHAIN2, TYPE2),
+    (SHAPE_UNION, TYPE3),
+)
+C1_TYPE1, C2_TYPE1, C1_TYPE2, C2_TYPE2, UNION_TYPE3 = range(len(KINDS))
+
+# Descriptors built per .tolist() call while iterating a Complements.
+_CHUNK = 1 << 14
+
 
 class NoCaseMatches(AssertionError):
     """A complement fits no classification case: a theorem violation."""
@@ -55,6 +80,15 @@ class NoCaseMatches(AssertionError):
 
 @dataclass(slots=True)
 class OpCounter:
+    """Work done by one enumeration.
+
+    ``comparisons`` counts the element comparisons the array code performs:
+    a comparison between arrays of n elements counts n, and a running
+    maximum over n elements counts n - 1.  ``set_ops`` counts the symbolic
+    prefix registrations of the first pass, three per point (the inverse
+    position and the two prefix maxima).
+    """
+
     comparisons: int = 0
     set_ops: int = 0
 
@@ -87,118 +121,151 @@ class Complement:
         return closure, [c1, c2]
 
 
+class Complements(Sequence):
+    """Immutable columnar sequence of complement descriptors.
+
+    The columns are read-only numpy arrays: ``j``, ``kind`` (an index into
+    ``KINDS``), ``c1_len`` and ``c2_len``.  Indexing and iteration build
+    :class:`Complement` objects holding Python ints; slicing returns another
+    Complements.  A Complements equals one with the same columns, and a list
+    or tuple holding the same descriptors in the same order.
+    """
+
+    __slots__ = ("j", "kind", "c1_len", "c2_len")
+
+    def __init__(self, j, kind, c1_len, c2_len):
+        for name, column in zip(self.__slots__, (j, kind, c1_len, c2_len)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Complements is immutable")
+
+    def __reduce__(self):
+        return Complements, self._columns()
+
+    def _columns(self):
+        return self.j, self.kind, self.c1_len, self.c2_len
+
+    def __len__(self):
+        return len(self.j)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Complements(*(column[index] for column in self._columns()))
+        shape, case = KINDS[self.kind[index]]
+        return Complement(
+            int(self.j[index]), shape, case, int(self.c1_len[index]), int(self.c2_len[index])
+        )
+
+    def __iter__(self):
+        for lo in range(0, len(self), _CHUNK):
+            rows = zip(*(column[lo : lo + _CHUNK].tolist() for column in self._columns()))
+            for j, kind, c1_len, c2_len in rows:
+                shape, case = KINDS[kind]
+                yield Complement(j, shape, case, c1_len, c2_len)
+
+    def __eq__(self, other):
+        if isinstance(other, Complements):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Complements({list(self)!r})"
+
+
+def _permutation(m: int, phi):
+    """(phi, phi^-1) as int64 arrays, after checking phi is a permutation of 1..m."""
+    if m < 1:
+        raise BadPermutation("ground set must be nonempty")
+    if isinstance(phi, ChainSpec):
+        phi = phi.perm
+    perm = np.asarray(phi)
+    if perm.shape != (m,):
+        raise BadPermutation(f"expected {m} points, got an array of shape {perm.shape}")
+    if perm.dtype.kind not in "iu":
+        raise BadPermutation(f"points must be integers, got {perm.dtype}")
+    perm = perm.astype(np.int64, copy=False)
+    if perm.min() < 1 or perm.max() > m:
+        raise BadPermutation(f"points must lie in 1..{m}")
+    inv = np.zeros(m, dtype=np.int64)
+    inv[perm - 1] = np.arange(1, m + 1)
+    if not inv.all():
+        raise BadPermutation(f"not a permutation of 1..{m}: a point repeats")
+    # numpy reads True as 1 (and False as the out-of-range 0), so a bool can
+    # only hide at the single position holding 1.
+    if not isinstance(phi, np.ndarray) and isinstance(phi[inv[0] - 1], (bool, np.bool_)):
+        raise BadPermutation("points must be integers, got a bool")
+    return perm, inv
+
+
 def fast_complements(m: int, phi) -> tuple:
     """All complements of maximal sublattices of the geometry (identity, phi).
 
-    Returns (complements, OpCounter).  OpCounter.comparisons tallies the
-    branch comparisons of the second pass; set_ops counts the symbolic
-    prefix registrations of the first pass.
+    Returns (Complements, OpCounter).  Raises BadPermutation unless phi is a
+    permutation of 1..m with integer entries.
     """
-    phi = _as_chain(phi)
-    phi.validate(m)
-    perm = (0,) + phi.perm  # 1-based
-    ops = OpCounter()
-
-    # First pass: inverse positions and running prefix maxima stand in for
-    # C1(j), C2(j) and (j).
-    inv = [0] * (m + 1)
-    for k in range(1, m + 1):
-        inv[perm[k]] = k
-    pm_chain2 = [0] * (m + 1)  # pm_chain2[k] = max point among first k of chain 2
-    pm_chain1 = [0] * (m + 1)  # pm_chain1[j] = max chain-2 position among 1..j
-    for k in range(1, m + 1):
-        pm_chain2[k] = perm[k] if perm[k] > pm_chain2[k - 1] else pm_chain2[k - 1]
-        pm_chain1[k] = inv[k] if inv[k] > pm_chain1[k - 1] else pm_chain1[k - 1]
-        ops.set_ops += 3
-
-    out = []
-    emit = out.append
-    comparisons = 0
-    for j in range(1, m + 1):
-        pj = inv[j]
-        comparisons += 1
-        if pj != m:
-            comparisons += 1
-            same_step = j + 1 == perm[pj + 1] if j < m else False
-        else:
-            same_step = False
-        if same_step:
-            comparisons += 1
-            if pm_chain2[pj] == j:        # (j) = C2(j)
-                emit(Complement(j, SHAPE_CHAIN1, TYPE2, j, pj))
-            else:
-                comparisons += 1
-                if pm_chain1[j] == pj:    # (j) = C1(j)
-                    emit(Complement(j, SHAPE_CHAIN2, TYPE2, j, pj))
-                else:
-                    emit(Complement(j, SHAPE_UNION, TYPE3, j, pj))
-        else:
-            comparisons += 1
-            if j < m and inv[j + 1] < pj:          # j+1 in C2(j)
-                emit(Complement(j, SHAPE_CHAIN1, TYPE1, j, pj))
-            comparisons += 1
-            if pj != m:
-                comparisons += 1
-                if perm[pj + 1] < j:               # phi(phi^-1(j)+1) in C1(j)
-                    emit(Complement(j, SHAPE_CHAIN2, TYPE1, j, pj))
-    ops.comparisons = comparisons
-    return out, ops
+    return _enumerate(*_permutation(m, phi))
 
 
-def decompose_and_run(m: int, chains) -> list:
-    """Complements for two arbitrary chains, via relabeling and block splitting.
+def _enumerate(perm, inv) -> tuple:
+    """Both passes for the geometry (identity, perm), where inv = perm^-1."""
+    m = len(perm)
+    ops = OpCounter(set_ops=3 * m)
 
-    Relabels the ground set so that chain 1 is the identity, splits at the
-    common prefixes of the two chains (which are cut elements of the
-    lattice), runs the fast path on every block, and re-embeds: block-local
-    descriptors are shifted by the block's base prefix and mapped back to
-    the original point names.  A cut element squeezed between two singleton
-    blocks is doubly irreducible and contributes a singleton complement.
+    # First pass.  pm_chain2[k-1] = max point among the first k of chain 2;
+    # pm_chain1[j-1] = max chain-2 position among the points 1..j.
+    pm_chain2 = np.maximum.accumulate(perm)
+    pm_chain1 = np.maximum.accumulate(inv)
+    ops.comparisons += 2 * (m - 1)
+
+    # Second pass: five masks over j.  The three about chain 2 compare
+    # neighbours along chain 2 and are read at j's position there.  Past the
+    # end of a chain the next entry reads m+2, which fails every comparison.
+    end = np.array([m + 2])
+    succ2 = np.concatenate((perm[1:], end))  # succ2[k-1] = point after position k
+    at_j = inv - 1
+    same_step = (succ2 == perm + 1)[at_j]  # both chains add j+1 right after (j)
+    closure_is_c2 = (pm_chain2 == perm)[at_j]  # (j) = C2(j)
+    next_in_c1 = (succ2 < perm)[at_j]  # phi(phi^-1(j)+1) in C1(j)
+    closure_is_c1 = pm_chain1 == inv  # (j) = C1(j)
+    next_in_c2 = np.concatenate((inv[1:], end)) < inv  # j+1 in C2(j)
+    ops.comparisons += 5 * m
+
+    # Slot 0 holds the chain-1 interval or the union, slot 1 the chain-2
+    # interval; flattening the slots row by row gives the output order.
+    slots = np.empty((m, 2), dtype=bool)
+    slots[:, 0] = np.where(same_step, closure_is_c2 | ~closure_is_c1, next_in_c2)
+    slots[:, 1] = np.where(same_step, closure_is_c1 & ~closure_is_c2, next_in_c1)
+    flat = np.flatnonzero(slots)
+    row = flat >> 1
+    same = same_step[row]
+    kind = np.where(
+        flat & 1,
+        np.where(same, C2_TYPE2, C2_TYPE1),
+        np.where(same, np.where(closure_is_c2[row], C1_TYPE2, UNION_TYPE3), C1_TYPE1),
+    ).astype(np.int8)
+    points = row + 1
+    return Complements(points, kind, points, inv[row]), ops
+
+
+def decompose_and_run(m: int, chains) -> Complements:
+    """Complements for two arbitrary chains, by relabeling.
+
+    Renames every point by its position on chain 1, which makes chain 1 the
+    identity, runs the fast path once, and renames the points of the result
+    back through chain 1.  Prefix lengths are positions on the chains, so
+    they carry over unchanged.
     """
-    chain1, chain2 = (_as_chain(c) for c in chains)
-    chain1.validate(m)
-    chain2.validate(m)
-    pos1 = chain1.pos
-    norm = [pos1[p] for p in chain2.perm]  # chain 2 in relabeled points
-
-    # Block boundaries: running max of norm equals the position index.
-    cuts = [0]
-    running = 0
-    for k in range(1, m + 1):
-        running = max(running, norm[k - 1])
-        if running == k:
-            cuts.append(k)
-
-    out = []
-    for bi in range(len(cuts) - 1):
-        lo, hi = cuts[bi], cuts[bi + 1]
-        size = hi - lo
-        local = [p - lo for p in norm[lo:hi]]
-        comps, _ = fast_complements(size, ChainSpec(tuple(local)))
-        for c in comps:
-            out.append(
-                Complement(
-                    j=chain1.perm[lo + c.j - 1],
-                    shape=c.shape,
-                    case=c.case,
-                    c1_len=lo + c.c1_len,
-                    c2_len=lo + c.c2_len,
-                )
-            )
-        # Cut element below a singleton block, itself topping a singleton
-        # block, is doubly irreducible.
-        if bi + 2 < len(cuts) and size == 1 and cuts[bi + 2] - hi == 1:
-            out.append(
-                Complement(
-                    j=chain1.perm[hi - 1],
-                    shape=SHAPE_CHAIN1,
-                    case=TYPE2,
-                    c1_len=hi,
-                    c2_len=hi,
-                )
-            )
-    out.sort(key=lambda c: (c.c1_len, 0 if c.shape != SHAPE_CHAIN2 else 1))
-    return out
+    chain1, chain2 = chains
+    perm1, pos1 = _permutation(m, chain1)
+    perm2, pos2 = _permutation(m, chain2)
+    comps, _ = _enumerate(pos1[perm2 - 1], pos2[perm1 - 1])
+    return Complements(perm1[comps.j - 1], comps.kind, comps.c1_len, comps.c2_len)
 
 
 def materialize(G: ConvexGeometry, comp: Complement) -> frozenset:
@@ -403,6 +470,7 @@ def _is_maximal(L, keep) -> bool:
 
 def complements_to_json(comps, chain1, chain2) -> str:
     """JSON array of descriptors with endpoint sets as sorted point lists."""
+    chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
     rows = []
     for c in comps:
         lo, maxima = c.endpoint_sets(chain1, chain2)

@@ -7,9 +7,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from .cdim2 import (
@@ -20,7 +24,7 @@ from .cdim2 import (
     fast_complements,
     materialize,
 )
-from .geometry import BadPermutation, build_cg, parse_cg_text
+from .geometry import BadPermutation, ChainSpec, _as_chain, build_cg, parse_cg_text
 from .lattice import Lattice, from_cover_text
 from .report import CheckReport
 from .sublattice import (
@@ -41,20 +45,22 @@ def _fmt_points(pts) -> str:
 
 
 def _parse_perm(text: str):
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise BadPermutation("empty permutation")
     try:
-        return tuple(int(t) for t in text.replace(",", " ").split())
+        return tuple(int(t) for t in tokens)
     except ValueError:
         raise BadPermutation(f"cannot parse permutation from {text!r}")
 
 
 def _load_input(args):
     """Returns ('cg', m, chains) or ('lattice', Lattice) from --perm/--file."""
-    from .geometry import ChainSpec
-
-    if getattr(args, "perm", None) and getattr(args, "file", None):
+    perm_text = getattr(args, "perm", None)
+    if perm_text is not None and getattr(args, "file", None) is not None:
         raise ValueError("--perm and --file are mutually exclusive")
-    if getattr(args, "perm", None):
-        perm = _parse_perm(args.perm)
+    if perm_text is not None:
+        perm = _parse_perm(perm_text)
         m = len(perm)
         ChainSpec(perm).validate(m)
         return "cg", m, [tuple(range(1, m + 1)), perm]
@@ -81,23 +87,15 @@ def cmd_cg_complements(args) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    identity = tuple(range(1, m + 1))
     if len(chains) != 2:
         print("cg-complements needs exactly two chains", file=sys.stderr)
         return EXIT_PARSE
-    if tuple(chains[0]) == identity:
-        comps, _ = fast_complements(m, chains[1])
-        phi = tuple(chains[1])
-    else:
-        comps = decompose_and_run(m, chains)
-        # materialization below expects chain-1 = the given first chain
-        phi = tuple(chains[1])
+    comps = decompose_and_run(m, chains)
 
     if args.json:
-        print(complements_to_json(comps, tuple(chains[0]), phi))
+        print(complements_to_json(comps, *chains))
     else:
-        chain1 = tuple(chains[0])
-        for line in _complement_lines_chains(chain1, phi, comps):
+        for line in _complement_lines_chains(*chains, comps):
             print(line)
 
     if args.verify:
@@ -117,6 +115,7 @@ def cmd_cg_complements(args) -> int:
 
 
 def _complement_lines_chains(chain1, chain2, comps):
+    chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
     lines = []
     for c in comps:
         lo, maxima = c.endpoint_sets(chain1, chain2)
@@ -230,7 +229,11 @@ def cmd_check(args) -> int:
     for name in names:
         fn, corpus_fn = CHECKS[name]
         items, label = corpus_fn(args)
-        report: CheckReport = fn(items, label=label)
+        try:
+            report: CheckReport = fn(items, label=label)
+        except OracleBoundExceeded as exc:
+            print(f"oracle bound exceeded: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         print(report.to_json())
         if report.status == "CounterexampleFound":
             rc = EXIT_COUNTEREXAMPLE
@@ -253,16 +256,31 @@ def cmd_bench(args) -> int:
         dt = time.perf_counter() - t0
         ratio = ops.comparisons / m
         rows.append((m, len(comps), ops.comparisons, ops.set_ops, ratio, dt))
-        print(
-            f"m={m:>8}  complements={len(comps):>8}  comparisons={ops.comparisons:>10}"
-            f"  set_ops={ops.set_ops:>10}  comparisons/m={ratio:.2f}  wall={dt*1000:.2f}ms"
-        )
+        if args.json:
+            record = {
+                "m": m,
+                "complements": len(comps),
+                "comparisons": ops.comparisons,
+                "set_ops": ops.set_ops,
+                "wall_s": dt,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "cpu_count": os.cpu_count(),
+            }
+            print(json.dumps(record))
+        else:
+            print(
+                f"m={m:>8}  complements={len(comps):>8}  comparisons={ops.comparisons:>10}"
+                f"  set_ops={ops.set_ops:>10}  comparisons/m={ratio:.2f}  wall={dt*1000:.2f}ms"
+            )
     if not args.no_assert:
         bad = [r for r in rows if r[4] > 12]
         if bad:
             print(f"linearity assertion failed: {bad}", file=sys.stderr)
             return EXIT_COUNTEREXAMPLE
-        print("# linearity ok: comparisons/m <= 12 at every size")
+        # With --json, stdout carries only the records.
+        note = sys.stderr if args.json else sys.stdout
+        print("# linearity ok: comparisons/m <= 12 at every size", file=note)
     return EXIT_OK
 
 
@@ -359,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sizes", default="10,100,1000,10000,100000")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--no-assert", action="store_true", help="skip the linearity assertion")
+    sp.add_argument("--json", action="store_true", help="one JSON record per size")
     sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("dot", help="emit a DOT Hasse diagram")

@@ -8,6 +8,7 @@ inclusion order as ``leq``).  Ground points are 1-based throughout.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,13 +42,15 @@ class ChainSpec:
     perm: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
+        object.__setattr__(self, "perm", tuple(map(_point, self.perm)))
 
     @property
     def m(self) -> int:
         return len(self.perm)
 
     def validate(self, m: int):
+        if m < 1:
+            raise BadPermutation("ground set must be nonempty")
         if sorted(self.perm) != list(range(1, m + 1)):
             raise BadPermutation(f"not a permutation of 1..{m}: {self.perm}")
 
@@ -58,6 +61,16 @@ class ChainSpec:
 
     def prefix(self, length: int) -> frozenset:
         return frozenset(self.perm[:length])
+
+
+def _point(p) -> int:
+    """A chain entry as an int; floats, bools and strings are refused."""
+    if isinstance(p, bool):  # operator.index accepts Python bools
+        raise BadPermutation(f"points must be integers, got {p!r}")
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise BadPermutation(f"points must be integers, got {p!r}") from None
 
 
 def _as_chain(chain) -> ChainSpec:

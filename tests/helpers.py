@@ -189,3 +189,100 @@ def random_cover_lattice(rng, n):
         return from_cover_relations(n, pairs)
     except NotALattice:
         return None
+
+
+# -- scalar references for the two-chain enumeration --------------------------------
+
+
+def scalar_fast_complements(m, phi):
+    """The two-pass enumeration as a scalar loop: a list of Complement.
+
+    The per-point branch that ``fast_complements`` evaluates as masks over
+    all j at once, written out for one j at a time.
+    """
+    from latmax.cdim2 import (
+        SHAPE_CHAIN1,
+        SHAPE_CHAIN2,
+        SHAPE_UNION,
+        TYPE1,
+        TYPE2,
+        TYPE3,
+        Complement,
+    )
+    from latmax.geometry import _as_chain
+
+    phi = _as_chain(phi)
+    phi.validate(m)
+    perm = (0,) + phi.perm  # 1-based
+
+    inv = [0] * (m + 1)
+    for k in range(1, m + 1):
+        inv[perm[k]] = k
+    pm_chain2 = [0] * (m + 1)  # pm_chain2[k] = max point among first k of chain 2
+    pm_chain1 = [0] * (m + 1)  # pm_chain1[j] = max chain-2 position among 1..j
+    for k in range(1, m + 1):
+        pm_chain2[k] = max(perm[k], pm_chain2[k - 1])
+        pm_chain1[k] = max(inv[k], pm_chain1[k - 1])
+
+    out = []
+    emit = out.append
+    for j in range(1, m + 1):
+        pj = inv[j]
+        same_step = pj != m and j < m and j + 1 == perm[pj + 1]
+        if same_step:
+            if pm_chain2[pj] == j:  # (j) = C2(j)
+                emit(Complement(j, SHAPE_CHAIN1, TYPE2, j, pj))
+            elif pm_chain1[j] == pj:  # (j) = C1(j)
+                emit(Complement(j, SHAPE_CHAIN2, TYPE2, j, pj))
+            else:
+                emit(Complement(j, SHAPE_UNION, TYPE3, j, pj))
+        else:
+            if j < m and inv[j + 1] < pj:  # j+1 in C2(j)
+                emit(Complement(j, SHAPE_CHAIN1, TYPE1, j, pj))
+            if pj != m and perm[pj + 1] < j:  # phi(phi^-1(j)+1) in C1(j)
+                emit(Complement(j, SHAPE_CHAIN2, TYPE1, j, pj))
+    return out
+
+
+def block_decompose_and_run(m, chains):
+    """Two arbitrary chains by block splitting, on the scalar reference.
+
+    Relabels the ground set so that chain 1 is the identity, splits at the
+    common prefixes of the two chains (cut elements of the lattice), runs
+    the scalar enumeration on every block, and re-embeds: block-local
+    descriptors are shifted by the block's base prefix and mapped back to
+    the original point names.  A cut element squeezed between two singleton
+    blocks is doubly irreducible and contributes a singleton complement.
+    """
+    from latmax.cdim2 import SHAPE_CHAIN1, SHAPE_CHAIN2, TYPE2, Complement
+    from latmax.geometry import _as_chain
+
+    chain1, chain2 = (_as_chain(c) for c in chains)
+    chain1.validate(m)
+    chain2.validate(m)
+    pos1 = chain1.pos
+    norm = [pos1[p] for p in chain2.perm]  # chain 2 in relabeled points
+
+    # Block boundaries: running max of norm equals the position index.
+    cuts = [0]
+    running = 0
+    for k in range(1, m + 1):
+        running = max(running, norm[k - 1])
+        if running == k:
+            cuts.append(k)
+
+    out = []
+    for bi in range(len(cuts) - 1):
+        lo, hi = cuts[bi], cuts[bi + 1]
+        size = hi - lo
+        comps = scalar_fast_complements(size, [p - lo for p in norm[lo:hi]])
+        for c in comps:
+            out.append(
+                Complement(
+                    chain1.perm[lo + c.j - 1], c.shape, c.case, lo + c.c1_len, lo + c.c2_len
+                )
+            )
+        if bi + 2 < len(cuts) and size == 1 and cuts[bi + 2] - hi == 1:
+            out.append(Complement(chain1.perm[hi - 1], SHAPE_CHAIN1, TYPE2, hi, hi))
+    out.sort(key=lambda c: (c.c1_len, 0 if c.shape != SHAPE_CHAIN2 else 1))
+    return out

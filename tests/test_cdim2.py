@@ -1,6 +1,7 @@
 """The linear-time complement enumeration and its classification."""
 from __future__ import annotations
 
+import pickle
 import random
 from itertools import permutations
 
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import block_decompose_and_run, scalar_fast_complements
 from latmax.cdim2 import (
+    Complement,
+    Complements,
     NoCaseMatches,
     classify_complement,
     complements_from_json,
@@ -19,7 +23,7 @@ from latmax.cdim2 import (
     materialize,
 )
 from latmax.corpus import random_permutation
-from latmax.geometry import BadPermutation, build_cg
+from latmax.geometry import BadPermutation, ChainSpec, build_cg
 from latmax.sublattice import maximal_complements_oracle
 
 PAPER_PERM = (3, 6, 7, 10, 1, 8, 9, 5, 2, 4)
@@ -79,6 +83,41 @@ def test_identity_chain_yields_interior_singletons():
 def test_bad_permutation():
     with pytest.raises(BadPermutation):
         fast_complements(3, (1, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "m, phi",
+    [
+        (3, (1, 2, 2)),  # repeated point
+        (2, (1, 3)),  # out of range
+        (2, (0, 1)),
+        (3, (1, 2)),  # too short
+        (2, (1, 2, 3)),  # too long
+        (0, ()),  # empty ground set
+        (2, (1.7, 2.2)),  # floats
+        (2, (1.0, 2.0)),
+        (2, (True, 2)),  # a bool reads as 1
+        (1, (True,)),
+        (2, ("1", "2")),
+        (2, [[1, 2]]),
+    ],
+)
+def test_malformed_permutation_rejected(m, phi):
+    with pytest.raises(BadPermutation):
+        fast_complements(m, phi)
+    with pytest.raises(BadPermutation):
+        decompose_and_run(m, (tuple(range(1, m + 1)), phi))
+
+
+@pytest.mark.parametrize("chain", [(1.5, 2), (True, 2), ("1", "2")])
+def test_chainspec_rejects_non_integer_points(chain):
+    with pytest.raises(BadPermutation):
+        ChainSpec(chain)
+
+
+def test_chainspec_validate_rejects_empty_ground_set():
+    with pytest.raises(BadPermutation):
+        ChainSpec(()).validate(0)
 
 
 def test_op_counter_is_linear():
@@ -270,3 +309,94 @@ def test_classification_on_decomposed_arbitrary_chains():
         G = build_cg(m, [tuple(c1), tuple(c2)], verify=False)
         for c in decompose_and_run(m, (tuple(c1), tuple(c2))):
             assert classify_complement(G, materialize(G, c)) == c.case
+
+
+# -- the columnar result -------------------------------------------------------
+
+
+def test_complements_sequence_protocol():
+    comps, _ = fast_complements(10, PAPER_PERM)
+    assert isinstance(comps, Complements) and len(comps) == 9
+    items = list(comps)
+    assert comps == items and items == comps and comps == tuple(items)
+    assert comps[:-1] == items[:-1] and isinstance(comps[:-1], Complements)
+    assert comps[::-1] == items[::-1]
+    assert comps[-1] == items[-1] == Complement(10, "IntervalChain2", "Type1", 10, 4)
+    assert comps != items[1:] and comps[1:] != items[:-1]
+    assert comps == fast_complements(10, PAPER_PERM)[0] == pickle.loads(pickle.dumps(comps))
+    assert comps != [(c.j,) for c in items]
+    with pytest.raises(IndexError):
+        comps[9]
+    for c in (comps[0], items[5]):
+        assert all(type(v) is int for v in (c.j, c.c1_len, c.c2_len))
+
+
+def test_complements_are_immutable():
+    comps, _ = fast_complements(10, PAPER_PERM)
+    with pytest.raises(AttributeError):
+        comps.j = comps.c1_len
+    with pytest.raises(ValueError):
+        comps.j[0] = 5
+    with pytest.raises(ValueError):
+        comps[:3].kind[0] = 0
+
+
+# -- differential and metamorphic checks against the scalar references ---------
+
+
+def _descriptors(comps):
+    return [(c.j, c.shape, c.case, c.c1_len, c.c2_len) for c in comps]
+
+
+def test_vectorized_equals_scalar_exhaustive():
+    for m in range(1, 8):
+        for perm in permutations(range(1, m + 1)):
+            comps, ops = fast_complements(m, perm)
+            assert _descriptors(comps) == _descriptors(scalar_fast_complements(m, perm)), perm
+            assert ops.set_ops == 3 * m and ops.comparisons <= 12 * m
+
+
+def test_vectorized_equals_scalar_random():
+    rng = random.Random(77)
+    for m in [rng.randint(8, 400) for _ in range(100)] + [10**3, 10**4, 10**5]:
+        perm = random_permutation(m, rng)
+        comps, ops = fast_complements(m, perm)
+        assert comps == scalar_fast_complements(m, perm), m
+        assert ops.set_ops == 3 * m and ops.comparisons <= 12 * m
+
+
+def test_relabel_equals_block_splitting_exhaustive():
+    for m in range(1, 6):
+        chains = list(permutations(range(1, m + 1)))
+        for a in chains:
+            for b in chains:
+                assert decompose_and_run(m, (a, b)) == block_decompose_and_run(m, (a, b)), (a, b)
+
+
+def test_relabel_equals_block_splitting_shared_prefixes():
+    """Chains that agree on common prefixes split into many blocks."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        m = rng.randint(2, 60)
+        a = list(random_permutation(m, rng))
+        b = []
+        cuts = sorted(rng.sample(range(1, m), rng.randint(0, m - 1)))
+        for lo, hi in zip([0] + cuts, cuts + [m]):
+            block = a[lo:hi]
+            rng.shuffle(block)
+            b += block
+        chains = (tuple(a), tuple(b))
+        assert decompose_and_run(m, chains) == block_decompose_and_run(m, chains), chains
+
+
+def test_inverse_permutation_counts_agree_at_scale():
+    """(id, phi) and (id, phi^-1) generate isomorphic geometries."""
+    m = 10**5
+    perm = random_permutation(m, random.Random(41))
+    inv = [0] * m
+    for k, p in enumerate(perm, 1):
+        inv[p - 1] = k
+    comps, ops = fast_complements(m, perm)
+    comps_inv, _ = fast_complements(m, tuple(inv))
+    assert len(comps) == len(comps_inv)
+    assert ops.set_ops == 3 * m and ops.comparisons <= 12 * m

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from latmax import cli
 from latmax.report import CheckReport
 
@@ -91,16 +93,15 @@ def test_oracle_json_on_perm(capsys):
 
 
 def test_verify_mismatch_exit_code(capsys, monkeypatch):
-    # Sabotage the fast path to force a disagreement with the oracle.
+    # Sabotage the enumeration to force a disagreement with the oracle.
     import latmax.cli as cli_mod
 
-    real = cli_mod.fast_complements
+    real = cli_mod.decompose_and_run
 
-    def truncated(m, phi):
-        comps, ops = real(m, phi)
-        return comps[:-1], ops
+    def truncated(m, chains):
+        return real(m, chains)[:-1]
 
-    monkeypatch.setattr(cli_mod, "fast_complements", truncated)
+    monkeypatch.setattr(cli_mod, "decompose_and_run", truncated)
     rc, _, err = run_cli(capsys, "cg-complements", "--perm", "2 1 3 4", "--verify")
     assert rc == 3
     assert "VERIFY MISMATCH" in err
@@ -187,3 +188,47 @@ def test_oracle_accepts_multichain_geometry_file(tmp_path, capsys):
     assert rc == 0
     # cyclic rotations generate the cube 2^3: six atom/coatom intervals
     assert "# 6 complements" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--perm", "1.5 2"], "cannot parse"),
+        (["--perm", "1 3"], "not a permutation"),
+        (["--perm", "1 1"], "not a permutation"),
+        (["--perm", ""], "empty permutation"),
+        (["--perm", " , "], "empty permutation"),
+        (["--file", "3 2\n1 2 3\n2 1\n"], "not a permutation"),
+        (["--file", "0 1\n1\n"], "nonempty"),
+    ],
+)
+def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):
+    if argv[0] == "--file":
+        path = tmp_path / "geom.txt"
+        path.write_text(argv[1])
+        argv = ["--file", str(path)]
+    rc, out, err = run_cli(capsys, "cg-complements", *argv)
+    assert rc == 2 and out == ""
+    assert "parse error" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_check_oracle_bound_overflow_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("LATMAX_ORACLE_BOUND", "4")
+    rc, _, err = run_cli(capsys, "check", "hyp2", "--max-m", "3")
+    assert rc == 2
+    assert "oracle bound exceeded" in err and "Traceback" not in err
+
+
+def test_bench_json_records(capsys):
+    rc, out, err = run_cli(capsys, "bench", "--sizes", "10,100", "--seed", "1", "--json")
+    assert rc == 0
+    records = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["m"] for r in records] == [10, 100]
+    for r in records:
+        assert set(r) == {
+            "m", "complements", "comparisons", "set_ops", "wall_s", "python", "numpy", "cpu_count",
+        }
+        assert r["set_ops"] == 3 * r["m"] and r["comparisons"] <= 12 * r["m"]
+        assert r["wall_s"] >= 0
+    assert "linearity ok" in err
