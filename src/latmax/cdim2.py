@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BadPermutation, ChainSpec, ConvexGeometry, _as_chain
+from .lattice import bits, minimal_elements
 from .report import COUNTEREXAMPLE, HOLDS, SKIPPED, CheckReport
 from .sublattice import is_sublattice
 
@@ -278,14 +279,7 @@ def materialize(G: ConvexGeometry, comp: Complement) -> frozenset:
     mask = 0
     for top_set in maxima:
         mask |= L.interval_mask(lo, G.set_index[top_set])
-    return frozenset(_bits(mask))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return frozenset(bits(mask))
 
 
 # -- classification ------------------------------------------------------------
@@ -307,8 +301,8 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     if not cset:
         raise ValueError("empty complement")
     L = G.lattice
-    minima = [a for a in cset if not any(b != a and L.leq[b, a] for b in cset)]
-    maxima = [a for a in cset if not any(b != a and L.leq[a, b] for b in cset)]
+    minima = minimal_elements(L, cset)
+    maxima = minimal_elements(L.dual, cset)
     if len(minima) != 1:
         raise NoCaseMatches(f"complement has {len(minima)} minimal elements")
     lo = minima[0]
@@ -330,7 +324,7 @@ def classify_complement(G: ConvexGeometry, C) -> str:
         for i in (0, 1):
             if G.chain_prefix_of_point(i, j) != hi:
                 continue
-            if frozenset(_bits(L.interval_mask(lo, hi))) != cset:
+            if frozenset(bits(L.interval_mask(lo, hi))) != cset:
                 continue
             other = 1 - i
             xi = _next_point(G, i, j)
@@ -365,7 +359,7 @@ def _union_matches(G, lo, maxima, cset) -> bool:
     mask = 0
     for hi in maxima:
         mask |= G.lattice.interval_mask(lo, hi)
-    return frozenset(_bits(mask)) == cset
+    return frozenset(bits(mask)) == cset
 
 
 # -- lemma checks ----------------------------------------------------------------
@@ -394,7 +388,7 @@ def lemma_suite_64_65(G: ConvexGeometry) -> CheckReport:
         mask = 0
         for hi in his:
             mask |= L.interval_mask(lo, hi)
-        return is_sublattice(L, full - frozenset(_bits(mask)))
+        return is_sublattice(L, full - frozenset(bits(mask)))
 
     for j in range(1, G.m + 1):
         x1 = _next_point(G, 0, j)
@@ -453,7 +447,7 @@ def lemma_suite_64_65(G: ConvexGeometry) -> CheckReport:
                     # Mixed case: the written claim of 6.4(3) can fail (the
                     # interval may complement a non-maximal sublattice), but
                     # it must never complement a maximal one.
-                    keep = full - frozenset(_bits(L.interval_mask(lo, ci)))
+                    keep = full - frozenset(bits(L.interval_mask(lo, ci)))
                     if is_sublattice(L, keep) and _is_maximal(L, keep):
                         return fail(f"6.4(3'): chain-{i + 1} interval is a maximal complement")
     return CheckReport("lemma-6.4-6.5", label, checked, HOLDS)

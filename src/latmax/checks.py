@@ -3,7 +3,9 @@
 Every checker sweeps a corpus and hunts for a counterexample; the returned
 status ``Holds`` means "no counterexample in this corpus", never proof.
 Witnesses carry the lattice in cover-list form plus the violating data and
-can be re-verified with :func:`reverify_witness`.
+can be re-verified with :func:`reverify_witness`, which replays the very
+predicate the checker used (table :data:`REPLAY`).  A dual claim is its
+primal check run on ``L.dual``, under the primal tag plus ``-dual``.
 """
 from __future__ import annotations
 
@@ -12,23 +14,29 @@ import random
 from .geometry import ConvexGeometry
 from .lattice import (
     Lattice,
+    bits,
     from_cover_text,
     is_convex_subset,
+    is_distributive,
     is_sd,
     is_sd_join,
     is_sd_meet,
+    minimal_elements,
     to_cover_text,
 )
 from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 from .sublattice import (
     NoCanonicalRep,
+    generate_sublattice,
     is_sublattice,
     maximal_complements_oracle,
+    observation_suite,
     strict_canonical_joinands,
     strict_canonical_meetands,
 )
 
 __all__ = [
+    "REPLAY",
     "check_hyp1_sd_interval",
     "check_hyp2_sd_join",
     "check_hyp3_convex",
@@ -62,6 +70,15 @@ def _witness(L: Lattice, claim: str, M=None, C=None, **extra) -> dict:
     return w
 
 
+def _sides(L: Lattice, tag: str) -> list:
+    """(L, tag) when L is SD-join, then (L.dual, tag + "-dual") when L is SD-meet."""
+    both = (((L, tag), is_sd_join(L)), ((L.dual, tag + "-dual"), is_sd_meet(L)))
+    return [side for side, holds in both if holds]
+
+
+# -- violation predicates: each is shared by its checker and by the replay ------
+
+
 def _is_interval(L: Lattice, C) -> bool:
     cset = frozenset(C)
     lo = L.meet_of(cset)
@@ -69,10 +86,58 @@ def _is_interval(L: Lattice, C) -> bool:
     return lo in cset and hi in cset and L.interval(lo, hi) == cset
 
 
-def _extremes(L: Lattice, C):
-    maxima = [a for a in C if not any(b != a and L.leq[a, b] for b in C)]
-    minima = [a for a in C if not any(b != a and L.leq[b, a] for b in C)]
-    return minima, maxima
+def _hyp2_fails(L: Lattice, C) -> bool:
+    """C lacks a unique minimal element c0, or some [c0, t] with t maximal leaves C."""
+    minima = minimal_elements(L, C)
+    cmask = L.mask_of(C)
+    return len(minima) != 1 or any(
+        L.interval_mask(minima[0], t) & ~cmask for t in minimal_elements(L.dual, C)
+    )
+
+
+def _hyp4_fails(L: Lattice, cmask: int, x: int) -> bool:
+    """No lower cover m of x lies outside C with all of [0, m] outside C."""
+    return not any(
+        not (cmask >> m) & 1 and L.down_masks[m] & cmask == 0 for m in L.lower_covers[x]
+    )
+
+
+def _q2_fails(L: Lattice, C) -> bool:
+    """The join-irreducibles in C are not just one minimum, or its
+    meet-irreducibles are not exactly its maximal elements."""
+    info = L.irreducibles
+    minima = minimal_elements(L, C)
+    return (
+        info.ji & C != set(minima)
+        or len(minima) != 1
+        or info.mi & C != set(minimal_elements(L.dual, C))
+    )
+
+
+def _thm44_fails(L: Lattice, C) -> bool:
+    """C holds a coatom, yet not exactly one coatom as its only maximal
+    element, or C is no interval."""
+    hit = L.coatoms & C
+    return bool(hit) and (
+        set(minimal_elements(L.dual, C)) != hit or len(hit) != 1 or not _is_interval(L, C)
+    )
+
+
+def _lemma42_fails(L: Lattice, C, x: int) -> bool:
+    """x has no strict canonical joinand in C."""
+    return not strict_canonical_joinands(L, C, x)
+
+
+def _lemma54_fails(L: Lattice, cmask: int, x: int, u2: int) -> bool:
+    """[x, u2] lies inside C, missing the sublattice."""
+    return L.interval_mask(x, u2) & ~cmask == 0
+
+
+def _distributive_fails(L: Lattice, C) -> bool:
+    """C is not an interval [a, b] with a its only join- and b its only meet-irreducible."""
+    info = L.irreducibles
+    lo, hi = L.meet_of(C), L.join_of(C)
+    return not (L.interval(lo, hi) == C and info.ji & C == {lo} and info.mi & C == {hi})
 
 
 # -- hypotheses -----------------------------------------------------------------
@@ -102,27 +167,16 @@ def check_hyp2_sd_join(corpus, label="corpus", bound=None) -> CheckReport:
     checked = 0
     for item in corpus:
         L = _lattice_of(item)
-        sdj, sdm = is_sd_join(L), is_sd_meet(L)
-        if not sdj and not sdm:
+        sides = _sides(L, "hyp2")
+        if not sides:
             continue
         for C in maximal_complements_oracle(L, bound):
-            minima, maxima = _extremes(L, C)
-            cmask = L.mask_of(C)
-            if sdj:
+            for K, tag in sides:
                 checked += 1
-                bad = len(minima) != 1 or any(
-                    L.interval_mask(minima[0], t) & ~cmask for t in maxima
-                )
-                if bad:
-                    w = _witness(L, "hyp2", C=C, minima=sorted(minima))
-                    return CheckReport("hyp2-sdjoin-union", label, checked, COUNTEREXAMPLE, w)
-            if sdm:
-                checked += 1
-                bad = len(maxima) != 1 or any(
-                    L.interval_mask(s, maxima[0]) & ~cmask for s in minima
-                )
-                if bad:
-                    w = _witness(L, "hyp2-dual", C=C, maxima=sorted(maxima))
+                if _hyp2_fails(K, C):
+                    # K's minimal elements are L's maximal ones on the dual side.
+                    key = "minima" if K is L else "maxima"
+                    w = _witness(L, tag, C=C, **{key: sorted(minimal_elements(K, C))})
                     return CheckReport("hyp2-sdjoin-union", label, checked, COUNTEREXAMPLE, w)
     return CheckReport("hyp2-sdjoin-union", label, checked, HOLDS)
 
@@ -155,11 +209,7 @@ def check_hyp4_cover(corpus, label="corpus", bound=None) -> CheckReport:
             cmask = L.mask_of(C)
             for x in C:
                 checked += 1
-                good = any(
-                    not (cmask >> m) & 1 and L.down_masks[m] & cmask == 0
-                    for m in L.lower_covers[x]
-                )
-                if not good:
+                if _hyp4_fails(L, cmask, x):
                     w = _witness(L, "hyp4", C=C, element=x)
                     return CheckReport("hyp4-cover", label, checked, COUNTEREXAMPLE, w)
             if not is_convex_subset(L, C):
@@ -179,17 +229,13 @@ def check_q2_irreducibles(corpus, label="corpus", bound=None) -> CheckReport:
         info = L.irreducibles
         for C in maximal_complements_oracle(L, bound):
             checked += 1
-            cset = frozenset(C)
-            minima, maxima = _extremes(L, cset)
-            ji_in = info.ji & cset
-            mi_in = info.mi & cset
-            if ji_in != set(minima) or len(minima) != 1 or mi_in != set(maxima):
+            if _q2_fails(L, C):
                 w = _witness(
                     L,
                     "q2",
                     C=C,
-                    ji_inside=sorted(ji_in),
-                    mi_inside=sorted(mi_in),
+                    ji_inside=sorted(info.ji & C),
+                    mi_inside=sorted(info.mi & C),
                 )
                 return CheckReport("q2-irreducibles", label, checked, COUNTEREXAMPLE, w)
     return CheckReport("q2-irreducibles", label, checked, HOLDS)
@@ -207,13 +253,11 @@ def check_thm_44_gist(corpus, label="corpus", bound=None) -> CheckReport:
         if not is_sd_join(L):
             continue
         for C in maximal_complements_oracle(L, bound):
-            cset = frozenset(C)
-            hit = L.coatoms & cset
+            hit = L.coatoms & C
             if not hit:
                 continue
             checked += 1
-            _, maxima = _extremes(L, cset)
-            if set(maxima) != hit or len(hit) != 1 or not _is_interval(L, cset):
+            if _thm44_fails(L, C):
                 w = _witness(L, "thm4.4", C=C, coatoms=sorted(hit))
                 return CheckReport("thm44-coatom", label, checked, COUNTEREXAMPLE, w)
     return CheckReport("thm44-coatom", label, checked, HOLDS)
@@ -225,22 +269,16 @@ def check_thm_45_greatest(corpus, label="corpus", bound=None) -> CheckReport:
     checked = 0
     for item in corpus:
         L = _lattice_of(item)
-        sdj, sdm = is_sd_join(L), is_sd_meet(L)
-        if not sdj and not sdm:
+        sides = _sides(L, "thm4.5")
+        if not sides:
             continue
         for C in maximal_complements_oracle(L, bound):
-            cset = frozenset(C)
-            minima, maxima = _extremes(L, cset)
-            if sdj and len(maxima) == 1:
-                checked += 1
-                if not _is_interval(L, cset):
-                    w = _witness(L, "thm4.5", C=C)
-                    return CheckReport("thm45-greatest", label, checked, COUNTEREXAMPLE, w)
-            if sdm and len(minima) == 1:
-                checked += 1
-                if not _is_interval(L, cset):
-                    w = _witness(L, "thm4.5-dual", C=C)
-                    return CheckReport("thm45-greatest", label, checked, COUNTEREXAMPLE, w)
+            for K, tag in sides:
+                if len(minimal_elements(K.dual, C)) == 1:
+                    checked += 1
+                    if not _is_interval(K, C):
+                        w = _witness(L, tag, C=C)
+                        return CheckReport("thm45-greatest", label, checked, COUNTEREXAMPLE, w)
     return CheckReport("thm45-greatest", label, checked, HOLDS)
 
 
@@ -254,20 +292,16 @@ def check_thm_51_55(corpus, label="corpus", bound=None) -> CheckReport:
         if not is_sd(L):
             continue
         for C in maximal_complements_oracle(L, bound):
-            cset = frozenset(C)
-            minima, maxima = _extremes(L, cset)
             triggers = (
-                len(maxima) == 1
-                or len(minima) == 1
-                or (L.atoms | L.coatoms) & cset
-                or any(
-                    all(L.leq[a, b] or L.leq[b, a] for b in cset) for a in cset
-                )
+                len(minimal_elements(L.dual, C)) == 1
+                or len(minimal_elements(L, C)) == 1
+                or (L.atoms | L.coatoms) & C
+                or any(all(L.leq[a, b] or L.leq[b, a] for b in C) for a in C)
             )
             if not triggers:
                 continue
             checked += 1
-            if not _is_interval(L, cset):
+            if not _is_interval(L, C):
                 w = _witness(L, "thm5.1/5.5", C=C)
                 return CheckReport("thm51-55-interval", label, checked, COUNTEREXAMPLE, w)
     return CheckReport("thm51-55-interval", label, checked, HOLDS)
@@ -287,7 +321,7 @@ def sublattice_complements(L: Lattice, seed: int = 0, samples: int = 60):
     everything = frozenset(range(L.n))
     if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
         for mask in range(1, 1 << L.n):
-            sub = frozenset(i for i in range(L.n) if (mask >> i) & 1)
+            sub = frozenset(bits(mask))
             if len(sub) < L.n and is_sublattice(L, sub):
                 out.append(everything - sub)
         return out
@@ -295,8 +329,6 @@ def sublattice_complements(L: Lattice, seed: int = 0, samples: int = 60):
     for C in maximal_complements_oracle(L, bound=L.n):
         seen.add(C)
     rng = random.Random(seed)
-    from .sublattice import generate_sublattice
-
     for _ in range(samples):
         size = rng.randint(1, max(1, L.n // 2))
         gens = rng.sample(range(L.n), size)
@@ -317,21 +349,17 @@ def check_lemma_42(corpus, label="corpus", seed: int = 0) -> CheckReport:
     checked = 0
     for item in corpus:
         L = _lattice_of(item)
-        sdj, sdm = is_sd_join(L), is_sd_meet(L)
-        if not sdj and not sdm:
+        sides = _sides(L, "lemma4.2")
+        if not sides:
             continue
         for C in sublattice_complements(L, seed=seed):
             for x in C:
-                if sdj and x != L.bottom:
-                    checked += 1
-                    if not strict_canonical_joinands(L, C, x):
-                        w = _witness(L, "lemma4.2", C=C, element=x)
-                        return CheckReport("lemma42-scj", label, checked, COUNTEREXAMPLE, w)
-                if sdm and x != L.top:
-                    checked += 1
-                    if not strict_canonical_meetands(L, C, x):
-                        w = _witness(L, "lemma4.2-dual", C=C, element=x)
-                        return CheckReport("lemma42-scj", label, checked, COUNTEREXAMPLE, w)
+                for K, tag in sides:
+                    if x != K.bottom:
+                        checked += 1
+                        if _lemma42_fails(K, C, x):
+                            w = _witness(L, tag, C=C, element=x)
+                            return CheckReport("lemma42-scj", label, checked, COUNTEREXAMPLE, w)
     return CheckReport("lemma42-scj", label, checked, HOLDS)
 
 
@@ -347,7 +375,6 @@ def check_lemma_54(corpus, label="corpus", seed: int = 0) -> CheckReport:
         for C in sublattice_complements(L, seed=seed):
             cset = frozenset(C)
             cmask = L.mask_of(cset)
-            smask = L.full_mask() & ~cmask
             for x in cset:
                 try:
                     scms = strict_canonical_meetands(L, cset, x)
@@ -363,7 +390,7 @@ def check_lemma_54(corpus, label="corpus", seed: int = 0) -> CheckReport:
                             for t in cset
                             if x != t and L.leq[x, t] and L.leq[t, u1] and L.leq[t, u2]
                         ]
-                        box = list(_mask_bits(L.interval_mask(x, u2) & cmask))
+                        box = list(bits(L.interval_mask(x, u2) & cmask))
                         good_t = [
                             t
                             for t in mid
@@ -372,7 +399,7 @@ def check_lemma_54(corpus, label="corpus", seed: int = 0) -> CheckReport:
                         if not good_t:
                             continue
                         checked += 1
-                        if L.interval_mask(x, u2) & smask == 0:
+                        if _lemma54_fails(L, cmask, x, u2):
                             w = _witness(
                                 L, "lemma5.4", C=C, x=x, u1=u1, u2=u2, t=good_t[0]
                             )
@@ -380,14 +407,43 @@ def check_lemma_54(corpus, label="corpus", seed: int = 0) -> CheckReport:
     return CheckReport("lemma54-bridge", label, checked, HOLDS)
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- witness replay ------------------------------------------------------------------
+
+
+def _not_interval(L: Lattice, C, w) -> bool:
+    return not _is_interval(L, C)
+
+
+def _not_convex(L: Lattice, C, w) -> bool:
+    return not is_convex_subset(L, C)
+
+
+def _observation_reproduces(L: Lattice, C, w) -> bool:
+    rerun = observation_suite(L, frozenset(w["sublattice"]))
+    return rerun.status == COUNTEREXAMPLE and rerun.witness["observation"] == w["observation"]
+
+
+# Witness tag -> predicate(L, C, witness), True when the violation reproduces.
+# A "-dual" tag runs its primal predicate on L.dual, as its checker did.
+REPLAY = {
+    "hyp1": _not_interval,
+    "hyp2": lambda L, C, w: _hyp2_fails(L, C),
+    "hyp2-dual": lambda L, C, w: _hyp2_fails(L.dual, C),
+    "hyp3": _not_convex,
+    "hyp4": lambda L, C, w: _hyp4_fails(L, L.mask_of(C), w["element"]),
+    "hyp4-convexity": _not_convex,
+    "q2": lambda L, C, w: _q2_fails(L, C),
+    "thm4.4": lambda L, C, w: _thm44_fails(L, C),
+    "thm4.5": _not_interval,
+    "thm4.5-dual": lambda L, C, w: _not_interval(L.dual, C, w),
+    "thm5.1/5.5": _not_interval,
+    "lemma4.2": lambda L, C, w: _lemma42_fails(L, C, w["element"]),
+    "lemma4.2-dual": lambda L, C, w: _lemma42_fails(L.dual, C, w["element"]),
+    "lemma5.4": lambda L, C, w: _lemma54_fails(L, L.mask_of(C), w["x"], w["u2"]),
+    "observation-suite": _observation_reproduces,
+    "distributive-baseline": lambda L, C, w: _distributive_fails(L, C),
+    "bounded-baseline": _not_interval,
+}
 
 
 def reverify_witness(report: CheckReport) -> bool:
@@ -407,63 +463,9 @@ def reverify_witness(report: CheckReport) -> bool:
         G = build_cg(w["m"], w["chains"], verify=False)
         rerun = lemma_suite_64_65(G)
         return rerun.status == COUNTEREXAMPLE and rerun.witness["claim"] == claim
-    L = from_cover_text(w["lattice"])
-    C = frozenset(w.get("complement", []))
-    if claim == "hyp1":
-        return not _is_interval(L, C)
-    if claim == "hyp2":
-        minima, maxima = _extremes(L, C)
-        cmask = L.mask_of(C)
-        return len(minima) != 1 or any(L.interval_mask(minima[0], t) & ~cmask for t in maxima)
-    if claim == "hyp2-dual":
-        minima, maxima = _extremes(L, C)
-        cmask = L.mask_of(C)
-        return len(maxima) != 1 or any(L.interval_mask(s, maxima[0]) & ~cmask for s in minima)
-    if claim == "hyp3":
-        return not is_convex_subset(L, C)
-    if claim == "hyp4":
-        x = w["element"]
-        cmask = L.mask_of(C)
-        return not any(
-            not (cmask >> m) & 1 and L.down_masks[m] & cmask == 0
-            for m in L.lower_covers[x]
-        )
-    if claim == "hyp4-convexity":
-        return not is_convex_subset(L, C)
-    if claim == "q2":
-        info = L.irreducibles
-        minima, maxima = _extremes(L, C)
-        return (
-            info.ji & C != set(minima)
-            or len(minima) != 1
-            or info.mi & C != set(maxima)
-        )
-    if claim in ("thm4.4", "thm4.5", "thm4.5-dual", "thm5.1/5.5"):
-        return not _is_interval(L, C)
-    if claim == "lemma4.2":
-        return not strict_canonical_joinands(L, C, w["element"])
-    if claim == "lemma4.2-dual":
-        return not strict_canonical_meetands(L, C, w["element"])
-    if claim == "lemma5.4":
-        smask = L.full_mask() & ~L.mask_of(C)
-        return L.interval_mask(w["x"], w["u2"]) & smask == 0
-    if claim == "observation-suite":
-        from .sublattice import observation_suite
-
-        rerun = observation_suite(L, frozenset(w["sublattice"]))
-        return (
-            rerun.status == COUNTEREXAMPLE
-            and rerun.witness["observation"] == w["observation"]
-        )
-    if claim == "distributive-baseline":
-        info = L.irreducibles
-        lo, hi = L.meet_of(C), L.join_of(C)
-        return not (
-            L.interval(lo, hi) == C and info.ji & C == {lo} and info.mi & C == {hi}
-        )
-    if claim == "bounded-baseline":
-        return not _is_interval(L, C)
-    raise ValueError(f"unknown witness claim {claim!r}")
+    if claim not in REPLAY:
+        raise ValueError(f"unknown witness claim {claim!r}")
+    return bool(REPLAY[claim](from_cover_text(w["lattice"]), frozenset(w.get("complement", [])), w))
 
 
 # -- baseline sweeps -------------------------------------------------------------
@@ -473,19 +475,14 @@ def check_distributive_baseline(corpus, label="corpus", bound=None) -> CheckRepo
     """Distributive lattices: complements are intervals [a, b] with a the
     unique internal join-irreducible and b the unique internal
     meet-irreducible."""
-    from .lattice import is_distributive
-
     checked = 0
     for item in corpus:
         L = _lattice_of(item)
         if not is_distributive(L):
             continue
-        info = L.irreducibles
         for C in maximal_complements_oracle(L, bound):
             checked += 1
-            lo, hi = L.meet_of(C), L.join_of(C)
-            ok = L.interval(lo, hi) == C and info.ji & C == {lo} and info.mi & C == {hi}
-            if not ok:
+            if _distributive_fails(L, C):
                 w = _witness(L, "distributive-baseline", C=C)
                 return CheckReport("distributive-baseline", label, checked, COUNTEREXAMPLE, w)
     return CheckReport("distributive-baseline", label, checked, HOLDS)

@@ -226,9 +226,12 @@ def cmd_check(args) -> int:
         print(f"unknown claim(s): {unknown}; known: {sorted(CHECKS)}", file=sys.stderr)
         return EXIT_PARSE
     rc = EXIT_OK
+    corpora = {}  # corpus builder -> (items, label), shared by the claims of this call
     for name in names:
         fn, corpus_fn = CHECKS[name]
-        items, label = corpus_fn(args)
+        if corpus_fn not in corpora:
+            corpora[corpus_fn] = corpus_fn(args)
+        items, label = corpora[corpus_fn]
         try:
             report: CheckReport = fn(items, label=label)
         except OracleBoundExceeded as exc:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import Lattice, is_lower_semimodular, is_sd_join
+from .lattice import InvariantViolation, Lattice, bits, is_lower_semimodular, is_sd_join, mask_of
 
 __all__ = [
     "BadPermutation",
@@ -114,7 +114,8 @@ class ConvexGeometry:
         self.set_index = {s: i for i, s in enumerate(self.family)}
 
         n = len(self.family)
-        masks = [_points_mask(s) for s in self.family]
+        # Point p is bit p - 1.
+        masks = [mask_of(p - 1 for p in s) for s in self.family]
         leq = np.zeros((n, n), dtype=bool)
         for a in range(n):
             for b in range(n):
@@ -157,7 +158,7 @@ class ConvexGeometry:
             out = (1 << self.m) - 1
             for i in range(len(self.chains)):
                 out &= self._point_masks[self.chain_prefix_of_point(i, x)]
-            cached = self._closures[x] = self.set_index[frozenset(_mask_points(out))]
+            cached = self._closures[x] = self.set_index[frozenset(b + 1 for b in bits(out))]
         return cached
 
     def least_mi_on_chain(self, i: int, x: int) -> int:
@@ -197,23 +198,30 @@ class ConvexGeometry:
         # meet is intersection; join is the least family member over the union.
         for a in range(n):
             for b in range(a, n):
-                assert masks[L.meet[a, b]] == masks[a] & masks[b]
-                assert (masks[a] | masks[b]) & ~masks[L.join[a, b]] == 0
-        assert is_sd_join(L), "geometry lattice must satisfy SD-join"
-        assert is_lower_semimodular(L), "geometry lattice must be lower semimodular"
+                if masks[L.meet[a, b]] != masks[a] & masks[b]:
+                    raise InvariantViolation(f"meet of {a} and {b} is not their intersection")
+                if (masks[a] | masks[b]) & ~masks[L.join[a, b]]:
+                    raise InvariantViolation(f"join of {a} and {b} does not contain their union")
+        if not is_sd_join(L):
+            raise InvariantViolation("geometry lattice must satisfy SD-join")
+        if not is_lower_semimodular(L):
+            raise InvariantViolation("geometry lattice must be lower semimodular")
         # Every cover adds exactly one ground point.
         for a in range(n):
             for b in L.covers[a]:
-                assert (masks[b] & ~masks[a]).bit_count() == 1
+                if (masks[b] & ~masks[a]).bit_count() != 1:
+                    raise InvariantViolation(f"cover {a} < {b} does not add exactly one point")
         # Every meet-irreducible lies on a generating chain.
         on_chain = set().union(*map(set, self.chain_elements))
-        assert L.irreducibles.mi <= on_chain
+        if not L.irreducibles.mi <= on_chain:
+            raise InvariantViolation("a meet-irreducible lies on no generating chain")
         # a equals the meet of its chain prefixes.
         for a in range(n):
             acc = masks[L.top]
             for i in range(len(self.chains)):
                 acc &= masks[self.chain_prefix(i, a)]
-            assert acc == masks[a]
+            if acc != masks[a]:
+                raise InvariantViolation(f"element {a} is not the meet of its chain prefixes")
 
     def __repr__(self):
         return f"ConvexGeometry(m={self.m}, chains={len(self.chains)}, n={self.lattice.n})"
@@ -222,22 +230,6 @@ class ConvexGeometry:
 def build_cg(m: int, chains, verify: bool = True) -> ConvexGeometry:
     """Build the geometry generated by the given chains (permutations of 1..m)."""
     return ConvexGeometry(m, chains, verify=verify)
-
-
-def _points_mask(s) -> int:
-    out = 0
-    for p in s:
-        out |= 1 << (p - 1)
-    return out
-
-
-def _mask_points(mask: int):
-    p = 1
-    while mask:
-        if mask & 1:
-            yield p
-        mask >>= 1
-        p += 1
 
 
 def _poset_width(L: Lattice, elems) -> int:

@@ -17,9 +17,11 @@ import numpy as np
 __all__ = [
     "CyclicInput",
     "Interval",
+    "InvariantViolation",
     "IrreducibleInfo",
     "Lattice",
     "NotALattice",
+    "bits",
     "canonical_join_rep",
     "canonical_meet_rep",
     "double_interval",
@@ -35,6 +37,8 @@ __all__ = [
     "kappa",
     "kappa_bijection_check",
     "kappa_sigma",
+    "mask_of",
+    "minimal_elements",
     "to_cover_text",
     "way_below",
 ]
@@ -50,6 +54,10 @@ class NotALattice(ValueError):
 
 class CyclicInput(ValueError):
     """The input cover digraph contains a cycle."""
+
+
+class InvariantViolation(AssertionError):
+    """An internal self-check failed; raised explicitly, so ``python -O`` keeps it."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +98,8 @@ class Lattice:
         self.leq = leq
 
         # Bitmask per element of everything below / above it.
-        down = [_mask_of_bits(np.flatnonzero(leq[:, a])) for a in range(n)]
-        up = [_mask_of_bits(np.flatnonzero(leq[a, :])) for a in range(n)]
+        down = [mask_of(np.flatnonzero(leq[:, a]).tolist()) for a in range(n)]
+        up = [mask_of(np.flatnonzero(leq[a, :]).tolist()) for a in range(n)]
         self.down_masks = down
         self.up_masks = up
 
@@ -125,6 +133,24 @@ class Lattice:
             raise ValueError("order relation is not antisymmetric")
         if ((~leq) & (leq @ leq)).any():
             raise ValueError("order relation is not transitive")
+
+    @cached_property
+    def dual(self) -> Lattice:
+        """The order dual: an O(1) view sharing this lattice's arrays.
+
+        Meet and join, down and up masks, bottom and top trade places and the
+        order is ``leq.T``; nothing is re-validated, and the view's own cached
+        properties fill in lazily.  The view keeps no reference back to this
+        lattice (a cycle would leave lattices to the cyclic garbage
+        collector), so ``L.dual.dual`` is a fresh view over L's arrays.
+        """
+        d = object.__new__(Lattice)
+        d.n = self.n
+        d.leq = self.leq.T
+        d.meet, d.join = self.join, self.meet
+        d.down_masks, d.up_masks = self.up_masks, self.down_masks
+        d.bottom, d.top = self.top, self.bottom
+        return d
 
     # -- structure ---------------------------------------------------------
 
@@ -189,13 +215,10 @@ class Lattice:
         return self.up_masks[lo] & self.down_masks[hi]
 
     def interval(self, lo: int, hi: int) -> frozenset:
-        return frozenset(_bits_of_mask(self.interval_mask(lo, hi)))
+        return frozenset(bits(self.interval_mask(lo, hi)))
 
     def mask_of(self, elems) -> int:
-        m = 0
-        for e in elems:
-            m |= 1 << e
-        return m
+        return mask_of(elems)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -210,20 +233,33 @@ class Lattice:
         return f"Lattice(n={self.n})"
 
 
-def _mask_of_bits(bits) -> int:
+# -- bitmasks of element sets --------------------------------------------------
+
+
+def bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_of(ids) -> int:
+    """The bitmask with bit i set for every (Python int) i in ids."""
     m = 0
-    for b in bits:
-        m |= 1 << int(b)
+    for i in ids:
+        m |= 1 << i
     return m
 
 
-def _bits_of_mask(mask: int):
-    b = 0
-    while mask:
-        if mask & 1:
-            yield b
-        mask >>= 1
-        b += 1
+def minimal_elements(L: Lattice, S) -> list:
+    """The minimal elements of the set S, in S's iteration order.
+
+    ``minimal_elements(L.dual, S)`` gives the maximal ones.
+    """
+    smask = mask_of(S)
+    down = L.down_masks
+    return [a for a in S if down[a] & smask == 1 << a]
 
 
 # -- construction ------------------------------------------------------------
@@ -303,14 +339,7 @@ def is_sd_join(L: Lattice) -> bool:
 
 
 def is_sd_meet(L: Lattice) -> bool:
-    J, M = L.join, L.meet
-    for x in range(L.n):
-        mx = M[x]
-        same = mx[:, None] == mx[None, :]
-        fixed = mx[J] == mx[:, None]
-        if np.any(same & ~fixed):
-            return False
-    return True
+    return is_sd_join(L.dual)
 
 
 def is_sd(L: Lattice) -> bool:
@@ -368,54 +397,39 @@ def canonical_join_rep(L: Lattice, x: int):
     element, or the collected joinands failing to form an antichain, is a
     witness that SD-join fails at x.
     """
-    return _canonical_rep(L, x, dual=False)
+    cache = L.__dict__.setdefault("_canonical_cache", {})
+    if x not in cache:
+        cache[x] = _canonical_rep_uncached(L, x)
+    return cache[x]
 
 
 def canonical_meet_rep(L: Lattice, x: int):
     """Dual of canonical_join_rep; the top's representation is the empty set."""
-    return _canonical_rep(L, x, dual=True)
+    return canonical_join_rep(L.dual, x)
 
 
-def _canonical_rep(L: Lattice, x: int, dual: bool):
-    cache = L.__dict__.setdefault("_canonical_cache", {})
-    key = (x, dual)
-    if key in cache:
-        return cache[key]
-    cache[key] = out = _canonical_rep_uncached(L, x, dual)
-    return out
-
-
-def _canonical_rep_uncached(L: Lattice, x: int, dual: bool):
-    if not dual:
-        unit, leq = L.bottom, (lambda a, b: L.leq[a, b])
-        irr = L.irreducibles.ji
-        nearest = L.lower_covers
-        table = L.join
-    else:
-        unit, leq = L.top, (lambda a, b: L.leq[b, a])
-        irr = L.irreducibles.mi
-        nearest = L.covers
-        table = L.meet
-    if x == unit:
+def _canonical_rep_uncached(L: Lattice, x: int):
+    if x == L.bottom:
         return frozenset()
-    below = [j for j in irr if leq(j, x)]
+    leq = L.leq
+    below = [j for j in L.irreducibles.ji if leq[j, x]]
     cands = set()
-    for y in nearest[x]:
-        fresh = [j for j in below if not leq(j, y)]
-        mins = [j for j in fresh if not any(k != j and leq(k, j) for k in fresh)]
+    for y in L.lower_covers[x]:
+        mins = minimal_elements(L, [j for j in below if not leq[j, y]])
         if len(mins) != 1:
             return None
         cands.add(mins[0])
     for a, b in combinations(cands, 2):
-        if leq(a, b) or leq(b, a):
+        if leq[a, b] or leq[b, a]:
             return None
     # Definitional check: no representation avoiding the up-set of a candidate
     # may reach x, i.e. x is not a join of irreducibles not above j.
     for j in cands:
-        avoid = [u for u in below if not leq(j, u)]
-        if _op_closure_contains(table, avoid, x):
+        avoid = [u for u in below if not leq[j, u]]
+        if _op_closure_contains(L.join, avoid, x):
             return None
-    assert reduce(lambda a, b: int(table[a, b]), cands) == x
+    if L.join_of(cands) != x:
+        raise InvariantViolation(f"canonical joinands {sorted(cands)} do not join to {x}")
     return frozenset(cands)
 
 
@@ -448,33 +462,20 @@ def kappa(L: Lattice, j: int):
     info = L.irreducibles
     if j not in info.ji:
         raise ValueError(f"element {j} is not join-irreducible")
-    jstar = info.lower_star[j]
-    k_mask = 0
-    for u in range(L.n):
-        if L.leq[jstar, u] and not L.leq[j, u]:
-            k_mask |= 1 << u
-    for u in _bits_of_mask(k_mask):
+    k_mask = L.up_masks[info.lower_star[j]] & ~L.up_masks[j]
+    for u in bits(k_mask):
         if k_mask & ~L.down_masks[u] == 0:
-            assert u in info.mi
+            if u not in info.mi:
+                raise InvariantViolation(f"kappa({j}) = {u} is not meet-irreducible")
             return u
     return None
 
 
 def kappa_sigma(L: Lattice, m: int):
     """Least element of K^σ(m) = {v : v <= m^*, v ≰ m} if unique, else None."""
-    info = L.irreducibles
-    if m not in info.mi:
+    if m not in L.irreducibles.mi:
         raise ValueError(f"element {m} is not meet-irreducible")
-    mstar = info.upper_star[m]
-    k_mask = 0
-    for v in range(L.n):
-        if L.leq[v, mstar] and not L.leq[v, m]:
-            k_mask |= 1 << v
-    for v in _bits_of_mask(k_mask):
-        if k_mask & ~L.up_masks[v] == 0:
-            assert v in info.ji
-            return v
-    return None
+    return kappa(L.dual, m)
 
 
 def kappa_bijection_check(L: Lattice) -> bool:
@@ -521,7 +522,7 @@ def double_interval(L: Lattice, iv: Interval) -> Lattice:
     if not L.leq[iv.lo, iv.hi]:
         raise ValueError(f"not an interval: {iv}")
     imask = L.interval_mask(iv.lo, iv.hi)
-    inside = sorted(_bits_of_mask(imask))
+    inside = list(bits(imask))
     outside = [a for a in range(L.n) if not (imask >> a) & 1]
     # New ids: outside elements first, then (x,0),(x,1) pairs in x order.
     new_id = {}
@@ -546,5 +547,6 @@ def double_interval(L: Lattice, iv: Interval) -> Lattice:
                 for k in (0, 1):
                     leq[pair_id[(x, i)], pair_id[(y, k)]] = L.leq[x, y] and i <= k
     doubled = Lattice(leq)
-    assert doubled.n == L.n + len(inside)
+    if doubled.n != n2:
+        raise InvariantViolation(f"doubling gave {doubled.n} elements, expected {n2}")
     return doubled

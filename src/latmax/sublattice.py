@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Lattice, canonical_join_rep, canonical_meet_rep, to_cover_text
+from .lattice import (
+    InvariantViolation,
+    Lattice,
+    bits,
+    canonical_join_rep,
+    indecomposable_components,
+    is_convex_subset,
+    minimal_elements,
+    to_cover_text,
+)
 from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 
 __all__ = [
@@ -162,8 +171,6 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
 
     blocked = (1 << L.bottom) | (1 << L.top)
     dbl_mask = L.mask_of(L.irreducibles.ji & L.irreducibles.mi)
-    from .lattice import indecomposable_components
-
     comp_masks = [
         L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)
     ] or [L.full_mask()]
@@ -207,7 +214,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 stack.append((cmask | (1 << x), forb))
 
     # Doubly irreducible interior elements are removable singletons.
-    for d in _bits_of(dbl_mask & ~blocked):
+    for d in bits(dbl_mask & ~blocked):
         found.append(1 << d)
 
     found.sort(key=lambda m: m.bit_count())
@@ -215,25 +222,20 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     for cand in found:
         if not any(r & ~cand == 0 for r in minimal):
             minimal.append(cand)
-    full = L.full_mask()
     result = sorted(
-        (frozenset(_bits_of(c)) for c in minimal),
+        (frozenset(bits(c)) for c in minimal),
         key=lambda s: sorted(s),
     )
-    assert all(is_maximal_sublattice(L, frozenset(_bits_of(full & ~L.mask_of(c)))) for c in result)
+    everything = frozenset(range(n))
+    for c in result:
+        if not is_maximal_sublattice(L, everything - c):
+            raise InvariantViolation(f"oracle complement {sorted(c)} leaves no maximal sublattice")
     L._oracle_cache = tuple(result)
     return list(result)
 
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
-
-
-def _bits_of(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def maximal_sublattices(L: Lattice, bound=None) -> list:
@@ -260,20 +262,13 @@ def strict_canonical_joinands(L: Lattice, C, x: int) -> frozenset:
         raise ValueError(f"element {x} not in the complement set")
     rep = canonical_join_rep(L, x)
     if rep is None:
-        raise NoCanonicalRep(f"no canonical join representation at {x}")
+        raise NoCanonicalRep(f"no canonical representation at {x}")
     cmask = L.mask_of(cset)
     return frozenset(j for j in rep if L.interval_mask(j, x) & ~cmask == 0)
 
 
 def strict_canonical_meetands(L: Lattice, C, x: int) -> frozenset:
-    cset = frozenset(C)
-    if x not in cset:
-        raise ValueError(f"element {x} not in the complement set")
-    rep = canonical_meet_rep(L, x)
-    if rep is None:
-        raise NoCanonicalRep(f"no canonical meet representation at {x}")
-    cmask = L.mask_of(cset)
-    return frozenset(m for m in rep if L.interval_mask(x, m) & ~cmask == 0)
+    return strict_canonical_joinands(L.dual, C, x)
 
 
 # -- complement bounds and the observation suite ---------------------------------
@@ -319,13 +314,11 @@ def observation_suite(L: Lattice, M) -> CheckReport:
 
     info = L.irreducibles
     cmask = L.mask_of(cset)
-    maxima = [a for a in cset if not any(b != a and L.leq[a, b] for b in cset)]
-    minima = [a for a in cset if not any(b != a and L.leq[b, a] for b in cset)]
+    minima = minimal_elements(L, cset)
+    maxima = minimal_elements(L.dual, cset)
 
     # 3.1 complement confined to one indecomposable component
     checked += 1
-    from .lattice import indecomposable_components
-
     comps = indecomposable_components(L)
     masks = [L.interval_mask(iv.lo, iv.hi) for iv in comps] or [L.full_mask()]
     if cset and not any(cmask & ~m == 0 for m in masks):
@@ -367,74 +360,53 @@ def observation_suite(L: Lattice, M) -> CheckReport:
         if todo:
             return report("3.5-disconnected", {"part": sorted(todo)})
 
+    # 3.6-3.8 are each checked on L and then, dually, on L.dual, where the
+    # minimal elements of C are L's maximal ones; the dual halves keep
+    # their own names and detail keys.
+    sides = ((L, minima, maxima), (L.dual, maxima, minima))
+
     # 3.6 with m0 the meet of m̄ over minimal elements: C inside [m0, 1] or
-    # disjoint from it, convex in the second case; dually via m̲ over maxima.
+    # disjoint from it, convex in the second case; dually m1, the join of m̲
+    # over maximal elements.
     checked += 1
-    try:
-        m0 = L.meet_of([complement_bounds(L, melems, c).m_over for c in minima]) if minima else None
-    except UndefinedBound:
-        m0 = None
-    if m0 is not None:
-        upmask = L.interval_mask(m0, L.top)
-        inside = cmask & upmask
-        if inside and inside != cmask:
-            return report("3.6-m0-dichotomy", {"m0": m0})
-        from .lattice import is_convex_subset
-
-        if not inside and not is_convex_subset(L, cset):
-            return report("3.6-convexity", {"m0": m0})
-    try:
-        m1 = L.join_of([complement_bounds(L, melems, c).m_under for c in maxima]) if maxima else None
-    except UndefinedBound:
-        m1 = None
-    if m1 is not None:
-        downmask = L.interval_mask(L.bottom, m1)
-        inside = cmask & downmask
-        if inside and inside != cmask:
-            return report("3.6-dual-dichotomy", {"m1": m1})
-        from .lattice import is_convex_subset
-
-        if not inside and not is_convex_subset(L, cset):
-            return report("3.6-dual-convexity", {"m1": m1})
+    names = (("3.6-m0-dichotomy", "3.6-convexity", "m0"), ("3.6-dual-dichotomy", "3.6-dual-convexity", "m1"))
+    for (K, lows, _), (split, convexity, key) in zip(sides, names):
+        try:
+            m0 = K.meet_of([complement_bounds(K, melems, c).m_over for c in lows]) if lows else None
+        except UndefinedBound:
+            m0 = None
+        if m0 is not None:
+            inside = cmask & K.interval_mask(m0, K.top)
+            if inside and inside != cmask:
+                return report(split, {key: m0})
+            if not inside and not is_convex_subset(L, cset):
+                return report(convexity, {key: m0})
 
     # 3.7 m* maximal in M∖{1}, c in (m*, 1): every m in M not below m* joins c to 1.
     checked += 1
-    m_no_top = melems - {L.top}
-    for mstar in m_no_top:
-        if any(b != mstar and L.leq[mstar, b] for b in m_no_top):
-            continue
-        between = [c for c in range(L.n) if L.leq[mstar, c] and L.leq[c, L.top] and c not in (mstar, L.top)]
-        for c in between:
-            for m in melems:
-                if not L.leq[m, mstar] and L.join[m, c] != L.top:
-                    return report("3.7-saturation", {"mstar": mstar, "c": c, "m": m})
-    m_no_bot = melems - {L.bottom}
-    for mstar in m_no_bot:
-        if any(b != mstar and L.leq[b, mstar] for b in m_no_bot):
-            continue
-        between = [c for c in range(L.n) if L.leq[L.bottom, c] and L.leq[c, mstar] and c not in (mstar, L.bottom)]
-        for c in between:
-            for m in melems:
-                if not L.leq[mstar, m] and L.meet[m, c] != L.bottom:
-                    return report("3.7-dual-saturation", {"mstar": mstar, "c": c, "m": m})
+    for (K, _, _), name in zip(sides, ("3.7-saturation", "3.7-dual-saturation")):
+        m_no_top = melems - {K.top}
+        for mstar in m_no_top:
+            if any(b != mstar and K.leq[mstar, b] for b in m_no_top):
+                continue
+            between = [c for c in range(K.n) if K.leq[mstar, c] and K.leq[c, K.top] and c not in (mstar, K.top)]
+            for c in between:
+                for m in melems:
+                    if not K.leq[m, mstar] and K.join[m, c] != K.top:
+                        return report(name, {"mstar": mstar, "c": c, "m": m})
 
-    # 3.8 greatest element a of C has m̲(a) ≺ a; dually for a least element.
+    # 3.8 greatest element a of C has m̲(a) ≺ a; dually a least element c
+    # has c ≺ m̄(c).
     checked += 1
-    if len(maxima) == 1 and cset:
-        a = maxima[0]
-        try:
-            under = complement_bounds(L, melems, a).m_under
-            if a not in L.covers[under]:
-                return report("3.8-greatest-subcover", {"a": a, "m_under": under})
-        except UndefinedBound:
-            pass
-    if len(minima) == 1 and cset:
-        c0 = minima[0]
-        try:
-            over = complement_bounds(L, melems, c0).m_over
-            if over not in L.covers[c0]:
-                return report("3.8-least-cover", {"c": c0, "m_over": over})
-        except UndefinedBound:
-            pass
+    names = (("3.8-greatest-subcover", "a", "m_under"), ("3.8-least-cover", "c", "m_over"))
+    for (K, _, highs), (name, a_key, bound_key) in zip(sides, names):
+        if len(highs) == 1 and cset:
+            a = highs[0]
+            try:
+                under = complement_bounds(K, melems, a).m_under
+            except UndefinedBound:
+                continue
+            if a not in K.covers[under]:
+                return report(name, {a_key: a, bound_key: under})
 
     return CheckReport("observation-suite", f"n={L.n}", checked, HOLDS)
