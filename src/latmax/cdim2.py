@@ -31,13 +31,14 @@ import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .geometry import BadPermutation, ChainSpec, ConvexGeometry, _as_chain
-from .lattice import bits, minimal_elements
+from .lattice import bits, mask_of, minimal_elements
 from .report import COUNTEREXAMPLE, HOLDS, SKIPPED, CheckReport
-from .sublattice import is_sublattice
+from .sublattice import is_maximal_sublattice, is_sublattice
 
 __all__ = [
     "Complement",
@@ -274,12 +275,13 @@ def materialize(G: ConvexGeometry, comp: Complement) -> frozenset:
     if len(G.chains) != 2:
         raise ValueError("materialization needs a two-chain geometry")
     lo_set, maxima = comp.endpoint_sets(G.chains[0], G.chains[1])
-    L = G.lattice
-    lo = G.set_index[lo_set]
-    mask = 0
-    for top_set in maxima:
-        mask |= L.interval_mask(lo, G.set_index[top_set])
-    return frozenset(bits(mask))
+    his = [G.set_index[top_set] for top_set in maxima]
+    return frozenset(bits(_union_mask(G.lattice, G.set_index[lo_set], his)))
+
+
+def _union_mask(L, lo: int, his) -> int:
+    """Mask of the union of the intervals [lo, hi] over hi in his."""
+    return reduce(operator.or_, (L.interval_mask(lo, hi) for hi in his), 0)
 
 
 # -- classification ------------------------------------------------------------
@@ -300,6 +302,7 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     cset = frozenset(C)
     if not cset:
         raise ValueError("empty complement")
+    cmask = mask_of(cset)
     L = G.lattice
     minima = minimal_elements(L, cset)
     maxima = minimal_elements(L.dual, cset)
@@ -313,7 +316,7 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     tags = set()
     if len(maxima) == 2:
         expected = {G.chain_prefix_of_point(0, j), G.chain_prefix_of_point(1, j)}
-        if set(maxima) == expected and _union_matches(G, lo, maxima, cset):
+        if set(maxima) == expected and _union_mask(L, lo, maxima) == cmask:
             x1 = _next_point(G, 0, j)
             x2 = _next_point(G, 1, j)
             on1, on2 = G.chain_member[lo][0], G.chain_member[lo][1]
@@ -324,7 +327,7 @@ def classify_complement(G: ConvexGeometry, C) -> str:
         for i in (0, 1):
             if G.chain_prefix_of_point(i, j) != hi:
                 continue
-            if frozenset(bits(L.interval_mask(lo, hi))) != cset:
+            if L.interval_mask(lo, hi) != cmask:
                 continue
             other = 1 - i
             xi = _next_point(G, i, j)
@@ -355,13 +358,6 @@ def _next_point(G: ConvexGeometry, i: int, j: int):
     return G.chains[i].perm[k] if k < G.m else None
 
 
-def _union_matches(G, lo, maxima, cset) -> bool:
-    mask = 0
-    for hi in maxima:
-        mask |= G.lattice.interval_mask(lo, hi)
-    return frozenset(bits(mask)) == cset
-
-
 # -- lemma checks ----------------------------------------------------------------
 
 
@@ -381,14 +377,11 @@ def lemma_suite_64_65(G: ConvexGeometry) -> CheckReport:
     if not G.has_trivial_intersection():
         return CheckReport("lemma-6.4-6.5", label, 0, SKIPPED, None)
     L = G.lattice
-    full = frozenset(range(L.n))
+    full = L.full_mask()
     checked = 0
 
     def is_complement_of_sublattice(lo, his):
-        mask = 0
-        for hi in his:
-            mask |= L.interval_mask(lo, hi)
-        return is_sublattice(L, full - frozenset(bits(mask)))
+        return is_sublattice(L, bits(full & ~_union_mask(L, lo, his)))
 
     for j in range(1, G.m + 1):
         x1 = _next_point(G, 0, j)
@@ -447,16 +440,10 @@ def lemma_suite_64_65(G: ConvexGeometry) -> CheckReport:
                     # Mixed case: the written claim of 6.4(3) can fail (the
                     # interval may complement a non-maximal sublattice), but
                     # it must never complement a maximal one.
-                    keep = full - frozenset(bits(L.interval_mask(lo, ci)))
-                    if is_sublattice(L, keep) and _is_maximal(L, keep):
+                    keep = bits(full & ~L.interval_mask(lo, ci))
+                    if is_maximal_sublattice(L, keep):
                         return fail(f"6.4(3'): chain-{i + 1} interval is a maximal complement")
     return CheckReport("lemma-6.4-6.5", label, checked, HOLDS)
-
-
-def _is_maximal(L, keep) -> bool:
-    from .sublattice import is_maximal_sublattice
-
-    return is_maximal_sublattice(L, keep)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -317,14 +317,12 @@ def sublattice_complements(L: Lattice, seed: int = 0, samples: int = 60):
     complements of the maximal sublattices plus seeded random generated
     sublattices.
     """
-    out = []
-    everything = frozenset(range(L.n))
+    full = L.full_mask()
     if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
-        for mask in range(1, 1 << L.n):
-            sub = frozenset(bits(mask))
-            if len(sub) < L.n and is_sublattice(L, sub):
-                out.append(everything - sub)
-        return out
+        return [
+            frozenset(bits(full & ~mask)) for mask in range(1, full) if is_sublattice(L, bits(mask))
+        ]
+    everything = frozenset(range(L.n))
     seen = set()
     for C in maximal_complements_oracle(L, bound=L.n):
         seen.add(C)

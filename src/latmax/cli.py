@@ -249,8 +249,15 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     import random as _random
 
+    try:
+        sizes = [int(t) for t in args.sizes.split(",")]
+        if min(sizes) < 1:
+            raise ValueError
+    except ValueError:
+        msg = f"--sizes takes comma-separated positive integers, got {args.sizes!r}"
+        print(f"parse error: {msg}", file=sys.stderr)
+        return EXIT_PARSE
     rng = _random.Random(args.seed)
-    sizes = [int(s) for s in args.sizes.split(",")]
     rows = []
     for m in sizes:
         perm = corpus_mod.random_permutation(m, rng)

@@ -2,7 +2,8 @@
 
 A geometry on ground set {1..m} is generated by k linear orders (chains),
 each given as a permutation.  The family is the closure of all chain
-prefixes under pairwise intersection; ordered by inclusion it is a lattice
+prefixes under intersection, built directly as the intersections of one
+prefix per chain; ordered by inclusion it is a lattice
 (the lattice view reuses :class:`latmax.lattice.Lattice` verbatim, with the
 inclusion order as ``leq``).  Ground points are 1-based throughout.
 """
@@ -95,21 +96,12 @@ class ConvexGeometry:
         for c in self.chains:
             c.validate(m)
 
-        prefixes = {frozenset()}
+        # Every member is an intersection of one prefix per chain: prefixes of
+        # one chain are nested, so more than one of them adds nothing.
+        family = {frozenset(range(1, m + 1))}
         for c in self.chains:
-            for k in range(1, m + 1):
-                prefixes.add(c.prefix(k))
-        family = set(prefixes)
-        frontier = set(prefixes)
-        while frontier:
-            fresh = set()
-            for a in frontier:
-                for b in prefixes:
-                    ab = a & b
-                    if ab not in family:
-                        fresh.add(ab)
-            family |= fresh
-            frontier = fresh
+            prefixes = [c.prefix(k) for k in range(m + 1)]
+            family = {a & p for a in family for p in prefixes}
         self.family = tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
         self.set_index = {s: i for i, s in enumerate(self.family)}
 

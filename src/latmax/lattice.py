@@ -8,6 +8,7 @@ construction and safe to share between threads.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -85,6 +86,9 @@ class Lattice:
     ``a ∧ b`` is exactly ``down(a) & down(b)``.
     """
 
+    # The oracle's result, a tuple once computed; each dual view has its own.
+    _oracle_complements = None
+
     def __init__(self, leq):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
         n = leq.shape[0]
@@ -153,6 +157,19 @@ class Lattice:
         return d
 
     # -- structure ---------------------------------------------------------
+
+    @cached_property
+    def pair_masks(self):
+        """pair_masks[a][b] = the mask holding a ∧ b and a ∨ b."""
+        return [
+            [1 << m | 1 << j for m, j in zip(meets, joins)]
+            for meets, joins in zip(self.meet.tolist(), self.join.tolist())
+        ]
+
+    @cached_property
+    def _canonical_reps(self) -> dict:
+        """x -> canonical join representation of x, filled by canonical_join_rep."""
+        return {}
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b])
@@ -245,10 +262,10 @@ def bits(mask: int):
 
 
 def mask_of(ids) -> int:
-    """The bitmask with bit i set for every (Python int) i in ids."""
+    """The bitmask (a Python int) with bit i set for every integer i in ids."""
     m = 0
     for i in ids:
-        m |= 1 << i
+        m |= 1 << operator.index(i)
     return m
 
 
@@ -397,10 +414,10 @@ def canonical_join_rep(L: Lattice, x: int):
     element, or the collected joinands failing to form an antichain, is a
     witness that SD-join fails at x.
     """
-    cache = L.__dict__.setdefault("_canonical_cache", {})
-    if x not in cache:
-        cache[x] = _canonical_rep_uncached(L, x)
-    return cache[x]
+    reps = L._canonical_reps
+    if x not in reps:
+        reps[x] = _canonical_rep_uncached(L, x)
+    return reps[x]
 
 
 def canonical_meet_rep(L: Lattice, x: int):
@@ -423,30 +440,15 @@ def _canonical_rep_uncached(L: Lattice, x: int):
         if leq[a, b] or leq[b, a]:
             return None
     # Definitional check: no representation avoiding the up-set of a candidate
-    # may reach x, i.e. x is not a join of irreducibles not above j.
+    # may reach x, i.e. x is not a join of irreducibles not above j.  All of
+    # them lie below x, so some join of them is x only when the join of all is.
     for j in cands:
         avoid = [u for u in below if not leq[j, u]]
-        if _op_closure_contains(L.join, avoid, x):
+        if avoid and L.join_of(avoid) == x:
             return None
     if L.join_of(cands) != x:
         raise InvariantViolation(f"canonical joinands {sorted(cands)} do not join to {x}")
     return frozenset(cands)
-
-
-def _op_closure_contains(table, seed, target: int) -> bool:
-    """Whether target is reachable from seed by repeatedly applying table."""
-    vals = set(seed)
-    frontier = list(vals)
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for u in seed:
-                w = int(table[v, u])
-                if w not in vals:
-                    vals.add(w)
-                    fresh.append(w)
-        frontier = fresh
-    return target in vals
 
 
 # -- kappa maps ---------------------------------------------------------------
@@ -547,6 +549,9 @@ def double_interval(L: Lattice, iv: Interval) -> Lattice:
                 for k in (0, 1):
                     leq[pair_id[(x, i)], pair_id[(y, k)]] = L.leq[x, y] and i <= k
     doubled = Lattice(leq)
-    if doubled.n != n2:
-        raise InvariantViolation(f"doubling gave {doubled.n} elements, expected {n2}")
+    # The projection (x, i) ↦ x, a ↦ a of a Day doubling is a lattice homomorphism.
+    proj = np.array(outside + [x for x in inside for _ in (0, 1)])
+    grid = np.ix_(proj, proj)
+    if (proj[doubled.meet] != L.meet[grid]).any() or (proj[doubled.join] != L.join[grid]).any():
+        raise InvariantViolation("the doubling's projection does not preserve meet and join")
     return doubled

@@ -9,14 +9,15 @@ whose meet or join lands in C forces one of x, y into C, which yields a
 binary branch-and-prune search.
 
 Element subsets are plain frozensets of element ids in the public API;
-bitmasks (python ints) are used internally.
+closure, maximality and the oracle run on bitmasks (Python ints), and
+convert only at that boundary.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import or_
 
 from .lattice import (
     InvariantViolation,
@@ -25,6 +26,7 @@ from .lattice import (
     canonical_join_rep,
     indecomposable_components,
     is_convex_subset,
+    mask_of,
     minimal_elements,
     to_cover_text,
 )
@@ -87,43 +89,45 @@ def resolve_oracle_bound(bound=None) -> int:
 # -- closure and maximality ----------------------------------------------------
 
 
+def _close(L: Lattice, closed: int, new: int) -> int:
+    """Mask of the sublattice generated by closed | new; closed must be a sublattice.
+
+    Worklist fixpoint: each round pairs only the elements added by the last
+    round with every element held so far; pairs of older elements are done.
+    """
+    rows = L.pair_masks
+    mask = closed | new
+    fresh = new & ~closed
+    while fresh:
+        held = list(bits(mask))
+        grown = mask
+        for a in bits(fresh):
+            grown = reduce(or_, map(rows[a].__getitem__, held), grown)
+        fresh = grown & ~mask
+        mask = grown
+    return mask
+
+
 def generate_sublattice(L: Lattice, S) -> frozenset:
-    """Smallest sublattice containing S: fixpoint of S_{k+1} = S_k^∨ ∪ S_k^∧."""
-    cur = frozenset(S)
-    if not cur:
+    """Smallest sublattice containing S."""
+    mask = mask_of(S)
+    if not mask:
         raise EmptyGenerator("sublattice generators must be nonempty")
-    while True:
-        idx = np.fromiter(cur, dtype=np.intp)
-        grown = cur.union(
-            np.unique(L.meet[np.ix_(idx, idx)]).tolist(),
-            np.unique(L.join[np.ix_(idx, idx)]).tolist(),
-        )
-        if len(grown) == len(cur):
-            return cur
-        cur = grown
+    return frozenset(bits(_close(L, 0, mask)))
 
 
 def is_sublattice(L: Lattice, M) -> bool:
-    elems = frozenset(M)
-    if not elems:
-        return False
-    idx = np.fromiter(elems, dtype=np.intp)
-    inset = np.zeros(L.n, dtype=bool)
-    inset[idx] = True
-    return bool(inset[L.meet[np.ix_(idx, idx)]].all() and inset[L.join[np.ix_(idx, idx)]].all())
+    mask = mask_of(M)
+    return bool(mask) and _close(L, 0, mask) == mask
 
 
 def is_maximal_sublattice(L: Lattice, M) -> bool:
     """Proper sublattice such that adding any outside element generates all of L."""
-    elems = frozenset(M)
-    if len(elems) >= L.n or not is_sublattice(L, elems):
+    mask = mask_of(M)
+    full = L.full_mask()
+    if not mask or mask == full or _close(L, 0, mask) != mask:
         return False
-    everything = frozenset(range(L.n))
-    return all(
-        generate_sublattice(L, elems | {x}) == everything
-        for x in range(L.n)
-        if x not in elems
-    )
+    return all(_close(L, mask, 1 << x) == full for x in bits(full & ~mask))
 
 
 # -- the oracle -----------------------------------------------------------------
@@ -149,16 +153,10 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     bound = resolve_oracle_bound(bound)
     if L.n > bound:
         raise OracleBoundExceeded(f"n={L.n} exceeds oracle bound {bound}")
-    cache = getattr(L, "_oracle_cache", None)
-    if cache is not None:
-        return list(cache)
+    if L._oracle_complements is not None:
+        return list(L._oracle_complements)
 
     n = L.n
-    if n <= 2:
-        result: list = []
-        L._oracle_cache = tuple(result)
-        return result
-
     meet, join = L.meet, L.join
     # Preimage pair lists per target, incomparable pairs only (comparable
     # pairs can never violate closure).
@@ -222,15 +220,12 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     for cand in found:
         if not any(r & ~cand == 0 for r in minimal):
             minimal.append(cand)
-    result = sorted(
-        (frozenset(bits(c)) for c in minimal),
-        key=lambda s: sorted(s),
-    )
-    everything = frozenset(range(n))
-    for c in result:
-        if not is_maximal_sublattice(L, everything - c):
-            raise InvariantViolation(f"oracle complement {sorted(c)} leaves no maximal sublattice")
-    L._oracle_cache = tuple(result)
+    full = L.full_mask()
+    for c in minimal:
+        if not is_maximal_sublattice(L, bits(full & ~c)):
+            raise InvariantViolation(f"oracle complement {list(bits(c))} leaves no maximal sublattice")
+    result = sorted((frozenset(bits(c)) for c in minimal), key=sorted)
+    L._oracle_complements = tuple(result)
     return list(result)
 
 

@@ -232,3 +232,10 @@ def test_bench_json_records(capsys):
         assert r["set_ops"] == 3 * r["m"] and r["comparisons"] <= 12 * r["m"]
         assert r["wall_s"] >= 0
     assert "linearity ok" in err
+
+
+@pytest.mark.parametrize("sizes", ["10,x", "", "10,,20", "0", "-5"])
+def test_bench_rejects_bad_sizes(capsys, sizes):
+    rc, out, err = run_cli(capsys, "bench", "--sizes", sizes)
+    assert rc == 2 and not out
+    assert err.startswith("parse error:") and "Traceback" not in err

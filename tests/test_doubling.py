@@ -1,8 +1,12 @@
 """Day doubling as the bounded-lattice generator."""
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
+from latmax import lattice
 from latmax.corpus import are_isomorphic, boolean, chain, doubled_sequences, n5
-from latmax.lattice import Interval, double_interval, is_distributive, is_sd
+from latmax.lattice import Interval, InvariantViolation, double_interval, is_distributive, is_sd
 
 
 def test_doubling_singleton_in_chain_extends_chain():
@@ -48,3 +52,16 @@ def test_doubling_whole_lattice_is_product_with_two_chain():
     D = double_interval(L, Interval(L.bottom, L.top))
     assert D.n == 4 and is_distributive(D)
     assert are_isomorphic(D, boolean(2))
+
+
+def test_doubling_projection_check_catches_a_wrong_table(monkeypatch):
+    # Doubling {1} in the 3-chain 0 < 1 < 2 numbers the outside elements 0, 2
+    # first.  Swapping those two ids still gives a valid lattice, but its
+    # tables no longer project onto the host's.
+    L = chain(2)
+    assert double_interval(L, Interval(1, 1)).n == 4
+    real = lattice.Lattice
+    swap = np.ix_([1, 0, 2, 3], [1, 0, 2, 3])
+    monkeypatch.setattr(lattice, "Lattice", lambda leq: real(np.asarray(leq)[swap]))
+    with pytest.raises(InvariantViolation, match="projection"):
+        double_interval(L, Interval(1, 1))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -32,11 +33,26 @@ def test_bad_permutation_rejected():
         build_cg(3, [])
 
 
+def _family_inputs():
+    """(m, chains): two fixed pairs, every two-chain geometry with m <= 5, and
+    seeded random geometries with 1-4 chains and m <= 8."""
+    yield 4, [(1, 2, 3, 4), (4, 3, 2, 1)]
+    yield 4, [(1, 2, 3, 4), (2, 4, 1, 3)]
+    for m in range(1, 6):
+        identity = tuple(range(1, m + 1))
+        for perm in permutations(identity):
+            yield m, [identity, perm]
+    rng = random.Random(1173)
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        yield m, [random_permutation(m, rng) for _ in range(rng.randint(1, 4))]
+
+
 def test_family_matches_independent_intersection_closure():
-    for chains in ([(1, 2, 3, 4), (4, 3, 2, 1)], [(1, 2, 3, 4), (2, 4, 1, 3)]):
-        G = build_cg(4, chains)
-        prefixes = {frozenset(c[:k]) for c in chains for k in range(5)}
-        assert set(G.family) == intersection_closure(prefixes)
+    for m, chains in _family_inputs():
+        G = build_cg(m, chains)
+        prefixes = {frozenset(c[:k]) for c in chains for k in range(m + 1)}
+        assert set(G.family) == intersection_closure(prefixes), (m, chains)
 
 
 def test_paper_geometry_shape(paper_geometry):

@@ -28,6 +28,7 @@ from latmax.lattice import (
     is_sd,
     is_sd_join,
     is_sd_meet,
+    mask_of,
     to_cover_text,
     way_below,
 )
@@ -231,3 +232,14 @@ def test_glued_sum_orders_parts():
 def test_cover_text_golden():
     B2 = from_cover_relations(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert to_cover_text(B2) == "4\n0 1\n0 2\n1 3\n2 3\n"
+
+
+def test_mask_of_numpy_integers_gives_python_int():
+    m = mask_of([np.int64(70), np.int32(3)])
+    assert type(m) is int and m == 1 << 70 | 1 << 3
+
+
+def test_convex_subset_of_numpy_array():
+    L = chain(80)
+    assert not is_convex_subset(L, np.array([10, 70]))
+    assert is_convex_subset(L, np.arange(10, 71))

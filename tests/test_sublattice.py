@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from helpers import brute_max_complements, closure_scheme_b, random_cover_lattice
@@ -232,3 +233,40 @@ def test_oracle_degenerate_sizes():
 def test_generate_singleton():
     L = boolean(2)
     assert generate_sublattice(L, {1}) == {1}
+
+
+def _pairwise_closed(L, S):
+    return bool(S) and all(L.meet[a, b] in S and L.join[a, b] in S for a in S for b in S)
+
+
+def _subsets(n):
+    return (frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+
+
+def test_is_sublattice_matches_pairwise_check(small_corpus):
+    for name, L in small_corpus.items():
+        if L.n > 10:
+            continue
+        for S in _subsets(L.n):
+            assert is_sublattice(L, S) == _pairwise_closed(L, S), (name, sorted(S))
+
+
+def test_is_maximal_sublattice_matches_definition(small_corpus):
+    for name, L in small_corpus.items():
+        if L.n > 10:
+            continue
+        everything = frozenset(range(L.n))
+        for S in _subsets(L.n):
+            expected = (
+                S != everything
+                and _pairwise_closed(L, S)
+                and all(closure_scheme_b(L, S | {x}) == everything for x in everything - S)
+            )
+            assert is_maximal_sublattice(L, S) == expected, (name, sorted(S))
+
+
+def test_sublattice_predicates_accept_numpy_elements():
+    L = chain(3)
+    assert is_sublattice(L, np.array([0, 1]))
+    assert generate_sublattice(L, np.array([1, 2])) == {1, 2}
+    assert is_maximal_sublattice(L, np.array([0, 1, 3]))
