@@ -42,7 +42,6 @@ from .lattice import (
     kappa_bijection_check,
     kappa_sigma,
     to_cover_text,
-    way_below,
 )
 from .report import CheckReport
 from .sublattice import (

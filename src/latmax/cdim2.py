@@ -46,7 +46,6 @@ __all__ = [
     "NoCaseMatches",
     "OpCounter",
     "classify_complement",
-    "complements_from_json",
     "complements_to_json",
     "decompose_and_run",
     "fast_complements",
@@ -464,16 +463,3 @@ def complements_to_json(comps, chain1, chain2) -> str:
             }
         )
     return json.dumps(rows)
-
-
-def complements_from_json(text: str):
-    rows = json.loads(text)
-    return [
-        {
-            "j": r["j"],
-            "shape": r["shape"],
-            "class": r["class"],
-            "intervals": [[sorted(a), sorted(b)] for a, b in r["intervals"]],
-        }
-        for r in rows
-    ]

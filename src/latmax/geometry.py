@@ -271,6 +271,8 @@ def parse_cg_text(text: str):
     if len(head) != 2:
         raise ValueError("first line must be `m k`")
     m, k = int(head[0]), int(head[1])
+    if m < 1:
+        raise BadPermutation("ground set must be nonempty")
     if len(rows) != k + 1:
         raise ValueError(f"expected {k} chain lines, got {len(rows) - 1}")
     chains = [ChainSpec(tuple(int(t) for t in row.split())) for row in rows[1:]]

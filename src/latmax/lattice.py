@@ -41,7 +41,6 @@ __all__ = [
     "mask_of",
     "minimal_elements",
     "to_cover_text",
-    "way_below",
 ]
 
 
@@ -170,9 +169,6 @@ class Lattice:
     def _canonical_reps(self) -> dict:
         """x -> canonical join representation of x, filled by canonical_join_rep."""
         return {}
-
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
 
     @cached_property
     def cover_matrix(self):
@@ -326,17 +322,19 @@ def to_cover_text(L: Lattice) -> str:
 def from_cover_text(text: str) -> Lattice:
     """Parse the cover-list format (`#` starts a comment)."""
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line)
+            rows.append((lineno, line))
     if not rows:
         raise ValueError("empty cover-list input")
-    n = int(rows[0])
+    n = int(rows[0][1])
     pairs = []
-    for line in rows[1:]:
-        a, b = line.split()
-        pairs.append((int(a), int(b)))
+    for lineno, line in rows[1:]:
+        ids = line.split()
+        if len(ids) != 2:
+            raise ValueError(f"line {lineno} ({line!r}): a cover line needs two element ids")
+        pairs.append((int(ids[0]), int(ids[1])))
     return from_cover_relations(n, pairs)
 
 
@@ -381,12 +379,6 @@ def is_lower_semimodular(L: Lattice) -> bool:
     prem = cov[idx[:, None], L.join]      # x ≺ x∨y
     concl = cov[L.meet, idx[None, :]]     # x∧y ≺ y
     return not np.any(prem & ~concl)
-
-
-def way_below(L: Lattice, X, Y) -> bool:
-    """X ≪ Y: every x in X lies below some y in Y."""
-    ys = list(Y)
-    return all(any(L.leq[x, y] for y in ys) for x in X)
 
 
 def is_convex_subset(L: Lattice, S) -> bool:

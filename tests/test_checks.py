@@ -1,6 +1,8 @@
 """Hypothesis/theorem checkers, baselines, and witness replay."""
 from __future__ import annotations
 
+import pytest
+
 from latmax.checks import (
     bounded_interval_baseline,
     check_distributive_baseline,
@@ -28,6 +30,7 @@ from latmax.corpus import (
     m3,
     n5,
 )
+from latmax.geometry import build_cg
 from latmax.lattice import from_cover_text, is_sd
 from latmax.report import CheckReport
 from latmax.sublattice import maximal_complements_oracle
@@ -39,6 +42,43 @@ from latmax.sublattice import maximal_complements_oracle
 MULTI_JI_BOUNDED = """14
 0 1\n0 2\n1 3\n2 3\n4 0\n4 5\n4 10\n5 2\n5 12\n6 7\n6 8\n7 4\n7 9\n8 9\n9 5\n10 11\n10 12\n11 1\n11 13\n12 13\n13 3
 """
+
+
+# Convex geometries on three and four chains (m = 6) that refute hyp2 and
+# hyp4, which hold on every two-chain geometry.  Per geometry: the chains,
+# then hyp2's (instances, minima, complement) and hyp4's (instances,
+# element).  The instance counts also pin the order of the checkers' sweeps.
+K_CHAIN_COUNTEREXAMPLES = [
+    (
+        [(1, 2, 3, 4, 5, 6), (2, 4, 6, 5, 3, 1), (6, 3, 5, 4, 2, 1)],
+        (2, [2, 3, 4], [2, 3, 4, 7, 8, 9, 10, 12, 14, 16, 17, 19, 23]),
+        (6, 8),
+    ),
+    (
+        [(1, 2, 3, 4, 5, 6), (6, 4, 3, 5, 2, 1), (4, 5, 6, 3, 2, 1), (1, 3, 2, 5, 4, 6)],
+        (5, [3, 4], [3, 4, 8, 9, 10, 13, 14, 15, 18, 20]),
+        (17, 10),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "chains, hyp2, hyp4", K_CHAIN_COUNTEREXAMPLES, ids=["3-chain", "4-chain"]
+)
+def test_k_chain_geometries_refute_hyp2_and_hyp4(chains, hyp2, hyp4):
+    G = build_cg(6, chains)
+    n = G.lattice.n
+
+    rep = check_hyp2_sd_join([G], label="k-chain", bound=n)
+    assert rep.status == "CounterexampleFound"
+    assert (rep.instances_checked, rep.witness["minima"], rep.witness["complement"]) == hyp2
+    assert reverify_witness(rep) is True
+
+    rep = check_hyp4_cover([G], label="k-chain", bound=n)
+    assert rep.status == "CounterexampleFound"
+    assert (rep.instances_checked, rep.witness["element"]) == hyp4
+    assert rep.witness["complement"] == hyp2[2]
+    assert reverify_witness(rep) is True
 
 
 def test_hypothesis_checkers_hold_on_small_cdim2(cdim2_through_m6):

@@ -200,6 +200,7 @@ def test_oracle_accepts_multichain_geometry_file(tmp_path, capsys):
         (["--perm", " , "], "empty permutation"),
         (["--file", "3 2\n1 2 3\n2 1\n"], "not a permutation"),
         (["--file", "0 1\n1\n"], "nonempty"),
+        (["--file", "0 2\n"], "ground set must be nonempty"),
     ],
 )
 def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):
@@ -210,6 +211,15 @@ def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):
     rc, out, err = run_cli(capsys, "cg-complements", *argv)
     assert rc == 2 and out == ""
     assert "parse error" in err and message in err
+    assert "Traceback" not in err
+
+
+def test_cover_line_with_three_ids(tmp_path, capsys):
+    path = tmp_path / "lattice.txt"
+    path.write_text("3\n0 1\n# the next cover line is malformed\n0 1 2\n")
+    rc, out, err = run_cli(capsys, "oracle", "--file", str(path))
+    assert rc == 2 and out == ""
+    assert "line 4 ('0 1 2'): a cover line needs two element ids" in err
     assert "Traceback" not in err
 
 

@@ -30,7 +30,6 @@ from latmax.lattice import (
     is_sd_meet,
     mask_of,
     to_cover_text,
-    way_below,
 )
 
 
@@ -103,13 +102,6 @@ def test_lower_semimodularity():
 def test_sd_scan_matches_naive_on_small_corpus(small_corpus):
     for name, L in small_corpus.items():
         assert is_sd_join(L) == naive_is_sd_join(L), name
-
-
-def test_way_below_basics(named_lattices):
-    L = named_lattices["chain2"]
-    assert way_below(L, [], [L.bottom])
-    assert way_below(L, [1], [1])
-    assert not way_below(L, [L.top], [L.bottom])
 
 
 def test_every_element_is_join_of_ji_and_meet_of_mi(small_corpus):

@@ -2,16 +2,12 @@
 rejects an honest witness, and every tag a checker can emit has an entry."""
 from __future__ import annotations
 
-import ast
-from pathlib import Path
-
 import pytest
 
+from latmax import checks
 from latmax.checks import REPLAY, _witness, reverify_witness
-from latmax.corpus import boolean, chain
+from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, n5
 from latmax.report import CheckReport
-
-CHECKS_SRC = Path(__file__).resolve().parents[1] / "src" / "latmax" / "checks.py"
 
 # On chain(4) (0 < 1 < 2 < 3 < 4), C = {1, 3} is neither convex nor an
 # interval, while C = {2} is an honest complement for every claim below.
@@ -65,27 +61,43 @@ def test_unknown_tag_raises():
         reverify_witness(_report("no-such-claim", chain(4), {2}, {}))
 
 
-def _emitted_tags():
-    """Tag literals the checkers pass to _witness, directly or through _sides."""
-    tags = set()
-    for node in ast.walk(ast.parse(CHECKS_SRC.read_text())):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            continue
-        if node.func.id not in ("_witness", "_sides"):
-            continue
-        arg = node.args[1]
-        if isinstance(arg, ast.Constant):
-            tags.add(arg.value)
-            if node.func.id == "_sides":
-                tags.add(arg.value + "-dual")
-        else:
-            # a non-literal tag must be the loop variable over _sides(...)
-            assert isinstance(arg, ast.Name) and arg.id == "tag", ast.dump(arg)
-    return tags
+class _RecordingTable(dict):
+    """REPLAY as a dict that records every tag looked up in it."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.looked_up = set()
+
+    def __getitem__(self, tag):
+        self.looked_up.add(tag)
+        return super().__getitem__(tag)
 
 
-def test_every_emitted_tag_has_a_replay_entry():
-    tags = _emitted_tags()
-    assert tags <= set(REPLAY), sorted(tags - set(REPLAY))
-    # observation-suite witnesses come from sublattice.observation_suite
-    assert set(REPLAY) - tags == {"observation-suite"}
+def test_every_emitted_tag_has_a_replay_entry(monkeypatch):
+    """Every tag a sweep tests has a REPLAY entry, and every entry but the
+    observation suite's (its witnesses come from sublattice.observation_suite)
+    is reached by some checker."""
+    table = _RecordingTable(checks.REPLAY)
+    monkeypatch.setattr(checks, "REPLAY", table)
+    geometries = all_cdim2_geometries(3, verify=False)
+    lattices = [n5(), boolean(2), chain(3)] + doubled_sequences(depth=2, seed=2, count=8)
+    for fn in (
+        checks.check_hyp2_sd_join,
+        checks.check_hyp3_convex,
+        checks.check_hyp4_cover,
+        checks.check_q2_irreducibles,
+        checks.check_thm_44_gist,
+        checks.check_thm_45_greatest,
+    ):
+        assert fn(geometries).holds
+    for fn in (
+        checks.check_hyp1_sd_interval,
+        checks.check_thm_51_55,
+        checks.check_lemma_42,
+        checks.check_lemma_54,
+        checks.check_distributive_baseline,
+    ):
+        assert fn(lattices).holds
+    assert checks.bounded_interval_baseline(lattices)[0].holds
+    assert table.looked_up <= set(REPLAY), sorted(table.looked_up - set(REPLAY))
+    assert set(REPLAY) - table.looked_up == {"observation-suite"}
