@@ -30,15 +30,17 @@ from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 from .sublattice import (
     NoCanonicalRep,
     generate_sublattice,
-    is_sublattice,
     maximal_complements_oracle,
     observation_suite,
     strict_canonical_joinands,
     strict_canonical_meetands,
+    sublattice_masks,
 )
 
 __all__ = [
     "REPLAY",
+    "bounded_interval_baseline",
+    "check_distributive_baseline",
     "check_hyp1_sd_interval",
     "check_hyp2_sd_join",
     "check_hyp3_convex",
@@ -361,15 +363,14 @@ def check_thm_51_55(corpus, label="corpus", bound=None) -> CheckReport:
 def sublattice_complements(L: Lattice, seed: int = 0, samples: int = 60):
     """Nonempty complements of proper sublattices of L, deduplicated.
 
-    Exhaustive over all subsets for small lattices; for larger ones, the
-    complements of the maximal sublattices plus seeded random generated
-    sublattices.
+    Exhaustive for small lattices, from one truth table over all 2^n subsets
+    (:func:`~latmax.sublattice.sublattice_masks`), in ascending order of the
+    sublattice's mask; for larger ones, the complements of the maximal
+    sublattices plus seeded random generated sublattices.
     """
     full = L.full_mask()
     if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
-        return [
-            frozenset(bits(full & ~mask)) for mask in range(1, full) if is_sublattice(L, bits(mask))
-        ]
+        return [frozenset(bits(full & ~mask)) for mask in sublattice_masks(L)]
     everything = frozenset(range(L.n))
     seen = set()
     for C in maximal_complements_oracle(L, bound=L.n):
@@ -405,37 +406,49 @@ def check_lemma_42(corpus, label="corpus", seed: int = 0) -> CheckReport:
     return _sweep("lemma42-scj", label, instances())
 
 
+def _lemma54_instances(corpus, seed: int):
+    """The instances (L, "lemma5.4", C, w) of :func:`check_lemma_54`.
+
+    A t exists only when u2 lies above some t in C ∩ (x, u1], so u2 is
+    skipped unless it lies in ``reach``, the union of the up sets of those t,
+    and outside the down set of u1.
+    """
+    for L in _lattices(corpus):
+        if not is_sd(L):
+            continue
+        up, down = L.up_masks, L.down_masks
+        for C in sublattice_complements(L, seed=seed):
+            cmask = L.mask_of(C)
+            for x in C:
+                try:
+                    scms = strict_canonical_meetands(L, C, x)
+                except NoCanonicalRep:
+                    continue
+                for u1 in scms:
+                    reach = 0
+                    for t in bits(cmask & up[x] & down[u1] & ~(1 << x)):
+                        reach |= up[t]
+                    reach &= ~down[u1]
+                    if not reach:
+                        continue
+                    for u2 in C:
+                        if not reach >> u2 & 1:
+                            continue
+                        box = cmask & up[x] & down[u2]
+                        # t in C strictly above x, below u1 and u2, and
+                        # comparable to every element of the box
+                        mid = box & down[u1] & ~(1 << x)
+                        t = next((t for t in bits(mid) if not box & ~(up[t] | down[t])), None)
+                        if t is not None:
+                            yield L, "lemma5.4", C, {"x": x, "u1": u1, "u2": u2, "t": t}
+
+
 def check_lemma_54(corpus, label="corpus", seed: int = 0) -> CheckReport:
     """SD lattices: in a sublattice complement C, if u1 is a strict canonical
     meetand of x, t in C is comparable to all of C ∩ [x, u2], x < t <= u1, u2
     and u2 ≰ u1, then [x, u2] meets the sublattice.  A witness names the
     least such t."""
-
-    def instances():
-        for L in _lattices(corpus):
-            if not is_sd(L):
-                continue
-            up, down = L.up_masks, L.down_masks
-            for C in sublattice_complements(L, seed=seed):
-                cmask = L.mask_of(C)
-                for x in C:
-                    try:
-                        scms = strict_canonical_meetands(L, C, x)
-                    except NoCanonicalRep:
-                        continue
-                    for u1 in scms:
-                        for u2 in C:
-                            if down[u1] >> u2 & 1:
-                                continue
-                            box = cmask & up[x] & down[u2]
-                            # t in C strictly above x, below u1 and u2, and
-                            # comparable to every element of the box
-                            mid = box & down[u1] & ~(1 << x)
-                            t = next((t for t in bits(mid) if not box & ~(up[t] | down[t])), None)
-                            if t is not None:
-                                yield L, "lemma5.4", C, {"x": x, "u1": u1, "u2": u2, "t": t}
-
-    return _sweep("lemma54-bridge", label, instances())
+    return _sweep("lemma54-bridge", label, _lemma54_instances(corpus, seed))
 
 
 # -- baseline sweeps -------------------------------------------------------------

@@ -15,7 +15,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import InvariantViolation, Lattice, bits, is_lower_semimodular, is_sd_join, mask_of
+from .lattice import (
+    InvariantViolation,
+    Lattice,
+    _int_field,
+    bits,
+    is_lower_semimodular,
+    is_sd_join,
+    mask_of,
+)
 
 __all__ = [
     "BadPermutation",
@@ -261,19 +269,24 @@ def format_cg_text(m: int, chains) -> str:
 
 def parse_cg_text(text: str):
     rows = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append(line)
+            rows.append((lineno, line))
     if not rows:
         raise ValueError("empty geometry input")
-    head = rows[0].split()
-    if len(head) != 2:
+    head_no, head = rows[0]
+    fields = head.split()
+    if len(fields) != 2:
         raise ValueError("first line must be `m k`")
-    m, k = int(head[0]), int(head[1])
+    m = _int_field(fields[0], head_no, head, "the ground-set size m")
+    k = _int_field(fields[1], head_no, head, "the chain count k")
     if m < 1:
         raise BadPermutation("ground set must be nonempty")
     if len(rows) != k + 1:
         raise ValueError(f"expected {k} chain lines, got {len(rows) - 1}")
-    chains = [ChainSpec(tuple(int(t) for t in row.split())) for row in rows[1:]]
+    chains = [
+        ChainSpec(tuple(_int_field(t, lineno, line, "a point") for t in line.split()))
+        for lineno, line in rows[1:]
+    ]
     return m, chains

@@ -101,8 +101,8 @@ class Lattice:
         self.leq = leq
 
         # Bitmask per element of everything below / above it.
-        down = [mask_of(np.flatnonzero(leq[:, a]).tolist()) for a in range(n)]
-        up = [mask_of(np.flatnonzero(leq[a, :]).tolist()) for a in range(n)]
+        down = _row_masks(leq.T)
+        up = _row_masks(leq)
         self.down_masks = down
         self.up_masks = up
 
@@ -181,13 +181,11 @@ class Lattice:
     @cached_property
     def covers(self):
         """Upper-cover adjacency: covers[a] = tuple of b with a ≺ b."""
-        cov = self.cover_matrix
-        return tuple(tuple(int(b) for b in np.flatnonzero(cov[a])) for a in range(self.n))
+        return tuple(tuple(bits(m)) for m in _row_masks(self.cover_matrix))
 
     @cached_property
     def lower_covers(self):
-        cov = self.cover_matrix
-        return tuple(tuple(int(b) for b in np.flatnonzero(cov[:, a])) for a in range(self.n))
+        return tuple(tuple(bits(m)) for m in _row_masks(self.cover_matrix.T))
 
     @cached_property
     def irreducibles(self) -> IrreducibleInfo:
@@ -255,6 +253,12 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _row_masks(matrix) -> list:
+    """The rows of a boolean matrix as bitmasks: bit j of row i is matrix[i, j]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def mask_of(ids) -> int:
@@ -328,14 +332,23 @@ def from_cover_text(text: str) -> Lattice:
             rows.append((lineno, line))
     if not rows:
         raise ValueError("empty cover-list input")
-    n = int(rows[0][1])
+    head_no, head = rows[0]
+    n = _int_field(head, head_no, head, "the element count")
     pairs = []
     for lineno, line in rows[1:]:
         ids = line.split()
         if len(ids) != 2:
             raise ValueError(f"line {lineno} ({line!r}): a cover line needs two element ids")
-        pairs.append((int(ids[0]), int(ids[1])))
+        pairs.append(tuple(_int_field(t, lineno, line, "an element id") for t in ids))
     return from_cover_relations(n, pairs)
+
+
+def _int_field(token: str, lineno: int, line: str, field: str) -> int:
+    """token as an int; otherwise a ValueError naming the line and the field expected."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno} ({line!r}): expected {field}, got {token!r}") from None
 
 
 # -- predicates ---------------------------------------------------------------
@@ -518,32 +531,16 @@ def double_interval(L: Lattice, iv: Interval) -> Lattice:
     imask = L.interval_mask(iv.lo, iv.hi)
     inside = list(bits(imask))
     outside = [a for a in range(L.n) if not (imask >> a) & 1]
-    # New ids: outside elements first, then (x,0),(x,1) pairs in x order.
-    new_id = {}
-    for a in outside:
-        new_id[a] = len(new_id)
-    pair_id = {}
-    for x in inside:
-        pair_id[(x, 0)] = len(new_id) + len(pair_id)
-        pair_id[(x, 1)] = len(new_id) + len(pair_id)
-    n2 = L.n + len(inside)
-    leq = np.zeros((n2, n2), dtype=bool)
-    for a in outside:
-        for b in outside:
-            leq[new_id[a], new_id[b]] = L.leq[a, b]
-        for x in inside:
-            for i in (0, 1):
-                leq[new_id[a], pair_id[(x, i)]] = L.leq[a, x]
-                leq[pair_id[(x, i)], new_id[a]] = L.leq[x, a]
-    for x in inside:
-        for y in inside:
-            for i in (0, 1):
-                for k in (0, 1):
-                    leq[pair_id[(x, i)], pair_id[(y, k)]] = L.leq[x, y] and i <= k
-    doubled = Lattice(leq)
-    # The projection (x, i) ↦ x, a ↦ a of a Day doubling is a lattice homomorphism.
+    # New ids: outside elements first, then (x,0),(x,1) pairs in x order;
+    # proj maps each new id to the element of L it doubles or copies.
     proj = np.array(outside + [x for x in inside for _ in (0, 1)])
     grid = np.ix_(proj, proj)
+    # Every pair compares as its projections do, except (x,1) ≰ (y,0).
+    leq = L.leq[grid]
+    k = len(outside)
+    leq[k + 1 :: 2, k::2] = False
+    doubled = Lattice(leq)
+    # The projection (x, i) ↦ x, a ↦ a of a Day doubling is a lattice homomorphism.
     if (proj[doubled.meet] != L.meet[grid]).any() or (proj[doubled.join] != L.join[grid]).any():
         raise InvariantViolation("the doubling's projection does not preserve meet and join")
     return doubled

@@ -49,6 +49,7 @@ __all__ = [
     "observation_suite",
     "strict_canonical_joinands",
     "strict_canonical_meetands",
+    "sublattice_masks",
 ]
 
 DEFAULT_ORACLE_BOUND = 18
@@ -128,6 +129,26 @@ def is_maximal_sublattice(L: Lattice, M) -> bool:
     if not mask or mask == full or _close(L, 0, mask) != mask:
         return False
     return all(_close(L, mask, 1 << x) == full for x in bits(full & ~mask))
+
+
+def sublattice_masks(L: Lattice) -> list:
+    """Masks of all nonempty proper sublattices of L, ascending.
+
+    One truth table over all 2^n subsets: bit M of ``table`` says subset M is
+    closed.  ``has[a]`` marks the subsets holding a, and each incomparable
+    pair a, b clears the subsets holding both without holding a ∧ b and
+    a ∨ b.  The table has 2^n bits, so this is for small n only.
+    """
+    n = L.n
+    ones = (1 << (1 << n)) - 1
+    has = [ones // ((1 << (2 << a)) - 1) * (((1 << (1 << a)) - 1) << (1 << a)) for a in range(n)]
+    table = ones & ~1 & ~(1 << L.full_mask())
+    leq, meet, join = L.leq.tolist(), L.meet.tolist(), L.join.tolist()
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not leq[a][b] and not leq[b][a]:
+                table &= ~(has[a] & has[b]) | (has[meet[a][b]] & has[join[a][b]])
+    return list(bits(table))
 
 
 # -- the oracle -----------------------------------------------------------------

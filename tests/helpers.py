@@ -286,3 +286,78 @@ def block_decompose_and_run(m, chains):
             out.append(Complement(chain1.perm[hi - 1], SHAPE_CHAIN1, TYPE2, hi, hi))
     out.sort(key=lambda c: (c.c1_len, 0 if c.shape != SHAPE_CHAIN2 else 1))
     return out
+
+
+# -- loop references for the checker kernels ------------------------------------------
+
+
+def subset_loop_sublattice_complements(L):
+    """Complements of all nonempty proper sublattices, one closure per subset.
+
+    The exhaustive branch of ``checks.sublattice_complements`` as a loop over
+    the 2^n - 2 nonempty proper subsets in ascending mask order.
+    """
+    from latmax.lattice import bits
+    from latmax.sublattice import is_sublattice
+
+    full = L.full_mask()
+    return [frozenset(bits(full & ~mask)) for mask in range(1, full) if is_sublattice(L, bits(mask))]
+
+
+def unpruned_lemma54_instances(corpus, seed):
+    """The lemma 5.4 instances (L, tag, C, w), trying every u2 in C."""
+    from latmax.checks import _lattices, sublattice_complements
+    from latmax.lattice import bits, is_sd
+    from latmax.sublattice import NoCanonicalRep, strict_canonical_meetands
+
+    for L in _lattices(corpus):
+        if not is_sd(L):
+            continue
+        up, down = L.up_masks, L.down_masks
+        for C in sublattice_complements(L, seed=seed):
+            cmask = L.mask_of(C)
+            for x in C:
+                try:
+                    scms = strict_canonical_meetands(L, C, x)
+                except NoCanonicalRep:
+                    continue
+                for u1 in scms:
+                    for u2 in C:
+                        if down[u1] >> u2 & 1:
+                            continue
+                        box = cmask & up[x] & down[u2]
+                        mid = box & down[u1] & ~(1 << x)
+                        t = next((t for t in bits(mid) if not box & ~(up[t] | down[t])), None)
+                        if t is not None:
+                            yield L, "lemma5.4", C, {"x": x, "u1": u1, "u2": u2, "t": t}
+
+
+def loop_doubled_order(L, iv):
+    """The order matrix of the Day doubling of [iv.lo, iv.hi], entry by entry.
+
+    New ids: outside elements first, then the pairs (x,0), (x,1) in x order.
+    """
+    import numpy as np
+
+    inside = [x for x in range(L.n) if L.leq[iv.lo, x] and L.leq[x, iv.hi]]
+    outside = [a for a in range(L.n) if a not in inside]
+    new_id = {a: i for i, a in enumerate(outside)}
+    pair_id = {}
+    for x in inside:
+        pair_id[(x, 0)] = len(new_id) + len(pair_id)
+        pair_id[(x, 1)] = len(new_id) + len(pair_id)
+    n2 = L.n + len(inside)
+    leq = np.zeros((n2, n2), dtype=bool)
+    for a in outside:
+        for b in outside:
+            leq[new_id[a], new_id[b]] = L.leq[a, b]
+        for x in inside:
+            for i in (0, 1):
+                leq[new_id[a], pair_id[(x, i)]] = L.leq[a, x]
+                leq[pair_id[(x, i)], new_id[a]] = L.leq[x, a]
+    for x in inside:
+        for y in inside:
+            for i in (0, 1):
+                for k in (0, 1):
+                    leq[pair_id[(x, i)], pair_id[(y, k)]] = L.leq[x, y] and i <= k
+    return leq

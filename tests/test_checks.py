@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import subset_loop_sublattice_complements, unpruned_lemma54_instances
 from latmax.checks import (
+    EXHAUSTIVE_SUBLATTICE_LIMIT,
+    _lemma54_instances,
     bounded_interval_baseline,
     check_distributive_baseline,
     check_hyp1_sd_interval,
@@ -33,7 +36,7 @@ from latmax.corpus import (
 from latmax.geometry import build_cg
 from latmax.lattice import from_cover_text, is_sd
 from latmax.report import CheckReport
-from latmax.sublattice import maximal_complements_oracle
+from latmax.sublattice import DEFAULT_ORACLE_BOUND, maximal_complements_oracle
 
 # A 14-element bounded lattice (three doublings from a distributive base)
 # whose complement {1, 10, 11} is an interval with two internal
@@ -140,6 +143,34 @@ def test_sublattice_complements_exhaustive_small():
     # closed; complements thereof
     assert frozenset({1}) in got and frozenset({0, 1}) in got
     assert frozenset() not in got
+
+
+def test_sublattice_complements_equal_the_subset_loop(named_lattices):
+    lattices = list(named_lattices.values())
+    lattices += [g.lattice for m in range(1, 5) for g in all_cdim2_geometries(m, verify=False)]
+    for seed in (0, 7):
+        lattices += doubled_sequences(depth=3, seed=seed, count=120)
+    small = [L for L in lattices if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT]
+    assert len(small) > 150
+    for L in small:
+        # same complements in the same order
+        assert sublattice_complements(L) == subset_loop_sublattice_complements(L)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_lemma54_instances_equal_the_unpruned_loop(seed):
+    # the CLI's SD corpus for `check lemma54 --seed <seed>`
+    doubles = doubled_sequences(depth=3, seed=seed, count=120)
+    corpus = [n5()] + [L for L in doubles if L.n <= DEFAULT_ORACLE_BOUND]
+    got = list(_lemma54_instances(corpus, seed=0))
+    assert len(got) > 1000
+    assert got == list(unpruned_lemma54_instances(corpus, seed=0))
+
+
+def test_star_import_brings_the_baselines():
+    namespace = {}
+    exec("from latmax.checks import *", namespace)
+    assert {"check_distributive_baseline", "bounded_interval_baseline"} <= set(namespace)
 
 
 def test_report_json_round_trip():

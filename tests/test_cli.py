@@ -223,6 +223,24 @@ def test_cover_line_with_three_ids(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n0 x\n", "line 2 ('0 x'): expected an element id, got 'x'"),
+        ("x\n", "line 1 ('x'): expected the element count, got 'x'"),
+        ("3 2\n1 2 3\n1 2 x\n", "line 3 ('1 2 x'): expected a point, got 'x'"),
+    ],
+    ids=["cover-line", "cover-header", "chain-line"],
+)
+def test_non_integer_token_names_its_line_and_field(text, message, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "oracle", "--file", str(path))
+    assert rc == 2 and out == ""
+    assert message in err and "invalid literal" not in err
+    assert "Traceback" not in err
+
+
 def test_check_oracle_bound_overflow_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("LATMAX_ORACLE_BOUND", "4")
     rc, _, err = run_cli(capsys, "check", "hyp2", "--max-m", "3")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import loop_doubled_order
 from latmax import lattice
 from latmax.corpus import are_isomorphic, boolean, chain, doubled_sequences, n5
 from latmax.lattice import Interval, InvariantViolation, double_interval, is_distributive, is_sd
@@ -65,3 +66,10 @@ def test_doubling_projection_check_catches_a_wrong_table(monkeypatch):
     monkeypatch.setattr(lattice, "Lattice", lambda leq: real(np.asarray(leq)[swap]))
     with pytest.raises(InvariantViolation, match="projection"):
         double_interval(L, Interval(1, 1))
+
+
+def test_doubling_order_matches_the_loop_construction():
+    for L in doubled_sequences(depth=3, seed=7, count=30):
+        for lo, hi in zip(*np.nonzero(L.leq)):
+            iv = Interval(int(lo), int(hi))
+            assert np.array_equal(double_interval(L, iv).leq, loop_doubled_order(L, iv))

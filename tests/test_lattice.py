@@ -14,7 +14,7 @@ from helpers import (
     naive_lub,
     random_cover_lattice,
 )
-from latmax.corpus import chain, chain_products, glued
+from latmax.corpus import chain, chain_products, doubled_sequences, glued
 from latmax.lattice import (
     CyclicInput,
     Interval,
@@ -235,3 +235,16 @@ def test_convex_subset_of_numpy_array():
     L = chain(80)
     assert not is_convex_subset(L, np.array([10, 70]))
     assert is_convex_subset(L, np.arange(10, 71))
+
+
+def test_packed_masks_match_their_flatnonzero_definitions(small_corpus):
+    lattices = list(small_corpus.values()) + doubled_sequences(depth=3, seed=7, count=30)
+    for L in lattices + [L.dual for L in lattices]:
+        leq, cov = L.leq, L.cover_matrix
+        assert L.down_masks == [mask_of(np.flatnonzero(leq[:, a]).tolist()) for a in range(L.n)]
+        assert L.up_masks == [mask_of(np.flatnonzero(leq[a]).tolist()) for a in range(L.n)]
+        assert L.covers == tuple(tuple(int(b) for b in np.flatnonzero(cov[a])) for a in range(L.n))
+        assert L.lower_covers == tuple(
+            tuple(int(b) for b in np.flatnonzero(cov[:, a])) for a in range(L.n)
+        )
+        assert all(type(b) is int for row in L.covers + L.lower_covers for b in row)
