@@ -35,7 +35,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import BadPermutation, ChainSpec, ConvexGeometry, _as_chain
+from .geometry import ConvexGeometry, _as_chain, _permutation
 from .lattice import bits, mask_of, minimal_elements
 from .report import COUNTEREXAMPLE, HOLDS, SKIPPED, CheckReport
 from .sublattice import is_maximal_sublattice, is_sublattice
@@ -177,31 +177,6 @@ class Complements(Sequence):
 
     def __repr__(self):
         return f"Complements({list(self)!r})"
-
-
-def _permutation(m: int, phi):
-    """(phi, phi^-1) as int64 arrays, after checking phi is a permutation of 1..m."""
-    if m < 1:
-        raise BadPermutation("ground set must be nonempty")
-    if isinstance(phi, ChainSpec):
-        phi = phi.perm
-    perm = np.asarray(phi)
-    if perm.shape != (m,):
-        raise BadPermutation(f"expected {m} points, got an array of shape {perm.shape}")
-    if perm.dtype.kind not in "iu":
-        raise BadPermutation(f"points must be integers, got {perm.dtype}")
-    perm = perm.astype(np.int64, copy=False)
-    if perm.min() < 1 or perm.max() > m:
-        raise BadPermutation(f"points must lie in 1..{m}")
-    inv = np.zeros(m, dtype=np.int64)
-    inv[perm - 1] = np.arange(1, m + 1)
-    if not inv.all():
-        raise BadPermutation(f"not a permutation of 1..{m}: a point repeats")
-    # numpy reads True as 1 (and False as the out-of-range 0), so a bool can
-    # only hide at the single position holding 1.
-    if not isinstance(phi, np.ndarray) and isinstance(phi[inv[0] - 1], (bool, np.bool_)):
-        raise BadPermutation("points must be integers, got a bool")
-    return perm, inv
 
 
 def fast_complements(m: int, phi) -> tuple:

@@ -1,7 +1,8 @@
 """Command-line front end: fast enumeration, oracle, checkers, bench, DOT.
 
 Subcommands: cg-complements, oracle, check, bench, dot.  Exit codes: 0 ok,
-2 parse error, 3 verify mismatch, 4 counterexample found.
+2 parse error or oracle bound exceeded, 3 verify mismatch, 4 counterexample
+found.  ``main`` is the one place that turns an error into exit code 2.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from .cdim2 import (
     fast_complements,
     materialize,
 )
-from .geometry import BadPermutation, ChainSpec, _as_chain, build_cg, parse_cg_text
-from .lattice import Lattice, from_cover_text
+from .geometry import BadPermutation, _as_chain, build_cg, parse_cg_text
+from .lattice import Lattice, _clip, _rows, from_cover_text
 from .report import CheckReport
 from .sublattice import (
     OracleBoundExceeded,
@@ -40,6 +41,10 @@ EXIT_VERIFY = 3
 EXIT_COUNTEREXAMPLE = 4
 
 
+class _InputError(ValueError):
+    """Input the command line could not read; ``main`` reports it as a parse error."""
+
+
 def _fmt_points(pts) -> str:
     return "{" + ",".join(map(str, sorted(pts))) + "}"
 
@@ -49,43 +54,57 @@ def _parse_perm(text: str):
     if not tokens:
         raise BadPermutation("empty permutation")
     try:
-        return tuple(int(t) for t in tokens)
+        return tuple(map(int, tokens))
     except ValueError:
-        raise BadPermutation(f"cannot parse permutation from {text!r}")
+        bad = next(t for t in tokens if not _is_int(t))
+        raise BadPermutation(f"cannot parse permutation: {_clip(bad)} is not an integer") from None
+
+
+def _is_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _load_input(args):
-    """Returns ('cg', m, chains) or ('lattice', Lattice) from --perm/--file."""
-    perm_text = getattr(args, "perm", None)
-    if perm_text is not None and getattr(args, "file", None) is not None:
-        raise ValueError("--perm and --file are mutually exclusive")
-    if perm_text is not None:
-        perm = _parse_perm(perm_text)
-        m = len(perm)
-        ChainSpec(perm).validate(m)
-        return "cg", m, [tuple(range(1, m + 1)), perm]
-    if getattr(args, "file", None):
-        text = Path(args.file).read_text()
-        head = next(
-            (ln for ln in text.splitlines() if ln.split("#", 1)[0].strip()), ""
-        )
-        if len(head.split("#", 1)[0].split()) == 2:
-            m, chains = parse_cg_text(text)
-            for c in chains:
-                c.validate(m)
-            return "cg", m, [c.perm for c in chains]
-        return "lattice", from_cover_text(text), None
-    raise ValueError("exactly one of --perm / --file is required")
+    """('cg', m, chains) or ('lattice', Lattice, None) from --perm/--file.
+
+    The chains are left unchecked: the library call that consumes them checks
+    them.  Any failure to read the input is raised as an _InputError.
+    """
+    try:
+        if args.perm is not None and args.file is not None:
+            raise ValueError("--perm and --file are mutually exclusive")
+        if args.perm is not None:
+            perm = _parse_perm(args.perm)
+            return "cg", len(perm), [tuple(range(1, len(perm) + 1)), perm]
+        if args.file:
+            text = Path(args.file).read_text()
+            rows = _rows(text)
+            if rows and len(rows[0][1].split()) == 2:
+                m, chains = parse_cg_text(text)
+                return "cg", m, [c.perm for c in chains]
+            return "lattice", from_cover_text(text), None
+        raise ValueError("exactly one of --perm / --file is required")
+    except Exception as exc:  # noqa: BLE001 - every failure here is an input fault
+        raise _InputError(str(exc)) from exc
+
+
+def _load_lattice(args):
+    """(G or None, L, element names) from --perm/--file, for oracle and dot."""
+    kind, value, chains = _load_input(args)
+    if kind == "lattice":
+        return None, value, [str(a) for a in range(value.n)]
+    G = build_cg(value, chains)
+    return G, G.lattice, [_fmt_points(G.element_set(a)) for a in range(G.lattice.n)]
 
 
 def cmd_cg_complements(args) -> int:
-    try:
-        kind, m, chains = _load_input(args)
-        if kind != "cg":
-            print("cg-complements needs a geometry input", file=sys.stderr)
-            return EXIT_PARSE
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"parse error: {exc}", file=sys.stderr)
+    kind, m, chains = _load_input(args)
+    if kind != "cg":
+        print("cg-complements needs a geometry input", file=sys.stderr)
         return EXIT_PARSE
     if len(chains) != 2:
         print("cg-complements needs exactly two chains", file=sys.stderr)
@@ -101,7 +120,7 @@ def cmd_cg_complements(args) -> int:
     if args.verify:
         G = build_cg(m, chains)
         fast_sets = {materialize(G, c) for c in comps}
-        bound = resolve_oracle_bound(args.oracle_bound) if args.oracle_bound else max(
+        bound = resolve_oracle_bound(args.oracle_bound) if args.oracle_bound is not None else max(
             resolve_oracle_bound(None), G.lattice.n
         )
         oracle_sets = set(maximal_complements_oracle(G.lattice, bound=bound))
@@ -141,24 +160,8 @@ def _complement_lines_chains(chain1, chain2, comps):
 
 
 def cmd_oracle(args) -> int:
-    try:
-        loaded = _load_input(args)
-    except Exception as exc:  # noqa: BLE001
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if loaded[0] == "cg":
-        _, m, chains = loaded
-        G = build_cg(m, chains)
-        L = G.lattice
-        names = [_fmt_points(G.element_set(a)) for a in range(L.n)]
-    else:
-        L = loaded[1]
-        names = [str(a) for a in range(L.n)]
-    try:
-        comps = maximal_complements_oracle(L, bound=args.oracle_bound)
-    except OracleBoundExceeded as exc:
-        print(f"oracle bound exceeded: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    _, L, names = _load_lattice(args)
+    comps = maximal_complements_oracle(L, bound=args.oracle_bound)
     if args.json:
         print(
             json.dumps(
@@ -232,11 +235,7 @@ def cmd_check(args) -> int:
         if corpus_fn not in corpora:
             corpora[corpus_fn] = corpus_fn(args)
         items, label = corpora[corpus_fn]
-        try:
-            report: CheckReport = fn(items, label=label)
-        except OracleBoundExceeded as exc:
-            print(f"oracle bound exceeded: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        report: CheckReport = fn(items, label=label)
         print(report.to_json())
         if report.status == "CounterexampleFound":
             rc = EXIT_COUNTEREXAMPLE
@@ -249,14 +248,9 @@ def cmd_check(args) -> int:
 def cmd_bench(args) -> int:
     import random as _random
 
-    try:
-        sizes = [int(t) for t in args.sizes.split(",")]
-        if min(sizes) < 1:
-            raise ValueError
-    except ValueError:
-        msg = f"--sizes takes comma-separated positive integers, got {args.sizes!r}"
-        print(f"parse error: {msg}", file=sys.stderr)
-        return EXIT_PARSE
+    sizes = [int(t) if _is_int(t) else 0 for t in args.sizes.split(",")]
+    if min(sizes) < 1:
+        raise _InputError(f"--sizes takes comma-separated positive integers, got {_clip(args.sizes)}")
     rng = _random.Random(args.seed)
     rows = []
     for m in sizes:
@@ -295,30 +289,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    try:
-        loaded = _load_input(args)
-    except Exception as exc:  # noqa: BLE001
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    fills = {"Type1": "lightblue", "Type2": "palegreen", "Type3": "lightsalmon"}
-    if loaded[0] == "cg":
-        _, m, chains = loaded
-        G = build_cg(m, chains)
-        L = G.lattice
-        labels = [_fmt_points(G.element_set(a)) for a in range(L.n)]
-        comps = decompose_and_run(m, chains) if len(chains) == 2 else []
-        fill = {}
-        for c in comps:
-            for a in materialize(G, c):
-                fill[a] = fills[c.case]
-    else:
-        L = loaded[1]
-        labels = [str(a) for a in range(L.n)]
-        fill = {}
+    G, L, labels = _load_lattice(args)
+    fill = {}
+    if G is None:
         if L.n <= resolve_oracle_bound(args.oracle_bound):
             for cset in maximal_complements_oracle(L, bound=args.oracle_bound):
                 for a in cset:
                     fill.setdefault(a, "lightgray")
+    elif len(G.chains) == 2:
+        fills = {"Type1": "lightblue", "Type2": "palegreen", "Type3": "lightsalmon"}
+        for c in decompose_and_run(G.m, G.chains):
+            for a in materialize(G, c):
+                fill[a] = fills[c.case]
     text = render_dot(L, labels, fill)
     if args.out:
         Path(args.out).write_text(text)
@@ -399,7 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (BadPermutation, _InputError) as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+    except OracleBoundExceeded as exc:
+        print(f"oracle bound exceeded: {exc}", file=sys.stderr)
+    return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .lattice import (
     InvariantViolation,
     Lattice,
     _int_field,
+    _rows,
     bits,
     is_lower_semimodular,
     is_sd_join,
@@ -58,10 +59,7 @@ class ChainSpec:
         return len(self.perm)
 
     def validate(self, m: int):
-        if m < 1:
-            raise BadPermutation("ground set must be nonempty")
-        if sorted(self.perm) != list(range(1, m + 1)):
-            raise BadPermutation(f"not a permutation of 1..{m}: {self.perm}")
+        _permutation(m, self.perm)
 
     @cached_property
     def pos(self) -> dict:
@@ -82,6 +80,42 @@ def _point(p) -> int:
         raise BadPermutation(f"points must be integers, got {p!r}") from None
 
 
+def _permutation(m: int, phi):
+    """(phi, phi^-1) as int64 arrays, after checking phi is a permutation of 1..m.
+
+    The one check of a chain's points.  A fault names the first offending
+    point or the count given, never the whole chain.
+    """
+    if m < 1:
+        raise BadPermutation("ground set must be nonempty")
+    if isinstance(phi, ChainSpec):
+        phi = phi.perm
+    perm = np.asarray(phi)
+    fault = f"not a permutation of 1..{m}"
+    if perm.shape != (m,):
+        given = f"{len(perm)} points" if perm.ndim == 1 else f"an array of shape {perm.shape}"
+        raise BadPermutation(f"{fault}: {given} given")
+    if perm.dtype.kind == "O" and all(isinstance(p, int) for p in phi):
+        raise BadPermutation(f"{fault}: a point lies past the int64 range")
+    if perm.dtype.kind not in "iu":
+        raise BadPermutation(f"points must be integers, got {perm.dtype}")
+    perm = perm.astype(np.int64, copy=False)
+    if perm.min() < 1 or perm.max() > m:
+        k = ((perm < 1) | (perm > m)).argmax()
+        raise BadPermutation(f"{fault}: point {perm[k]} is out of range")
+    inv = np.zeros(m, dtype=np.int64)
+    inv[perm - 1] = np.arange(1, m + 1)
+    if not inv.all():
+        # Of the copies of a repeated point, at most one keeps its position.
+        k = (inv[perm - 1] != np.arange(1, m + 1)).argmax()
+        raise BadPermutation(f"{fault}: point {perm[k]} repeats")
+    # numpy reads True as 1 (and False as the out-of-range 0), so a bool can
+    # only hide at the single position holding 1.
+    if not isinstance(phi, np.ndarray) and isinstance(phi[inv[0] - 1], (bool, np.bool_)):
+        raise BadPermutation("points must be integers, got a bool")
+    return perm, inv
+
+
 def _as_chain(chain) -> ChainSpec:
     return chain if isinstance(chain, ChainSpec) else ChainSpec(tuple(chain))
 
@@ -95,8 +129,6 @@ class ConvexGeometry:
     """
 
     def __init__(self, m: int, chains, verify: bool = True):
-        if m < 1:
-            raise BadPermutation("ground set must be nonempty")
         self.m = m
         self.chains = tuple(_as_chain(c) for c in chains)
         if not self.chains:
@@ -268,11 +300,7 @@ def format_cg_text(m: int, chains) -> str:
 
 
 def parse_cg_text(text: str):
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
+    rows = _rows(text)
     if not rows:
         raise ValueError("empty geometry input")
     head_no, head = rows[0]

@@ -325,11 +325,7 @@ def to_cover_text(L: Lattice) -> str:
 
 def from_cover_text(text: str) -> Lattice:
     """Parse the cover-list format (`#` starts a comment)."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
+    rows = _rows(text)
     if not rows:
         raise ValueError("empty cover-list input")
     head_no, head = rows[0]
@@ -338,9 +334,15 @@ def from_cover_text(text: str) -> Lattice:
     for lineno, line in rows[1:]:
         ids = line.split()
         if len(ids) != 2:
-            raise ValueError(f"line {lineno} ({line!r}): a cover line needs two element ids")
+            raise ValueError(f"line {lineno} ({_clip(line)}): a cover line needs two element ids")
         pairs.append(tuple(_int_field(t, lineno, line, "an element id") for t in ids))
     return from_cover_relations(n, pairs)
+
+
+def _rows(text: str) -> list:
+    """(line number, content) of every line with content once `#` comments are cut."""
+    cut = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(lineno, line) for lineno, line in enumerate(cut, 1) if line]
 
 
 def _int_field(token: str, lineno: int, line: str, field: str) -> int:
@@ -348,7 +350,12 @@ def _int_field(token: str, lineno: int, line: str, field: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"line {lineno} ({line!r}): expected {field}, got {token!r}") from None
+        raise ValueError(f"line {lineno} ({_clip(line)}): expected {field}, got {_clip(token)}") from None
+
+
+def _clip(text: str, width: int = 40) -> str:
+    """repr of text, cut after width characters so a message stays short."""
+    return repr(text) if len(text) <= width else repr(text[:width]) + "..."
 
 
 # -- predicates ---------------------------------------------------------------

@@ -100,13 +100,25 @@ def test_bad_permutation():
         (1, (True,)),
         (2, ("1", "2")),
         (2, [[1, 2]]),
+        (2, (2**70, 1)),  # past int64
     ],
 )
 def test_malformed_permutation_rejected(m, phi):
-    with pytest.raises(BadPermutation):
-        fast_complements(m, phi)
-    with pytest.raises(BadPermutation):
-        decompose_and_run(m, (tuple(range(1, m + 1)), phi))
+    identity = tuple(range(1, m + 1))
+    calls = [lambda: fast_complements(m, phi), lambda: decompose_and_run(m, (identity, phi))]
+    try:
+        chain = ChainSpec(phi)
+    except BadPermutation:
+        pass  # floats, bools and strings are refused before m is known
+    else:
+        # One validator: every entry point gives the same message.
+        calls += [lambda: chain.validate(m), lambda: build_cg(m, [identity, phi])]
+    messages = set()
+    for call in calls:
+        with pytest.raises(BadPermutation) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
 
 
 @pytest.mark.parametrize("chain", [(1.5, 2), (True, 2), ("1", "2")])

@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latmax
 from latmax import cli
+from latmax.geometry import ConvexGeometry
+from latmax.lattice import InvariantViolation
 from latmax.report import CheckReport
 
 PAPER_ARGS = ["cg-complements", "--perm", "3 6 7 10 1 8 9 5 2 4"]
@@ -201,6 +208,7 @@ def test_oracle_accepts_multichain_geometry_file(tmp_path, capsys):
         (["--file", "3 2\n1 2 3\n2 1\n"], "not a permutation"),
         (["--file", "0 1\n1\n"], "nonempty"),
         (["--file", "0 2\n"], "ground set must be nonempty"),
+        (["--perm", "99999999999999999999 1"], "not a permutation"),
     ],
 )
 def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):
@@ -246,6 +254,68 @@ def test_check_oracle_bound_overflow_exit_code(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "check", "hyp2", "--max-m", "3")
     assert rc == 2
     assert "oracle bound exceeded" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, printed",
+    [
+        (["cg-complements", "--perm", "2 1 3", "--verify", "--oracle-bound", "3"], 2),
+        (["cg-complements", "--perm", "2 1 3", "--verify", "--oracle-bound", "0"], 2),
+        (["oracle", "--perm", "2 1 3", "--oracle-bound", "0"], 0),
+    ],
+    ids=["verify-below-n", "verify-zero", "oracle-zero"],
+)
+def test_oracle_bound_overflow_exits_2_from_every_command(argv, printed, capsys):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert "oracle bound exceeded" in err and "Traceback" not in err
+    # Complements printed before the oracle ran stay on stdout.
+    assert out.splitlines() == ["{(1)}\t(1)={1}", "{(2)}\t(2)={2}"][:printed]
+
+
+def _long_chain(m, k, token):
+    points = [str(p) for p in range(1, m + 1)]
+    points[k] = token
+    return " ".join(points)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--perm", _long_chain(10**5, 9, "7")], "point 7 repeats"),
+        (["--perm", _long_chain(10**5, 500, "x")], "'x' is not an integer"),
+        (["--file", f"{10**5} 2\n{_long_chain(10**5, 0, '1')}\n{_long_chain(10**5, 500, 'x')}\n"],
+         "expected a point, got 'x'"),
+    ],
+    ids=["perm-repeat", "perm-token", "file-token"],
+)
+def test_malformed_long_input_gets_a_short_message(argv, named, tmp_path, capsys):
+    if argv[0] == "--file":
+        path = tmp_path / "geom.txt"
+        path.write_text(argv[1])
+        argv = ["--file", str(path)]
+    rc, out, err = run_cli(capsys, "cg-complements", *argv)
+    assert rc == 2 and out == ""
+    assert named in err and len(err.encode()) < 300
+
+
+def test_self_check_fault_is_not_a_parse_error(monkeypatch):
+    def broken(self):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(ConvexGeometry, "_verify", broken)
+    with pytest.raises(InvariantViolation, match="planted"):
+        cli.main(["oracle", "--perm", "2 1"])
+
+
+def test_module_entry_point_reports_a_parse_error():
+    env = dict(os.environ, PYTHONPATH=str(Path(latmax.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "latmax.cli", "cg-complements", "--perm", "1 1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["parse error: not a permutation of 1..2: point 1 repeats"]
 
 
 def test_bench_json_records(capsys):
