@@ -90,7 +90,12 @@ def _permutation(m: int, phi):
         raise BadPermutation("ground set must be nonempty")
     if isinstance(phi, ChainSpec):
         phi = phi.perm
-    perm = np.asarray(phi)
+    try:
+        perm = np.asarray(phi)
+    except ValueError:  # a ragged chain such as [1, [2]]: name its first non-point
+        for p in phi:
+            _point(p)
+        raise
     fault = f"not a permutation of 1..{m}"
     if perm.shape != (m,):
         given = f"{len(perm)} points" if perm.ndim == 1 else f"an array of shape {perm.shape}"
@@ -148,11 +153,7 @@ class ConvexGeometry:
         n = len(self.family)
         # Point p is bit p - 1.
         masks = [mask_of(p - 1 for p in s) for s in self.family]
-        leq = np.zeros((n, n), dtype=bool)
-        for a in range(n):
-            for b in range(n):
-                leq[a, b] = masks[a] & ~masks[b] == 0
-        self.lattice = Lattice(leq)
+        self.lattice = Lattice([[a & ~b == 0 for b in masks] for a in masks])
         self._point_masks = masks
 
         # chain_elements[i][k] = id of the k-point prefix of chain i.
@@ -228,11 +229,12 @@ class ConvexGeometry:
         n = L.n
         masks = self._point_masks
         # meet is intersection; join is the least family member over the union.
-        for a in range(n):
+        for a, meet_a, join_a in zip(range(n), L.meet.tolist(), L.join.tolist()):
+            mask_a = masks[a]
             for b in range(a, n):
-                if masks[L.meet[a, b]] != masks[a] & masks[b]:
+                if masks[meet_a[b]] != mask_a & masks[b]:
                     raise InvariantViolation(f"meet of {a} and {b} is not their intersection")
-                if (masks[a] | masks[b]) & ~masks[L.join[a, b]]:
+                if (mask_a | masks[b]) & ~masks[join_a[b]]:
                     raise InvariantViolation(f"join of {a} and {b} does not contain their union")
         if not is_sd_join(L):
             raise InvariantViolation("geometry lattice must satisfy SD-join")

@@ -85,8 +85,10 @@ class Lattice:
     ``a ∧ b`` is exactly ``down(a) & down(b)``.
     """
 
-    # The oracle's result, a tuple once computed; each dual view has its own.
+    # The oracle's result, a tuple once computed, and whether the lattice is
+    # SD-join, a bool once computed; each dual view has its own.
     _oracle_complements = None
+    _sd_join = None
 
     def __init__(self, leq):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
@@ -108,25 +110,25 @@ class Lattice:
 
         down_id = {down[a]: a for a in range(n)}
         up_id = {up[a]: a for a in range(n)}
-        meet = np.empty((n, n), dtype=np.int32)
-        join = np.empty((n, n), dtype=np.int32)
+        # Filled as lists of rows and converted once: numpy scalar stores
+        # would cost more than the lookups.
+        meet = [[a] * n for a in range(n)]
+        join = [[a] * n for a in range(n)]
         for a in range(n):
-            meet[a, a] = join[a, a] = a
+            meet_a, join_a, down_a, up_a = meet[a], join[a], down[a], up[a]
             for b in range(a + 1, n):
-                z = down_id.get(down[a] & down[b])
+                z = down_id.get(down_a & down[b])
                 if z is None:
                     raise NotALattice(f"no unique glb for {(a, b)}", pair=(a, b))
-                meet[a, b] = meet[b, a] = z
-                w = up_id.get(up[a] & up[b])
+                meet_a[b] = meet[b][a] = z
+                w = up_id.get(up_a & up[b])
                 if w is None:
                     raise NotALattice(f"no unique lub for {(a, b)}", pair=(a, b))
-                join[a, b] = join[b, a] = w
-        meet.flags.writeable = False
-        join.flags.writeable = False
-        self.meet = meet
-        self.join = join
-        self.bottom = int(reduce(lambda x, y: meet[x, y], range(n)))
-        self.top = int(reduce(lambda x, y: join[x, y], range(n)))
+                join_a[b] = join[b][a] = w
+        self.bottom = reduce(lambda x, y: meet[x][y], range(n))
+        self.top = reduce(lambda x, y: join[x][y], range(n))
+        self.meet = _frozen_table(meet)
+        self.join = _frozen_table(join)
 
     @staticmethod
     def _check_partial_order(leq):
@@ -255,6 +257,13 @@ def bits(mask: int):
         mask ^= low
 
 
+def _frozen_table(rows):
+    """A read-only int32 array of a square table given as lists of rows."""
+    table = np.array(rows, dtype=np.int32)
+    table.flags.writeable = False
+    return table
+
+
 def _row_masks(matrix) -> list:
     """The rows of a boolean matrix as bitmasks: bit j of row i is matrix[i, j]."""
     packed = np.packbits(matrix, axis=1, bitorder="little")
@@ -290,6 +299,8 @@ def from_cover_relations(n: int, covers) -> Lattice:
     NotALattice when some pair has no unique glb/lub or there is no unique
     bottom/top.
     """
+    if n < 0:
+        raise ValueError(f"element count must be nonnegative, got {n}")
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for lo, hi in covers:
@@ -362,12 +373,20 @@ def _clip(text: str, width: int = 40) -> str:
 
 
 def is_sd_join(L: Lattice) -> bool:
-    """x∨y = x∨z implies x∨(y∧z) = x∨y, scanned over all triples."""
+    """x∨y = x∨z implies x∨(y∧z) = x∨y, scanned over all triples once per lattice."""
+    if L._sd_join is None:
+        L._sd_join = _is_sd_join_uncached(L)
+    return L._sd_join
+
+
+def _is_sd_join_uncached(L: Lattice) -> bool:
     J, M = L.join, L.meet
-    for x in range(L.n):
-        jx = J[x]
-        same = jx[:, None] == jx[None, :]
-        fixed = jx[M] == jx[:, None]
+    # A block of x at a time, about 2^16 triples (x, y, z) per block.
+    step = max(1, (1 << 16) // (L.n * L.n))
+    for lo in range(0, L.n, step):
+        jx = J[lo : lo + step]
+        same = jx[:, :, None] == jx[:, None, :]  # x∨y = x∨z
+        fixed = jx[:, M] == jx[:, :, None]  # x∨(y∧z) = x∨y
         if np.any(same & ~fixed):
             return False
     return True
@@ -519,7 +538,8 @@ def indecomposable_components(L: Lattice):
     Concatenating the component intervals by glued sum reconstructs L.  A
     one-element lattice has no components.
     """
-    cuts = [a for a in range(L.n) if np.all(L.leq[a] | L.leq[:, a])]
+    full = L.full_mask()
+    cuts = [a for a in range(L.n) if L.up_masks[a] | L.down_masks[a] == full]
     cuts.sort(key=lambda a: L.down_masks[a].bit_count())
     return [Interval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 
 from .lattice import (
@@ -90,22 +90,30 @@ def resolve_oracle_bound(bound=None) -> int:
 # -- closure and maximality ----------------------------------------------------
 
 
-def _close(L: Lattice, closed: int, new: int) -> int:
+def _close(L: Lattice, closed: int, new: int, stop: int = 0) -> int:
     """Mask of the sublattice generated by closed | new; closed must be a sublattice.
 
     Worklist fixpoint: each round pairs only the elements added by the last
     round with every element held so far; pairs of older elements are done.
+    ``held`` lists the elements held, each round's fresh ones last, and the
+    k-th element pairs with itself and those before it, so each pair is
+    taken once.  ``stop`` marks elements known to generate L together with
+    ``closed``: once the closure reaches one of them it is all of L, and the
+    full mask is returned at once.
     """
     rows = L.pair_masks
     mask = closed | new
     fresh = new & ~closed
+    held = [*bits(closed), *bits(fresh)]
     while fresh:
-        held = list(bits(mask))
+        if mask & stop:
+            return L.full_mask()
         grown = mask
-        for a in bits(fresh):
-            grown = reduce(or_, map(rows[a].__getitem__, held), grown)
+        for k in range(len(held) - fresh.bit_count(), len(held)):
+            grown = reduce(or_, map(rows[held[k]].__getitem__, held[: k + 1]), grown)
         fresh = grown & ~mask
         mask = grown
+        held += bits(fresh)
     return mask
 
 
@@ -128,7 +136,14 @@ def is_maximal_sublattice(L: Lattice, M) -> bool:
     full = L.full_mask()
     if not mask or mask == full or _close(L, 0, mask) != mask:
         return False
-    return all(_close(L, mask, 1 << x) == full for x in bits(full & ~mask))
+    # Closure is monotone: a closure of M ∪ {x} that reaches an element
+    # already known to generate L with M is all of L.
+    generating = 0
+    for x in bits(full & ~mask):
+        if _close(L, mask, 1 << x, generating) != full:
+            return False
+        generating |= 1 << x
+    return True
 
 
 def sublattice_masks(L: Lattice) -> list:
@@ -170,6 +185,19 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     indecomposable component, and no complement with two or more elements
     contains a doubly irreducible element.  Every surviving set is verified
     against is_maximal_sublattice.
+
+    The first violation is the first unresolved pair (x, y outside C) in
+    the order: targets z of C lowest first, then the preimage pairs of z in
+    table order.  The scan is resumable: each stack entry carries a cursor
+    (z, i) before which every pair is resolved.  C only grows along a search
+    path, so a resolved pair stays resolved; a child resumes right after its
+    parent's violating pair, or at (e, 0) when the element e it added lies
+    below z, since e's own pairs are then the first unscanned ones.  The
+    scan so returns exactly the violation a full rescan returns, and the
+    search tree is unchanged.  The lowest-target-first order is kept on
+    purpose: a variant that scanned the newest element's pairs first picked
+    other violations, grew a far larger tree and did not finish a two-chain
+    geometry with m = 16 in 500 s.
     """
     bound = resolve_oracle_bound(bound)
     if L.n > bound:
@@ -178,15 +206,18 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
         return list(L._oracle_complements)
 
     n = L.n
-    meet, join = L.meet, L.join
-    # Preimage pair lists per target, incomparable pairs only (comparable
-    # pairs can never violate closure).
+    leq, meet, join = L.leq.tolist(), L.meet.tolist(), L.join.tolist()
+    # Preimage pairs per target, incomparable pairs only (comparable pairs
+    # can never violate closure), each as the mask of its two elements: a
+    # pair is unresolved when its mask misses C.
     pre = [[] for _ in range(n)]
     for x in range(n):
+        leq_x, meet_x, join_x = leq[x], meet[x], join[x]
         for y in range(x + 1, n):
-            if not L.leq[x, y] and not L.leq[y, x]:
-                pre[int(meet[x, y])].append((x, y))
-                pre[int(join[x, y])].append((x, y))
+            if not leq_x[y] and not leq[y][x]:
+                pair = 1 << x | 1 << y
+                pre[meet_x[y]].append(pair)
+                pre[join_x[y]].append(pair)
 
     blocked = (1 << L.bottom) | (1 << L.top)
     dbl_mask = L.mask_of(L.irreducibles.ji & L.irreducibles.mi)
@@ -194,20 +225,23 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
         L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)
     ] or [L.full_mask()]
 
-    def first_violation(cmask: int):
-        rest = cmask
+    def first_violation(cmask: int, z: int, i: int):
+        """(z, i) of the first unresolved pair at or after the cursor (z, i), or None."""
+        rest = cmask >> z << z
         while rest:
             z = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            for x, y in pre[z]:
-                if not (cmask >> x) & 1 and not (cmask >> y) & 1:
-                    return x, y
+            pairs = pre[z]
+            for i in range(i, len(pairs)):
+                if not cmask & pairs[i]:
+                    return z, i
+            i = 0
         return None
 
     found: list[int] = []
 
     def admissible(cmask: int, e: int) -> bool:
-        if (blocked >> e) & 1 or e < _lowest_bit(cmask):
+        if (blocked >> e) & 1 or e < seed:
             return False
         grown = cmask | (1 << e)
         if grown & dbl_mask and grown != grown & -grown:
@@ -219,18 +253,23 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     for seed in range(n):
         if (blocked >> seed) & 1 or (dbl_mask >> seed) & 1:
             continue
-        stack = [(1 << seed, 0)]
+        # (C, forbidden elements, cursor target, cursor pair index); every C
+        # of this seed has the seed as its least element.
+        stack = [(1 << seed, 0, seed, 0)]
         while stack:
-            cmask, forb = stack.pop()
-            viol = first_violation(cmask)
+            cmask, forb, z, i = stack.pop()
+            viol = first_violation(cmask, z, i)
             if viol is None:
                 found.append(cmask)
                 continue
-            x, y = viol
-            if not (forb >> y) & 1 and admissible(cmask, y):
-                stack.append((cmask | (1 << y), forb | (1 << x)))
-            if not (forb >> x) & 1 and admissible(cmask, x):
-                stack.append((cmask | (1 << x), forb))
+            z, i = viol
+            pair = pre[z][i]
+            x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+            # "y joins C, x never will" goes on the stack first, so "x joins
+            # C" is searched first.
+            for e, child_forb in ((y, forb | (1 << x)), (x, forb)):
+                if not (forb >> e) & 1 and admissible(cmask, e):
+                    stack.append((cmask | (1 << e), child_forb, *((e, 0) if e < z else (z, i + 1))))
 
     # Doubly irreducible interior elements are removable singletons.
     for d in bits(dbl_mask & ~blocked):
@@ -248,10 +287,6 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     result = sorted((frozenset(bits(c)) for c in minimal), key=sorted)
     L._oracle_complements = tuple(result)
     return list(result)
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def maximal_sublattices(L: Lattice, bound=None) -> list:
@@ -279,8 +314,15 @@ def strict_canonical_joinands(L: Lattice, C, x: int) -> frozenset:
     rep = canonical_join_rep(L, x)
     if rep is None:
         raise NoCanonicalRep(f"no canonical representation at {x}")
-    cmask = L.mask_of(cset)
+    cmask = _complement_mask(cset)
     return frozenset(j for j in rep if L.interval_mask(j, x) & ~cmask == 0)
+
+
+@lru_cache(maxsize=1)
+def _complement_mask(cset: frozenset) -> int:
+    """mask_of(cset), kept for the last set: the checkers ask about every x
+    of one complement in turn, on L and on its dual."""
+    return mask_of(cset)
 
 
 def strict_canonical_meetands(L: Lattice, C, x: int) -> frozenset:

@@ -361,3 +361,71 @@ def loop_doubled_order(L, iv):
                 for k in (0, 1):
                     leq[pair_id[(x, i)], pair_id[(y, k)]] = L.leq[x, y] and i <= k
     return leq
+
+
+# -- the oracle before its resumable scan -------------------------------------------
+
+
+def full_rescan_oracle(L):
+    """``maximal_complements_oracle`` with a full rescan at every search node.
+
+    The search, pruning and result order are the library's; only the
+    violation scan differs: it restarts at C's lowest target every time
+    instead of resuming from a cursor.  No cache, no bound, no self-check.
+    """
+    from latmax.lattice import bits, indecomposable_components
+
+    n = L.n
+    pre = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not L.leq[x, y] and not L.leq[y, x]:
+                pre[int(L.meet[x, y])].append((x, y))
+                pre[int(L.join[x, y])].append((x, y))
+
+    blocked = (1 << L.bottom) | (1 << L.top)
+    dbl_mask = L.mask_of(L.irreducibles.ji & L.irreducibles.mi)
+    comp_masks = [L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)] or [L.full_mask()]
+
+    def first_violation(cmask):
+        for z in bits(cmask):
+            for x, y in pre[z]:
+                if not (cmask >> x) & 1 and not (cmask >> y) & 1:
+                    return x, y
+        return None
+
+    found = []
+
+    def admissible(cmask, e):
+        if (blocked >> e) & 1 or e < (cmask & -cmask).bit_length() - 1:
+            return False
+        grown = cmask | (1 << e)
+        if grown & dbl_mask and grown != grown & -grown:
+            return False
+        if not any(grown & ~cm == 0 for cm in comp_masks):
+            return False
+        return not any(r != grown and r & ~grown == 0 for r in found)
+
+    for seed in range(n):
+        if (blocked >> seed) & 1 or (dbl_mask >> seed) & 1:
+            continue
+        stack = [(1 << seed, 0)]
+        while stack:
+            cmask, forb = stack.pop()
+            viol = first_violation(cmask)
+            if viol is None:
+                found.append(cmask)
+                continue
+            x, y = viol
+            if not (forb >> y) & 1 and admissible(cmask, y):
+                stack.append((cmask | (1 << y), forb | (1 << x)))
+            if not (forb >> x) & 1 and admissible(cmask, x):
+                stack.append((cmask | (1 << x), forb))
+
+    found.extend(1 << d for d in bits(dbl_mask & ~blocked))
+    found.sort(key=lambda m: m.bit_count())
+    minimal = []
+    for cand in found:
+        if not any(r & ~cand == 0 for r in minimal):
+            minimal.append(cand)
+    return sorted((frozenset(bits(c)) for c in minimal), key=sorted)

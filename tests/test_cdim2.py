@@ -101,6 +101,7 @@ def test_bad_permutation():
         (2, ("1", "2")),
         (2, [[1, 2]]),
         (2, (2**70, 1)),  # past int64
+        (2, [1, [2]]),  # ragged
     ],
 )
 def test_malformed_permutation_rejected(m, phi):
@@ -158,6 +159,31 @@ def test_oracle_equivalence_m9_random():
         comps, _ = fast_complements(9, perm)
         fast_sets = {materialize(G, c) for c in comps}
         assert fast_sets == set(maximal_complements_oracle(G.lattice, bound=64)), perm
+
+
+def test_oracle_equivalence_seeded_m8_to_25():
+    # One random geometry per m, up to n = 173 elements; the oracle's
+    # resumable scan keeps this to a few seconds.
+    rng = random.Random(2025)
+    for m in range(8, 26):
+        perm = random_permutation(m, rng)
+        G = build_cg(m, [tuple(range(1, m + 1)), perm])
+        comps, _ = fast_complements(m, perm)
+        fast_sets = [materialize(G, c) for c in comps]
+        oracle = maximal_complements_oracle(G.lattice, bound=G.lattice.n)
+        assert len(set(fast_sets)) == len(fast_sets) == len(oracle), perm
+        assert set(fast_sets) == set(oracle), perm
+
+
+@pytest.mark.slow
+def test_oracle_equivalence_exhaustive_m8():
+    # All 40,320 permutations with m = 8; opt in with ``pytest -m slow``.
+    identity = tuple(range(1, 9))
+    for perm in permutations(identity):
+        G = build_cg(8, [identity, perm])
+        comps, _ = fast_complements(8, perm)
+        fast_sets = {materialize(G, c) for c in comps}
+        assert fast_sets == set(maximal_complements_oracle(G.lattice, bound=G.lattice.n)), perm
 
 
 def test_decompose_equals_fast_on_identity_first_chain():

@@ -249,6 +249,15 @@ def test_non_integer_token_names_its_line_and_field(text, message, tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_negative_element_count_is_named(tmp_path, capsys):
+    path = tmp_path / "lattice.txt"
+    path.write_text("-1\n")
+    rc, out, err = run_cli(capsys, "oracle", "--file", str(path))
+    assert rc == 2 and out == ""
+    assert "element count must be nonnegative, got -1" in err
+    assert "cycle" not in err and "Traceback" not in err
+
+
 def test_check_oracle_bound_overflow_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("LATMAX_ORACLE_BOUND", "4")
     rc, _, err = run_cli(capsys, "check", "hyp2", "--max-m", "3")

@@ -6,9 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from helpers import brute_max_complements, closure_scheme_b, random_cover_lattice
+from helpers import brute_max_complements, closure_scheme_b, full_rescan_oracle, random_cover_lattice
+from latmax import sublattice
 from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, glued, m3, n5
-from latmax.lattice import from_cover_relations, is_sd_join
+from latmax.geometry import build_cg
+from latmax.lattice import InvariantViolation, from_cover_relations, is_sd_join, to_cover_text
 from latmax.sublattice import (
     EmptyGenerator,
     NoCanonicalRep,
@@ -24,6 +26,7 @@ from latmax.sublattice import (
     strict_canonical_joinands,
     strict_canonical_meetands,
 )
+from test_checks import K_CHAIN_COUNTEREXAMPLES
 
 
 def test_generate_already_closed(named_lattices):
@@ -46,6 +49,13 @@ def test_both_iteration_schemes_agree(small_corpus):
     lattices = list(small_corpus.values())
     for _ in range(1000):
         L = lattices[rng.randrange(len(lattices))]
+        gens = rng.sample(range(L.n), rng.randint(1, max(1, L.n // 2)))
+        assert generate_sublattice(L, gens) == closure_scheme_b(L, gens)
+    # Doubled lattices often add two elements in one later round, whose own
+    # meet and join the closure must still take.
+    doubled = doubled_sequences(depth=2, seed=13, count=8)
+    for _ in range(1000):
+        L = doubled[rng.randrange(len(doubled))]
         gens = rng.sample(range(L.n), rng.randint(1, max(1, L.n // 2)))
         assert generate_sublattice(L, gens) == closure_scheme_b(L, gens)
 
@@ -252,7 +262,12 @@ def test_is_sublattice_matches_pairwise_check(small_corpus):
 
 
 def test_is_maximal_sublattice_matches_definition(small_corpus):
-    for name, L in small_corpus.items():
+    doubled = {}
+    for seed in (0, 7):
+        for L in doubled_sequences(depth=3, seed=seed, count=120):
+            if L.n <= 10:
+                doubled.setdefault(to_cover_text(L), (f"doubled-seed{seed}", L))
+    for name, L in [*small_corpus.items(), *doubled.values()]:
         if L.n > 10:
             continue
         everything = frozenset(range(L.n))
@@ -270,3 +285,24 @@ def test_sublattice_predicates_accept_numpy_elements():
     assert is_sublattice(L, np.array([0, 1]))
     assert generate_sublattice(L, np.array([1, 2])) == {1, 2}
     assert is_maximal_sublattice(L, np.array([0, 1, 3]))
+
+
+def _reference_corpus(cdim2_through_m6):
+    yield from (G.lattice for G in cdim2_through_m6)
+    for seed in (0, 7):
+        yield from doubled_sequences(depth=3, seed=seed, count=120)
+    for chains, _, _ in K_CHAIN_COUNTEREXAMPLES:
+        yield build_cg(6, chains).lattice
+
+
+def test_oracle_equals_the_full_rescan_reference(cdim2_through_m6):
+    # The resumable scan must pick the very violation a full rescan picks,
+    # so the two searches return the same complements in the same order.
+    for L in _reference_corpus(cdim2_through_m6):
+        assert maximal_complements_oracle(L, bound=L.n) == full_rescan_oracle(L), to_cover_text(L)
+
+
+def test_oracle_self_check_failure_raises(monkeypatch):
+    monkeypatch.setattr(sublattice, "is_maximal_sublattice", lambda L, M: False)
+    with pytest.raises(InvariantViolation, match="leaves no maximal sublattice"):
+        maximal_complements_oracle(boolean(2))
