@@ -67,12 +67,12 @@ def _geometries(corpus):
     return (item for item in corpus if isinstance(item, ConvexGeometry))
 
 
-def _complements(corpus, bound, keep=None):
+def _complements(corpus, keep=None):
     """(L, C) for every maximal-sublattice complement C of every lattice L of
     corpus that keep accepts (all of them when keep is None)."""
     for L in _lattices(corpus):
         if keep is None or keep(L):
-            for C in maximal_complements_oracle(L, bound):
+            for C in maximal_complements_oracle(L):
                 yield L, C
 
 
@@ -82,11 +82,11 @@ def _sides(L: Lattice, tag: str) -> list:
     return [side for side, holds in both if holds]
 
 
-def _sided_complements(corpus, bound, tag):
+def _sided_complements(corpus, tag):
     """(L, K, side tag, C) for every complement C and every side (K, side tag) of L."""
     for L in _lattices(corpus):
         sides = _sides(L, tag)
-        for C in maximal_complements_oracle(L, bound) if sides else ():
+        for C in maximal_complements_oracle(L) if sides else ():
             for K, side_tag in sides:
                 yield L, K, side_tag, C
 
@@ -251,13 +251,13 @@ def reverify_witness(report: CheckReport) -> bool:
 # -- hypotheses -----------------------------------------------------------------
 
 
-def check_hyp1_sd_interval(corpus, label="corpus", bound=None) -> CheckReport:
+def check_hyp1_sd_interval(corpus, label="corpus") -> CheckReport:
     """SD lattices: every maximal-sublattice complement is an interval."""
-    instances = ((L, "hyp1", C, {}) for L, C in _complements(corpus, bound, is_sd))
+    instances = ((L, "hyp1", C, {}) for L, C in _complements(corpus, is_sd))
     return _sweep("hyp1-sd-interval", label, instances)
 
 
-def check_hyp2_sd_join(corpus, label="corpus", bound=None) -> CheckReport:
+def check_hyp2_sd_join(corpus, label="corpus") -> CheckReport:
     """SD-join: complements are unions of intervals from one minimal element.
 
     Asserts a unique minimal element c0 and C = union of [c0, t] over the
@@ -270,18 +270,18 @@ def check_hyp2_sd_join(corpus, label="corpus", bound=None) -> CheckReport:
     instances = (
         # K's minimal elements are L's maximal ones on the dual side.
         (L, tag, C, {"minima" if K is L else "maxima": sorted(minimal_elements(K, C))})
-        for L, K, tag, C in _sided_complements(corpus, bound, "hyp2")
+        for L, K, tag, C in _sided_complements(corpus, "hyp2")
     )
     return _sweep("hyp2-sdjoin-union", label, instances)
 
 
-def check_hyp3_convex(corpus, label="corpus", bound=None) -> CheckReport:
+def check_hyp3_convex(corpus, label="corpus") -> CheckReport:
     """Any lattice: every maximal-sublattice complement is convex."""
-    instances = ((L, "hyp3", C, {}) for L, C in _complements(corpus, bound))
+    instances = ((L, "hyp3", C, {}) for L, C in _complements(corpus))
     return _sweep("hyp3-convex", label, instances)
 
 
-def check_hyp4_cover(corpus, label="corpus", bound=None) -> CheckReport:
+def check_hyp4_cover(corpus, label="corpus") -> CheckReport:
     """Convex geometries: every x in C has a lower cover m in M with [0,m] ⊆ M.
 
     Also replays, uncounted, the implication that a complement passing the
@@ -293,7 +293,7 @@ def check_hyp4_cover(corpus, label="corpus", bound=None) -> CheckReport:
     """
 
     def instances():
-        for L, C in _complements(_geometries(corpus), bound):
+        for L, C in _complements(_geometries(corpus)):
             for x in C:
                 yield L, "hyp4", C, {"element": x}
             yield L, "hyp4-convexity", C, {}
@@ -301,12 +301,12 @@ def check_hyp4_cover(corpus, label="corpus", bound=None) -> CheckReport:
     return _sweep("hyp4-cover", label, instances())
 
 
-def check_q2_irreducibles(corpus, label="corpus", bound=None) -> CheckReport:
+def check_q2_irreducibles(corpus, label="corpus") -> CheckReport:
     """cdim-2 geometries: inside C the only join-irreducible is min C and the
     only meet-irreducibles are the maximal elements of C."""
 
     def instances():
-        for L, C in _complements(_geometries(corpus), bound):
+        for L, C in _complements(_geometries(corpus)):
             info = L.irreducibles
             yield L, "q2", C, {"ji_inside": sorted(info.ji & C), "mi_inside": sorted(info.mi & C)}
 
@@ -316,29 +316,29 @@ def check_q2_irreducibles(corpus, label="corpus", bound=None) -> CheckReport:
 # -- section 4/5 theorems ----------------------------------------------------------
 
 
-def check_thm_44_gist(corpus, label="corpus", bound=None) -> CheckReport:
+def check_thm_44_gist(corpus, label="corpus") -> CheckReport:
     """SD-join: a coatom in C is the unique maximal element of C, and then C
     is an interval."""
     instances = (
         (L, "thm4.4", C, {"coatoms": sorted(L.coatoms & C)})
-        for L, C in _complements(corpus, bound, is_sd_join)
+        for L, C in _complements(corpus, is_sd_join)
         if L.coatoms & C
     )
     return _sweep("thm44-coatom", label, instances)
 
 
-def check_thm_45_greatest(corpus, label="corpus", bound=None) -> CheckReport:
+def check_thm_45_greatest(corpus, label="corpus") -> CheckReport:
     """SD-join: a complement with a greatest element is an interval; dually a
     complement of an SD-meet lattice with a least element is an interval."""
     instances = (
         (L, tag, C, {})
-        for L, K, tag, C in _sided_complements(corpus, bound, "thm4.5")
+        for L, K, tag, C in _sided_complements(corpus, "thm4.5")
         if len(minimal_elements(K.dual, C)) == 1
     )
     return _sweep("thm45-greatest", label, instances)
 
 
-def check_thm_51_55(corpus, label="corpus", bound=None) -> CheckReport:
+def check_thm_51_55(corpus, label="corpus") -> CheckReport:
     """SD lattices: C is an interval whenever it has a greatest or least
     element, contains an atom or coatom, or has an element comparable to all
     of C."""
@@ -352,7 +352,7 @@ def check_thm_51_55(corpus, label="corpus", bound=None) -> CheckReport:
         )
 
     instances = (
-        (L, "thm5.1/5.5", C, {}) for L, C in _complements(corpus, bound, is_sd) if triggered(L, C)
+        (L, "thm5.1/5.5", C, {}) for L, C in _complements(corpus, is_sd) if triggered(L, C)
     )
     return _sweep("thm51-55-interval", label, instances)
 
@@ -372,9 +372,7 @@ def sublattice_complements(L: Lattice, seed: int = 0, samples: int = 60):
     if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
         return [frozenset(bits(full & ~mask)) for mask in sublattice_masks(L)]
     everything = frozenset(range(L.n))
-    seen = set()
-    for C in maximal_complements_oracle(L, bound=L.n):
-        seen.add(C)
+    seen = set(maximal_complements_oracle(L))
     rng = random.Random(seed)
     for _ in range(samples):
         size = rng.randint(1, max(1, L.n // 2))
@@ -454,17 +452,17 @@ def check_lemma_54(corpus, label="corpus", seed: int = 0) -> CheckReport:
 # -- baseline sweeps -------------------------------------------------------------
 
 
-def check_distributive_baseline(corpus, label="corpus", bound=None) -> CheckReport:
+def check_distributive_baseline(corpus, label="corpus") -> CheckReport:
     """Distributive lattices: complements are intervals [a, b] with a the
     unique internal join-irreducible and b the unique internal
     meet-irreducible."""
     instances = (
-        (L, "distributive-baseline", C, {}) for L, C in _complements(corpus, bound, is_distributive)
+        (L, "distributive-baseline", C, {}) for L, C in _complements(corpus, is_distributive)
     )
     return _sweep("distributive-baseline", label, instances)
 
 
-def bounded_interval_baseline(corpus, label="corpus", bound=None):
+def bounded_interval_baseline(corpus, label="corpus"):
     """Doubled (bounded) lattices: complements must be intervals; the number
     of internal join-irreducibles is reported, not asserted (doubling can
     produce complements with several, unlike the distributive case).
@@ -474,7 +472,7 @@ def bounded_interval_baseline(corpus, label="corpus", bound=None):
     histogram: dict = {}
 
     def instances():
-        for L, C in _complements(corpus, bound):
+        for L, C in _complements(corpus):
             yield L, "bounded-baseline", C, {}
             # reached only when the sweep found C to be an interval
             k = len(L.irreducibles.ji & C)

@@ -29,10 +29,10 @@ from .geometry import BadPermutation, _as_chain, build_cg, parse_cg_text
 from .lattice import Lattice, _clip, _rows, from_cover_text
 from .report import CheckReport
 from .sublattice import (
+    DEFAULT_ORACLE_BOUND,
     OracleBoundExceeded,
     frattini,
     maximal_complements_oracle,
-    resolve_oracle_bound,
 )
 
 EXIT_OK = 0
@@ -120,10 +120,7 @@ def cmd_cg_complements(args) -> int:
     if args.verify:
         G = build_cg(m, chains)
         fast_sets = {materialize(G, c) for c in comps}
-        bound = resolve_oracle_bound(args.oracle_bound) if args.oracle_bound is not None else max(
-            resolve_oracle_bound(None), G.lattice.n
-        )
-        oracle_sets = set(maximal_complements_oracle(G.lattice, bound=bound))
+        oracle_sets = set(maximal_complements_oracle(G.lattice, bound=args.oracle_bound))
         if fast_sets != oracle_sets:
             print("VERIFY MISMATCH", file=sys.stderr)
             print("fast:", sorted(sorted(s) for s in fast_sets), file=sys.stderr)
@@ -193,16 +190,11 @@ def _register_checks():
         out = []
         for m in range(1, args.max_m + 1):
             out.extend(corpus_mod.all_cdim2_geometries(m, verify=False))
-        if args.dedupe:
-            lats = corpus_mod.dedupe_isomorphic([g.lattice for g in out])
-            keep = {id(x) for x in lats}
-            out = [g for g in out if id(g.lattice) in keep]
         return out, f"all cdim2 geometries m<={args.max_m}"
 
     def sd_corpus(args):
-        limit = resolve_oracle_bound(None)
         doubles = corpus_mod.doubled_sequences(depth=3, seed=args.seed, count=args.random)
-        out = [corpus_mod.n5()] + [L for L in doubles if L.n <= limit]
+        out = [corpus_mod.n5()] + [L for L in doubles if L.n <= DEFAULT_ORACLE_BOUND]
         return out, f"n5 + {len(out) - 1} doubled lattices (seed={args.seed})"
 
     CHECKS.update(
@@ -291,16 +283,15 @@ def cmd_bench(args) -> int:
 def cmd_dot(args) -> int:
     G, L, labels = _load_lattice(args)
     fill = {}
-    if G is None:
-        if L.n <= resolve_oracle_bound(args.oracle_bound):
-            for cset in maximal_complements_oracle(L, bound=args.oracle_bound):
-                for a in cset:
-                    fill.setdefault(a, "lightgray")
-    elif len(G.chains) == 2:
+    if G is not None and len(G.chains) == 2:
         fills = {"Type1": "lightblue", "Type2": "palegreen", "Type3": "lightsalmon"}
         for c in decompose_and_run(G.m, G.chains):
             for a in materialize(G, c):
                 fill[a] = fills[c.case]
+    else:
+        for cset in maximal_complements_oracle(L, bound=args.oracle_bound):
+            for a in cset:
+                fill.setdefault(a, "lightgray")
     text = render_dot(L, labels, fill)
     if args.out:
         Path(args.out).write_text(text)
@@ -340,20 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="latmax", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, oracle=True):
+    def add_common(sp):
         sp.add_argument("--perm", help="inline permutation for chain 2 (chain 1 = identity), 1-based")
         sp.add_argument("--file", help="input file: geometry (`m k` header) or lattice cover list")
-        sp.add_argument("--json", action="store_true", help="JSON output")
-        if oracle:
-            sp.add_argument("--oracle-bound", type=int, default=None, help="max lattice size for the oracle")
+        sp.add_argument(
+            "--oracle-bound", type=int, metavar="N", help="exit 2 instead of running the oracle on n > N elements"
+        )
 
     sp = sub.add_parser("cg-complements", help="fast enumeration of maximal-sublattice complements")
     add_common(sp)
+    sp.add_argument("--json", action="store_true", help="JSON output")
     sp.add_argument("--verify", action="store_true", help="cross-run the brute-force oracle and diff")
     sp.set_defaults(fn=cmd_cg_complements)
 
     sp = sub.add_parser("oracle", help="brute-force complements + frattini sublattice")
     add_common(sp)
+    sp.add_argument("--json", action="store_true", help="JSON output")
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("check", help="run hypothesis/theorem checkers")
@@ -361,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-m", type=int, default=5, help="exhaustive cdim2 corpus bound")
     sp.add_argument("--random", type=int, default=120, help="random corpus size")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--dedupe", action="store_true", help="dedupe corpora by isomorphism")
     sp.add_argument("--out", help="path for counterexample witness")
     sp.set_defaults(fn=cmd_check)
 

@@ -15,7 +15,6 @@ __all__ = [
     "boolean",
     "chain",
     "chain_products",
-    "dedupe_isomorphic",
     "doubled_sequences",
     "glued",
     "m3",
@@ -175,10 +174,6 @@ def _refined_labels(L: Lattice):
         labels = fresh
 
 
-def _invariant(L: Lattice):
-    return (L.n, tuple(sorted(_refined_labels(L))))
-
-
 def are_isomorphic(L1: Lattice, L2: Lattice) -> bool:
     """Exact order-isomorphism test via class-constrained backtracking."""
     if L1.n != L2.n:
@@ -215,16 +210,3 @@ def are_isomorphic(L1: Lattice, L2: Lattice) -> bool:
         return False
 
     return extend(0)
-
-
-def dedupe_isomorphic(lattices):
-    """Keep one representative per isomorphism class."""
-    groups: dict = {}
-    out = []
-    for L in lattices:
-        key = _invariant(L)
-        reps = groups.setdefault(key, [])
-        if not any(are_isomorphic(L, r) for r in reps):
-            reps.append(L)
-            out.append(L)
-    return out

@@ -14,7 +14,6 @@ convert only at that boundary.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
@@ -52,6 +51,7 @@ __all__ = [
     "sublattice_masks",
 ]
 
+# Largest doubled lattice in the SD corpus of `latmax check`; not an oracle default.
 DEFAULT_ORACLE_BOUND = 18
 
 
@@ -60,7 +60,7 @@ class EmptyGenerator(ValueError):
 
 
 class OracleBoundExceeded(RuntimeError):
-    """The lattice is larger than the configured oracle bound."""
+    """The lattice is larger than the bound passed to the oracle."""
 
 
 class UndefinedBound(ValueError):
@@ -81,10 +81,13 @@ class ComplementBounds:
 
 
 def resolve_oracle_bound(bound=None) -> int:
-    if bound is not None:
-        return int(bound)
-    env = os.environ.get("LATMAX_ORACLE_BOUND")
-    return int(env) if env else DEFAULT_ORACLE_BOUND
+    """bound as an int, or DEFAULT_ORACLE_BOUND when bound is None.
+
+    The oracle applies no default bound of its own.  DEFAULT_ORACLE_BOUND is
+    the size limit of the CLI's SD corpus, and ``perfbench/workloads.py``
+    reads it through this call.
+    """
+    return DEFAULT_ORACLE_BOUND if bound is None else int(bound)
 
 
 # -- closure and maximality ----------------------------------------------------
@@ -172,6 +175,9 @@ def sublattice_masks(L: Lattice) -> list:
 def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     """All complements of maximal (0,1)-sublattices, as sorted frozensets.
 
+    With a bound, a lattice of more than bound elements raises
+    OracleBoundExceeded; with none, the oracle runs at any size.
+
     Maximal sublattices of lattices with at least two atoms and two coatoms
     always contain bottom and top; the oracle adopts that normal form
     uniformly, so e.g. a chain's complements are exactly its interior
@@ -199,8 +205,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     other violations, grew a far larger tree and did not finish a two-chain
     geometry with m = 16 in 500 s.
     """
-    bound = resolve_oracle_bound(bound)
-    if L.n > bound:
+    if bound is not None and L.n > bound:
         raise OracleBoundExceeded(f"n={L.n} exceeds oracle bound {bound}")
     if L._oracle_complements is not None:
         return list(L._oracle_complements)

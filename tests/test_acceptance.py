@@ -125,7 +125,7 @@ def test_criterion_2_oracle_equivalence(sweep_corpus, capsys):
     for m, perm, G in sweep_corpus:
         comps, _ = fast_complements(m, perm)
         fast_sets = {materialize(G, c) for c in comps}
-        oracle_sets = set(maximal_complements_oracle(G.lattice, bound=48))
+        oracle_sets = set(maximal_complements_oracle(G.lattice))
         if fast_sets != oracle_sets:
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -181,10 +181,10 @@ def test_criterion_4_linearity(capsys):
 def test_criterion_5_cdim2_hypothesis_suite(sweep_corpus, capsys):
     geoms = [G for _, _, G in sweep_corpus]
     reports = [
-        check_hyp2_sd_join(geoms, label="all cdim2 m<=7", bound=48),
-        check_hyp3_convex(geoms, label="all cdim2 m<=7", bound=48),
-        check_hyp4_cover(geoms, label="all cdim2 m<=7", bound=48),
-        check_q2_irreducibles(geoms, label="all cdim2 m<=7", bound=48),
+        check_hyp2_sd_join(geoms, label="all cdim2 m<=7"),
+        check_hyp3_convex(geoms, label="all cdim2 m<=7"),
+        check_hyp4_cover(geoms, label="all cdim2 m<=7"),
+        check_q2_irreducibles(geoms, label="all cdim2 m<=7"),
     ]
     with capsys.disabled():
         detail = ", ".join(f"{r.claim}:{r.status}({r.instances_checked})" for r in reports)
@@ -194,9 +194,9 @@ def test_criterion_5_cdim2_hypothesis_suite(sweep_corpus, capsys):
 def test_criterion_6_theorem_suite(sweep_corpus, sd_corpus, capsys):
     geoms = [G for _, _, G in sweep_corpus]
     reports = [
-        check_thm_44_gist(geoms, label="cdim2 m<=7 (SD-join)", bound=48),
-        check_thm_45_greatest(geoms, label="cdim2 m<=7 (SD-join)", bound=48),
-        check_thm_51_55(sd_corpus, label="SD corpus", bound=40),
+        check_thm_44_gist(geoms, label="cdim2 m<=7 (SD-join)"),
+        check_thm_45_greatest(geoms, label="cdim2 m<=7 (SD-join)"),
+        check_thm_51_55(sd_corpus, label="SD corpus"),
         check_lemma_54(sd_corpus, label="SD corpus"),
         check_lemma_42(sd_corpus, label="SD corpus"),
     ]
@@ -214,7 +214,7 @@ def test_criterion_7_distributive_baseline(capsys):
     from latmax.lattice import is_distributive
 
     all_distributive = all(is_distributive(L) for L in corpus)
-    rep = check_distributive_baseline(corpus, label="chain products + booleans", bound=64)
+    rep = check_distributive_baseline(corpus, label="chain products + booleans")
     with capsys.disabled():
         _line(
             7,

@@ -27,7 +27,6 @@ from latmax.corpus import (
     boolean,
     chain,
     chain_products,
-    dedupe_isomorphic,
     doubled_sequences,
     glued,
     m3,
@@ -70,14 +69,13 @@ K_CHAIN_COUNTEREXAMPLES = [
 )
 def test_k_chain_geometries_refute_hyp2_and_hyp4(chains, hyp2, hyp4):
     G = build_cg(6, chains)
-    n = G.lattice.n
 
-    rep = check_hyp2_sd_join([G], label="k-chain", bound=n)
+    rep = check_hyp2_sd_join([G], label="k-chain")
     assert rep.status == "CounterexampleFound"
     assert (rep.instances_checked, rep.witness["minima"], rep.witness["complement"]) == hyp2
     assert reverify_witness(rep) is True
 
-    rep = check_hyp4_cover([G], label="k-chain", bound=n)
+    rep = check_hyp4_cover([G], label="k-chain")
     assert rep.status == "CounterexampleFound"
     assert (rep.instances_checked, rep.witness["element"]) == hyp4
     assert rep.witness["complement"] == hyp2[2]
@@ -115,23 +113,23 @@ def test_distributive_baseline_chen_rival():
     corpus = [boolean(k) for k in range(1, 5)] + [
         chain_products(d) for d in [(2, 2), (3, 3), (4, 4), (2, 2, 2), (4, 4, 3)]
     ]
-    rep = check_distributive_baseline(corpus, label="distributive", bound=64)
+    rep = check_distributive_baseline(corpus, label="distributive")
     assert rep.holds and rep.instances_checked > 20
 
 
 def test_bounded_baseline_reports_ji_multiplicity():
     L = from_cover_text(MULTI_JI_BOUNDED)
     assert is_sd(L)
-    rep, hist = bounded_interval_baseline([L], label="bounded-one", bound=18)
+    rep, hist = bounded_interval_baseline([L], label="bounded-one")
     assert rep.holds
     assert hist.get(2, 0) >= 1  # the doubling phenomenon: two internal JIs
     # the complement in question is still an interval, so hyp1 is untouched
-    assert check_hyp1_sd_interval([L], bound=18).holds
+    assert check_hyp1_sd_interval([L]).holds
 
 
 def test_bounded_baseline_on_doubled_corpus():
     corpus = [L for L in doubled_sequences(depth=2, seed=6, count=25) if L.n <= 16]
-    rep, hist = bounded_interval_baseline(corpus, label="doubled", bound=16)
+    rep, hist = bounded_interval_baseline(corpus, label="doubled")
     assert rep.holds
     assert sum(hist.values()) == rep.instances_checked
 
@@ -200,11 +198,6 @@ def test_reverify_on_synthetic_counterexamples():
 def test_reverify_ignores_holds():
     rep = check_hyp3_convex([boolean(2)], label="b2")
     assert rep.holds and not reverify_witness(rep)
-
-
-def test_dedupe_isomorphic_counts():
-    lats = [boolean(2), boolean(2), chain(3), chain(3), n5()]
-    assert len(dedupe_isomorphic(lats)) == 3
 
 
 def test_all_cdim2_count_is_m_factorial():

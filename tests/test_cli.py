@@ -11,9 +11,11 @@ import pytest
 
 import latmax
 from latmax import cli
-from latmax.geometry import ConvexGeometry
-from latmax.lattice import InvariantViolation
+from latmax.corpus import boolean
+from latmax.geometry import ConvexGeometry, build_cg, format_cg_text
+from latmax.lattice import InvariantViolation, to_cover_text
 from latmax.report import CheckReport
+from latmax.sublattice import maximal_complements_oracle
 
 PAPER_ARGS = ["cg-complements", "--perm", "3 6 7 10 1 8 9 5 2 4"]
 
@@ -258,28 +260,65 @@ def test_negative_element_count_is_named(tmp_path, capsys):
     assert "cycle" not in err and "Traceback" not in err
 
 
-def test_check_oracle_bound_overflow_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("LATMAX_ORACLE_BOUND", "4")
-    rc, _, err = run_cli(capsys, "check", "hyp2", "--max-m", "3")
-    assert rc == 2
-    assert "oracle bound exceeded" in err and "Traceback" not in err
-
-
 @pytest.mark.parametrize(
     "argv, printed",
     [
         (["cg-complements", "--perm", "2 1 3", "--verify", "--oracle-bound", "3"], 2),
         (["cg-complements", "--perm", "2 1 3", "--verify", "--oracle-bound", "0"], 2),
         (["oracle", "--perm", "2 1 3", "--oracle-bound", "0"], 0),
+        (["dot", "--file", "B3", "--oracle-bound", "4"], 0),
     ],
-    ids=["verify-below-n", "verify-zero", "oracle-zero"],
+    ids=["verify-below-n", "verify-zero", "oracle-zero", "dot-cover-list"],
 )
-def test_oracle_bound_overflow_exits_2_from_every_command(argv, printed, capsys):
-    rc, out, err = run_cli(capsys, *argv)
+def test_oracle_bound_overflow_exits_2_from_every_command(argv, printed, tmp_path, capsys):
+    b3 = tmp_path / "b3.txt"
+    b3.write_text(to_cover_text(boolean(3)))
+    rc, out, err = run_cli(capsys, *[str(b3) if a == "B3" else a for a in argv])
     assert rc == 2
     assert "oracle bound exceeded" in err and "Traceback" not in err
     # Complements printed before the oracle ran stay on stdout.
     assert out.splitlines() == ["{(1)}\t(1)={1}", "{(2)}\t(2)={2}"][:printed]
+
+
+def test_oracle_has_no_default_bound(capsys):
+    rc, out, _ = run_cli(capsys, "oracle", "--perm", "3 6 7 10 1 8 9 5 2 4")
+    assert rc == 0
+    assert out.startswith("# 9 complements of maximal sublattices\n")
+
+
+THREE_CHAINS = [(1, 2, 3, 4, 5, 6), (2, 4, 6, 5, 3, 1), (6, 3, 5, 4, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "text, L",
+    [
+        (to_cover_text(boolean(5)), boolean(5)),
+        (format_cg_text(6, THREE_CHAINS), build_cg(6, THREE_CHAINS).lattice),
+    ],
+    ids=["b5-cover-list", "3-chain-geometry"],
+)
+def test_dot_shades_other_inputs_through_the_oracle(text, L, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, out, _ = run_cli(capsys, "dot", "--file", str(path))
+    assert rc == 0
+    shaded = set().union(*maximal_complements_oracle(L))
+    assert L.n > 18 and shaded
+    assert out.count('fillcolor="lightgray"') == len(shaded)
+
+
+def test_check_runs_its_corpus_without_a_bound(capsys):
+    rc, out, _ = run_cli(capsys, "check", "hyp3", "--max-m", "6")
+    assert rc == 0
+    assert CheckReport.from_json(out.strip()).holds
+
+
+@pytest.mark.parametrize("argv", [["dot", "--perm", "2 1", "--json"], ["check", "hyp3", "--dedupe"]])
+def test_removed_options_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def _long_chain(m, k, token):
@@ -325,6 +364,22 @@ def test_module_entry_point_reports_a_parse_error():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == ["parse error: not a permutation of 1..2: point 1 repeats"]
+
+
+def test_python_O_prints_the_same_output():
+    # `python -O` strips assert statements; tests/test_dual.py checks that
+    # the package has none, and this checks that the output agrees.
+    env = dict(os.environ, PYTHONPATH=str(Path(latmax.__file__).parents[1]))
+    for argv in (["check", "all", "--max-m", "3", "--random", "3"], [*PAPER_ARGS, "--verify"]):
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "latmax.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            for flags in ([], ["-O"])
+        )
+        assert plain.returncode == optimized.returncode == 0
+        assert plain.stdout == optimized.stdout and plain.stdout
 
 
 def test_bench_json_records(capsys):

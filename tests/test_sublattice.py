@@ -84,14 +84,9 @@ def test_oracle_boolean_square(named_lattices):
 def test_oracle_respects_bound():
     with pytest.raises(OracleBoundExceeded):
         maximal_complements_oracle(boolean(3), bound=4)
-
-
-def test_oracle_bound_env_override(monkeypatch):
-    monkeypatch.setenv("LATMAX_ORACLE_BOUND", "4")
-    with pytest.raises(OracleBoundExceeded):
-        maximal_complements_oracle(boolean(3))
-    monkeypatch.setenv("LATMAX_ORACLE_BOUND", "30")
-    assert maximal_complements_oracle(boolean(3))
+    # The bound is opt-in: without one the oracle runs at any size.
+    for k in (3, 5):
+        assert maximal_complements_oracle(boolean(k)) == maximal_complements_oracle(boolean(k), bound=2**k)
 
 
 def test_oracle_matches_subset_scan(small_corpus):
