@@ -8,7 +8,6 @@ from .cdim2 import (
     classify_complement,
     decompose_and_run,
     fast_complements,
-    lemma_suite_64_65,
     materialize,
 )
 from .geometry import (

@@ -37,8 +37,6 @@ import numpy as np
 
 from .geometry import ConvexGeometry, _as_chain, _permutation
 from .lattice import bits, mask_of, minimal_elements
-from .report import COUNTEREXAMPLE, HOLDS, SKIPPED, CheckReport
-from .sublattice import is_maximal_sublattice, is_sublattice
 
 __all__ = [
     "Complement",
@@ -49,7 +47,6 @@ __all__ = [
     "complements_to_json",
     "decompose_and_run",
     "fast_complements",
-    "lemma_suite_64_65",
     "materialize",
 ]
 
@@ -330,94 +327,6 @@ def _next_point(G: ConvexGeometry, i: int, j: int):
     """The point added right after C_i(j) on chain i, if any."""
     k = G.chains[i].pos[j]
     return G.chains[i].perm[k] if k < G.m else None
-
-
-# -- lemma checks ----------------------------------------------------------------
-
-
-def lemma_suite_64_65(G: ConvexGeometry) -> CheckReport:
-    """Closure claims for the candidate intervals at every eligible point.
-
-    For each ground j whose two chain prefixes both have successors: when
-    both chains step at the same point, the union (or single interval, when
-    (j) lies on a chain) must be the complement of a sublattice; when they
-    step at different points x1 != x2, the interval on the side whose
-    successor is already in the other prefix is a sublattice complement and
-    the opposite-side interval is not.  Requires trivial intersection.
-    """
-    label = f"m={G.m}"
-    if len(G.chains) != 2:
-        return CheckReport("lemma-6.4-6.5", label, 0, SKIPPED, None)
-    if not G.has_trivial_intersection():
-        return CheckReport("lemma-6.4-6.5", label, 0, SKIPPED, None)
-    L = G.lattice
-    full = L.full_mask()
-    checked = 0
-
-    def is_complement_of_sublattice(lo, his):
-        return is_sublattice(L, bits(full & ~_union_mask(L, lo, his)))
-
-    for j in range(1, G.m + 1):
-        x1 = _next_point(G, 0, j)
-        x2 = _next_point(G, 1, j)
-        if x1 is None or x2 is None:
-            continue
-        checked += 1
-        lo = G.point_closure(j)
-        c1 = G.chain_prefix_of_point(0, j)
-        c2 = G.chain_prefix_of_point(1, j)
-        on1, on2 = G.chain_member[lo][0], G.chain_member[lo][1]
-
-        def fail(claim, **detail):
-            witness = {
-                "j": j,
-                "x1": x1,
-                "x2": x2,
-                "claim": claim,
-                "m": G.m,
-                "chains": [list(c.perm) for c in G.chains],
-            }
-            witness.update(detail)
-            return CheckReport("lemma-6.4-6.5", label, checked, COUNTEREXAMPLE, witness)
-
-        if x1 == x2:
-            closure_x = G.point_closure(x1)
-            x_on1 = G.chain_member[closure_x][0]
-            x_on2 = G.chain_member[closure_x][1]
-            if not x_on1 and not x_on2:
-                if on1 or on2:
-                    return fail("6.4(1a): (j) should be on neither chain")
-                if not is_complement_of_sublattice(lo, [c1, c2]):
-                    return fail("6.4(1a): union not a sublattice complement")
-            else:
-                i = 0 if x_on1 else 1
-                if not G.chain_member[lo][i]:
-                    return fail("6.4(1b): (j) should lie on the same chain as (x)")
-                other_prefix = c2 if i == 0 else c1
-                if not is_complement_of_sublattice(lo, [other_prefix]):
-                    return fail("6.4(1b): interval not a sublattice complement")
-        else:
-            inside = [
-                G.chains[1 - i].pos[xi] <= G.chains[1 - i].pos[j]
-                for i, xi in ((0, x1), (1, x2))
-            ]
-            for i, ci in ((0, c1), (1, c2)):
-                if inside[i]:
-                    if not is_complement_of_sublattice(lo, [ci]):
-                        return fail(f"6.4(2): chain-{i + 1} interval not a complement")
-                elif not inside[1 - i]:
-                    # Both successors outside the opposite prefixes: the
-                    # interval is not the complement of any sublattice.
-                    if is_complement_of_sublattice(lo, [ci]):
-                        return fail(f"6.4(3): chain-{i + 1} interval should fail")
-                else:
-                    # Mixed case: the written claim of 6.4(3) can fail (the
-                    # interval may complement a non-maximal sublattice), but
-                    # it must never complement a maximal one.
-                    keep = bits(full & ~L.interval_mask(lo, ci))
-                    if is_maximal_sublattice(L, keep):
-                        return fail(f"6.4(3'): chain-{i + 1} interval is a maximal complement")
-    return CheckReport("lemma-6.4-6.5", label, checked, HOLDS)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -4,16 +4,21 @@ Every checker lists the instances of its claim on a corpus, and one sweep
 tests them and hunts for a counterexample; the returned status ``Holds``
 means "no counterexample in this corpus", never proof.  The sweep tests an
 instance only through the table :data:`REPLAY` (witness tag -> predicate),
-so :func:`reverify_witness` replays a witness, which carries the lattice in
-cover-list form plus the violating data, with the very call that found it.
-A dual claim is its primal predicate run on ``L.dual``, under the primal tag
-plus ``-dual``.
+so :func:`reverify_witness` replays a witness, which names its host (a
+lattice by its cover list, a geometry by m and its chains) plus the
+violating data, with the very call that found it.  A dual claim is its
+primal predicate run on ``L.dual``, under the primal tag plus ``-dual``.
+
+:data:`CLAIMS` is the one table of the claims ``latmax check`` runs: claim
+id -> (checker, corpus builder), in report order.
 """
 from __future__ import annotations
 
 import random
 
-from .geometry import ConvexGeometry
+from .cdim2 import _next_point
+from .corpus import cdim2_corpus, sd_corpus
+from .geometry import ConvexGeometry, build_cg
 from .lattice import (
     Lattice,
     bits,
@@ -30,6 +35,8 @@ from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 from .sublattice import (
     NoCanonicalRep,
     generate_sublattice,
+    is_maximal_sublattice,
+    is_sublattice,
     maximal_complements_oracle,
     observation_suite,
     strict_canonical_joinands,
@@ -38,6 +45,7 @@ from .sublattice import (
 )
 
 __all__ = [
+    "CLAIMS",
     "REPLAY",
     "bounded_interval_baseline",
     "check_distributive_baseline",
@@ -47,6 +55,7 @@ __all__ = [
     "check_hyp4_cover",
     "check_lemma_42",
     "check_lemma_54",
+    "check_lemma_64_65",
     "check_q2_irreducibles",
     "check_thm_44_gist",
     "check_thm_45_greatest",
@@ -91,14 +100,15 @@ def _sided_complements(corpus, tag):
                 yield L, K, side_tag, C
 
 
-def _witness(L: Lattice, claim: str, M=None, C=None, **extra) -> dict:
-    w = {"claim": claim, "lattice": to_cover_text(L)}
-    if C is not None and M is None:
-        M = frozenset(range(L.n)) - frozenset(C)
-    if M is not None:
-        w["sublattice"] = sorted(M)
-    if C is not None:
-        w["complement"] = sorted(C)
+def _witness(host, claim: str, C, **extra) -> dict:
+    """The witness that C violates claim in host, which it names: a geometry
+    by m and its chains, a lattice by its cover list."""
+    if isinstance(host, ConvexGeometry):
+        w = {"claim": claim, "m": host.m, "chains": [list(c.perm) for c in host.chains]}
+        host = host.lattice
+    else:
+        w = {"claim": claim, "lattice": to_cover_text(host)}
+    w.update(sublattice=sorted(set(range(host.n)) - set(C)), complement=sorted(C))
     w.update(extra)
     return w
 
@@ -108,17 +118,18 @@ _UNCOUNTED = frozenset({"hyp4-convexity"})
 
 
 def _sweep(claim: str, label: str, instances) -> CheckReport:
-    """Test every instance (L, tag, C, w) with ``REPLAY[tag](L, C, w)``, the
-    call :func:`reverify_witness` makes on the serialized witness.
+    """Test every instance (host, tag, C, w) with ``REPLAY[tag](host, C, w)``,
+    the call :func:`reverify_witness` makes on the serialized witness.
 
-    The first violation stops the sweep; its witness is the complement C of
-    L plus the entries of w.
+    The host is a lattice, or a geometry for the claims about its chains.
+    The first violation stops the sweep; its witness is the set C of host
+    plus the entries of w.
     """
     checked = 0
-    for L, tag, C, w in instances:
+    for host, tag, C, w in instances:
         checked += tag not in _UNCOUNTED
-        if REPLAY[tag](L, C, w):
-            return CheckReport(claim, label, checked, COUNTEREXAMPLE, _witness(L, tag, C=C, **w))
+        if REPLAY[tag](host, C, w):
+            return CheckReport(claim, label, checked, COUNTEREXAMPLE, _witness(host, tag, C, **w))
     return CheckReport(claim, label, checked, HOLDS)
 
 
@@ -193,6 +204,33 @@ def _distributive_fails(L: Lattice, C, w) -> bool:
     return not (L.interval(lo, hi) == C and info.ji & C == {lo} and info.mi & C == {hi})
 
 
+def _rest_is_sublattice(G: ConvexGeometry, C, w) -> bool:
+    """The elements of G outside C form a sublattice (6.4(3) fails)."""
+    L = G.lattice
+    return is_sublattice(L, bits(L.full_mask() & ~L.mask_of(C)))
+
+
+def _lemma64_2_fails(G: ConvexGeometry, C, w) -> bool:
+    """The rest of G outside C is no sublattice."""
+    return not _rest_is_sublattice(G, C, w)
+
+
+def _lemma64_1a_fails(G: ConvexGeometry, C, w) -> bool:
+    """(j) lies on a chain, or the rest is no sublattice."""
+    return any(G.chain_member[G.point_closure(w["j"])]) or _lemma64_2_fails(G, C, w)
+
+
+def _lemma64_1b_fails(G: ConvexGeometry, C, w) -> bool:
+    """(j) is off the chain w["x_chain"] of (x), or the rest is no sublattice."""
+    return not G.chain_member[G.point_closure(w["j"])][w["x_chain"] - 1] or _lemma64_2_fails(G, C, w)
+
+
+def _lemma64_3_maximal_fails(G: ConvexGeometry, C, w) -> bool:
+    """The rest of G outside C is a maximal sublattice."""
+    L = G.lattice
+    return is_maximal_sublattice(L, bits(L.full_mask() & ~L.mask_of(C)))
+
+
 def _observation_reproduces(L: Lattice, C, w) -> bool:
     rerun = observation_suite(L, frozenset(w["sublattice"]))
     return rerun.status == COUNTEREXAMPLE and rerun.witness["observation"] == w["observation"]
@@ -220,6 +258,11 @@ REPLAY = {
     "lemma4.2": _lemma42_fails,
     "lemma4.2-dual": _on_dual(_lemma42_fails),
     "lemma5.4": _lemma54_fails,
+    "6.4(1a)": _lemma64_1a_fails,
+    "6.4(1b)": _lemma64_1b_fails,
+    "6.4(2)": _lemma64_2_fails,
+    "6.4(3)": _rest_is_sublattice,
+    "6.4(3')": _lemma64_3_maximal_fails,
     "observation-suite": _observation_reproduces,
     "distributive-baseline": _distributive_fails,
     "bounded-baseline": _interval_fails,
@@ -230,22 +273,16 @@ def reverify_witness(report: CheckReport) -> bool:
     """Re-run the failed assertion on the serialized witness.
 
     Returns True when the violation reproduces (i.e. the witness is genuine).
-    Holds/Skipped reports have nothing to reverify.
+    A report that holds has nothing to reverify.
     """
     if report.status != COUNTEREXAMPLE or not report.witness:
         return False
     w = report.witness
     claim = w.get("claim", "")
-    if claim.startswith("6.4"):
-        from .cdim2 import lemma_suite_64_65
-        from .geometry import build_cg
-
-        G = build_cg(w["m"], w["chains"], verify=False)
-        rerun = lemma_suite_64_65(G)
-        return rerun.status == COUNTEREXAMPLE and rerun.witness["claim"] == claim
     if claim not in REPLAY:
         raise ValueError(f"unknown witness claim {claim!r}")
-    return bool(REPLAY[claim](from_cover_text(w["lattice"]), frozenset(w.get("complement", [])), w))
+    host = build_cg(w["m"], w["chains"], verify=False) if "chains" in w else from_cover_text(w["lattice"])
+    return bool(REPLAY[claim](host, frozenset(w.get("complement", [])), w))
 
 
 # -- hypotheses -----------------------------------------------------------------
@@ -355,6 +392,51 @@ def check_thm_51_55(corpus, label="corpus") -> CheckReport:
         (L, "thm5.1/5.5", C, {}) for L, C in _complements(corpus, is_sd) if triggered(L, C)
     )
     return _sweep("thm51-55-interval", label, instances)
+
+
+# -- section 6 lemmas --------------------------------------------------------------
+
+
+def _lemma64_instances(corpus):
+    """The instances (G, tag, C, w) of :func:`check_lemma_64_65`, one per
+    clause; w names the point j and the successors x1, x2 of its prefixes."""
+    for G in _geometries(corpus):
+        if len(G.chains) != 2 or not G.has_trivial_intersection():
+            continue
+        L = G.lattice
+        for j in range(1, G.m + 1):
+            x1, x2 = _next_point(G, 0, j), _next_point(G, 1, j)
+            if x1 is None or x2 is None:
+                continue
+            lo = G.point_closure(j)
+            intervals = [L.interval(lo, G.chain_prefix_of_point(i, j)) for i in (0, 1)]
+            w = {"j": j, "x1": x1, "x2": x2}
+            if x1 == x2:
+                x_on = G.chain_member[G.point_closure(x1)]
+                if not any(x_on):
+                    yield G, "6.4(1a)", intervals[0] | intervals[1], w
+                else:
+                    i = 0 if x_on[0] else 1
+                    yield G, "6.4(1b)", intervals[1 - i], {**w, "x_chain": i + 1}
+                continue
+            # inside[i]: the successor on chain i already lies in the other prefix
+            inside = [G.chains[1 - i].pos[xi] <= G.chains[1 - i].pos[j] for i, xi in enumerate((x1, x2))]
+            for i in (0, 1):
+                tag = "6.4(2)" if inside[i] else "6.4(3')" if inside[1 - i] else "6.4(3)"
+                yield G, tag, intervals[i], {**w, "chain": i + 1}
+
+
+def check_lemma_64_65(corpus, label="corpus") -> CheckReport:
+    """Two-chain geometries with trivial intersection, at every point j whose
+    prefixes C1(j), C2(j) have successors x1, x2: if x1 = x2 = x, then
+    [(j), C1(j)] ∪ [(j), C2(j)] complements a sublattice and (j) lies on no
+    chain (6.4(1a)), or, when (x) lies on a chain, so does (j), and the other
+    chain's interval complements a sublattice (6.4(1b)).  If x1 != x2,
+    [(j), C_i(j)] complements a sublattice when x_i lies in the other prefix
+    (6.4(2)), none when neither successor does (6.4(3)), and no maximal one
+    in the mixed case (6.4(3')).
+    """
+    return _sweep("lemma-6.4-6.5", label, _lemma64_instances(corpus))
 
 
 # -- sublattice-quantified lemmas ----------------------------------------------------
@@ -479,3 +561,22 @@ def bounded_interval_baseline(corpus, label="corpus"):
             histogram[k] = histogram.get(k, 0) + 1
 
     return _sweep("bounded-baseline", label, instances()), histogram
+
+
+# -- the claims of ``latmax check`` ---------------------------------------------------
+
+# Claim id -> (checker, corpus builder), in report order.  A builder takes
+# some of the options of ``latmax check``, by name (max_m, seed, and count
+# for --random), and returns (corpus, label).
+CLAIMS = {
+    "hyp1": (check_hyp1_sd_interval, sd_corpus),
+    "hyp2": (check_hyp2_sd_join, cdim2_corpus),
+    "hyp3": (check_hyp3_convex, cdim2_corpus),
+    "hyp4": (check_hyp4_cover, cdim2_corpus),
+    "q2": (check_q2_irreducibles, cdim2_corpus),
+    "thm44": (check_thm_44_gist, cdim2_corpus),
+    "thm45": (check_thm_45_greatest, cdim2_corpus),
+    "thm51-55": (check_thm_51_55, sd_corpus),
+    "lemma42": (check_lemma_42, sd_corpus),
+    "lemma54": (check_lemma_54, sd_corpus),
+}

@@ -7,6 +7,7 @@ found.  ``main`` is the one place that turns an error into exit code 2.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -25,11 +26,10 @@ from .cdim2 import (
     fast_complements,
     materialize,
 )
+from .checks import CLAIMS as CHECKS  # claim id -> (checker, corpus builder)
 from .geometry import BadPermutation, _as_chain, build_cg, parse_cg_text
 from .lattice import Lattice, _clip, _rows, from_cover_text
-from .report import CheckReport
 from .sublattice import (
-    DEFAULT_ORACLE_BOUND,
     OracleBoundExceeded,
     frattini,
     maximal_complements_oracle,
@@ -104,11 +104,9 @@ def _load_lattice(args):
 def cmd_cg_complements(args) -> int:
     kind, m, chains = _load_input(args)
     if kind != "cg":
-        print("cg-complements needs a geometry input", file=sys.stderr)
-        return EXIT_PARSE
+        raise _InputError("cg-complements needs a geometry input")
     if len(chains) != 2:
-        print("cg-complements needs exactly two chains", file=sys.stderr)
-        return EXIT_PARSE
+        raise _InputError("cg-complements needs exactly two chains")
     comps = decompose_and_run(m, chains)
 
     if args.json:
@@ -126,7 +124,9 @@ def cmd_cg_complements(args) -> int:
             print("fast:", sorted(sorted(s) for s in fast_sets), file=sys.stderr)
             print("oracle:", sorted(sorted(s) for s in oracle_sets), file=sys.stderr)
             return EXIT_VERIFY
-        print(f"# verified against oracle: {len(oracle_sets)} complements agree")
+        # With --json, stdout carries only the array.
+        note = sys.stderr if args.json else sys.stdout
+        print(f"# verified against oracle: {len(oracle_sets)} complements agree", file=note)
     return EXIT_OK
 
 
@@ -178,58 +178,26 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-CHECKS = {}
-
-
 def _register_checks():
-    if CHECKS:
-        return
-    from . import checks as ch
-
-    def cdim2_corpus(args):
-        out = []
-        for m in range(1, args.max_m + 1):
-            out.extend(corpus_mod.all_cdim2_geometries(m, verify=False))
-        return out, f"all cdim2 geometries m<={args.max_m}"
-
-    def sd_corpus(args):
-        doubles = corpus_mod.doubled_sequences(depth=3, seed=args.seed, count=args.random)
-        out = [corpus_mod.n5()] + [L for L in doubles if L.n <= DEFAULT_ORACLE_BOUND]
-        return out, f"n5 + {len(out) - 1} doubled lattices (seed={args.seed})"
-
-    CHECKS.update(
-        {
-            "hyp1": (ch.check_hyp1_sd_interval, sd_corpus),
-            "hyp2": (ch.check_hyp2_sd_join, cdim2_corpus),
-            "hyp3": (ch.check_hyp3_convex, cdim2_corpus),
-            "hyp4": (ch.check_hyp4_cover, cdim2_corpus),
-            "q2": (ch.check_q2_irreducibles, cdim2_corpus),
-            "thm44": (ch.check_thm_44_gist, cdim2_corpus),
-            "thm45": (ch.check_thm_45_greatest, cdim2_corpus),
-            "thm51-55": (ch.check_thm_51_55, sd_corpus),
-            "lemma42": (ch.check_lemma_42, sd_corpus),
-            "lemma54": (ch.check_lemma_54, sd_corpus),
-        }
-    )
+    """Does nothing.  The benchmark's workloads still call it (ROADMAP item 8)."""
 
 
 def cmd_check(args) -> int:
-    _register_checks()
     names = list(CHECKS) if args.claim == "all" else [args.claim]
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        print(f"unknown claim(s): {unknown}; known: {sorted(CHECKS)}", file=sys.stderr)
-        return EXIT_PARSE
+        raise _InputError(f"unknown claim(s): {unknown}; known: {sorted(CHECKS)}")
+    options = {"max_m": args.max_m, "seed": args.seed, "count": args.random}
     rc = EXIT_OK
     corpora = {}  # corpus builder -> (items, label), shared by the claims of this call
     for name in names:
-        fn, corpus_fn = CHECKS[name]
-        if corpus_fn not in corpora:
-            corpora[corpus_fn] = corpus_fn(args)
-        items, label = corpora[corpus_fn]
-        report: CheckReport = fn(items, label=label)
+        fn, build = CHECKS[name]
+        if build not in corpora:
+            corpora[build] = build(**{key: options[key] for key in inspect.signature(build).parameters})
+        items, label = corpora[build]
+        report = fn(items, label=label)
         print(report.to_json())
-        if report.status == "CounterexampleFound":
+        if not report.holds:
             rc = EXIT_COUNTEREXAMPLE
             if args.out:
                 Path(args.out).write_text(report.to_json() + "\n")

@@ -8,11 +8,12 @@ import numpy as np
 
 from .geometry import ConvexGeometry, build_cg
 from .lattice import Interval, Lattice, double_interval, from_cover_relations
+from .sublattice import DEFAULT_ORACLE_BOUND
 
 __all__ = [
     "all_cdim2_geometries",
-    "are_isomorphic",
     "boolean",
+    "cdim2_corpus",
     "chain",
     "chain_products",
     "doubled_sequences",
@@ -21,6 +22,7 @@ __all__ = [
     "n5",
     "random_cdim_k",
     "random_permutation",
+    "sd_corpus",
 ]
 
 
@@ -98,6 +100,12 @@ def all_cdim2_geometries(m: int, verify: bool = True):
     ]
 
 
+def cdim2_corpus(max_m: int):
+    """(every two-chain geometry with m <= max_m, label)."""
+    out = [G for m in range(1, max_m + 1) for G in all_cdim2_geometries(m, verify=False)]
+    return out, f"all cdim2 geometries m<={max_m}"
+
+
 def random_permutation(m: int, rng: random.Random):
     perm = list(range(1, m + 1))
     rng.shuffle(perm)
@@ -147,66 +155,9 @@ def doubled_sequences(depth: int, seed: int, count: int = 200, max_interval: int
     return out
 
 
-# -- isomorphism-aware dedup ---------------------------------------------------------
-
-
-def _refined_labels(L: Lattice):
-    """Iterated degree/height refinement; stabilizes within n rounds."""
-    labels = [
-        (int(L.heights[a]), len(L.lower_covers[a]), len(L.covers[a]))
-        for a in range(L.n)
-    ]
-    while True:
-        sigs = [
-            (
-                labels[a],
-                tuple(sorted(labels[b] for b in L.lower_covers[a])),
-                tuple(sorted(labels[b] for b in L.covers[a])),
-            )
-            for a in range(L.n)
-        ]
-        # Rank signatures by sorted order so labels are canonical across
-        # relabelings of isomorphic lattices.
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        fresh = [ranking[s] for s in sigs]
-        if len(set(fresh)) == len(set(labels)):
-            return fresh
-        labels = fresh
-
-
-def are_isomorphic(L1: Lattice, L2: Lattice) -> bool:
-    """Exact order-isomorphism test via class-constrained backtracking."""
-    if L1.n != L2.n:
-        return False
-    lab1, lab2 = _refined_labels(L1), _refined_labels(L2)
-    if sorted(lab1) != sorted(lab2):
-        return False
-    byclass: dict = {}
-    for b, lb in enumerate(lab2):
-        byclass.setdefault(lb, []).append(b)
-    order = sorted(range(L1.n), key=lambda a: len(byclass.get(lab1[a], [])))
-    image = [-1] * L1.n
-    used = [False] * L2.n
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        a = order[k]
-        for b in byclass.get(lab1[a], []):
-            if used[b]:
-                continue
-            ok = True
-            for a2 in order[:k]:
-                if L1.leq[a, a2] != L2.leq[b, image[a2]] or L1.leq[a2, a] != L2.leq[image[a2], b]:
-                    ok = False
-                    break
-            if ok:
-                image[a] = b
-                used[b] = True
-                if extend(k + 1):
-                    return True
-                used[b] = False
-                image[a] = -1
-        return False
-
-    return extend(0)
+def sd_corpus(seed: int, count: int):
+    """(N5 plus the seeded doubled lattices with at most DEFAULT_ORACLE_BOUND
+    elements among count of them, label)."""
+    doubles = doubled_sequences(depth=3, seed=seed, count=count)
+    out = [n5()] + [L for L in doubles if L.n <= DEFAULT_ORACLE_BOUND]
+    return out, f"n5 + {len(out) - 1} doubled lattices (seed={seed})"

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 HOLDS = "Holds"
 COUNTEREXAMPLE = "CounterexampleFound"
-SKIPPED = "Skipped"
 
 
 @dataclass

@@ -429,3 +429,65 @@ def full_rescan_oracle(L):
         if not any(r & ~cand == 0 for r in minimal):
             minimal.append(cand)
     return sorted((frozenset(bits(c)) for c in minimal), key=sorted)
+
+
+def _refined_labels(L):
+    """Iterated degree/height refinement; stabilizes within n rounds."""
+    labels = [
+        (int(L.heights[a]), len(L.lower_covers[a]), len(L.covers[a]))
+        for a in range(L.n)
+    ]
+    while True:
+        sigs = [
+            (
+                labels[a],
+                tuple(sorted(labels[b] for b in L.lower_covers[a])),
+                tuple(sorted(labels[b] for b in L.covers[a])),
+            )
+            for a in range(L.n)
+        ]
+        # Rank signatures by sorted order so labels are canonical across
+        # relabelings of isomorphic lattices.
+        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        fresh = [ranking[s] for s in sigs]
+        if len(set(fresh)) == len(set(labels)):
+            return fresh
+        labels = fresh
+
+
+def are_isomorphic(L1, L2) -> bool:
+    """Exact order-isomorphism test via class-constrained backtracking."""
+    if L1.n != L2.n:
+        return False
+    lab1, lab2 = _refined_labels(L1), _refined_labels(L2)
+    if sorted(lab1) != sorted(lab2):
+        return False
+    byclass: dict = {}
+    for b, lb in enumerate(lab2):
+        byclass.setdefault(lb, []).append(b)
+    order = sorted(range(L1.n), key=lambda a: len(byclass.get(lab1[a], [])))
+    image = [-1] * L1.n
+    used = [False] * L2.n
+
+    def extend(k: int) -> bool:
+        if k == len(order):
+            return True
+        a = order[k]
+        for b in byclass.get(lab1[a], []):
+            if used[b]:
+                continue
+            ok = True
+            for a2 in order[:k]:
+                if L1.leq[a, a2] != L2.leq[b, image[a2]] or L1.leq[a2, a] != L2.leq[image[a2], b]:
+                    ok = False
+                    break
+            if ok:
+                image[a] = b
+                used[b] = True
+                if extend(k + 1):
+                    return True
+                used[b] = False
+                image[a] = -1
+        return False
+
+    return extend(0)

@@ -19,9 +19,9 @@ from latmax.cdim2 import (
     complements_to_json,
     decompose_and_run,
     fast_complements,
-    lemma_suite_64_65,
     materialize,
 )
+from latmax.checks import check_lemma_64_65
 from latmax.corpus import random_permutation
 from latmax.geometry import BadPermutation, ChainSpec, build_cg
 from latmax.sublattice import maximal_complements_oracle
@@ -267,22 +267,27 @@ def test_extremes_are_irreducible(cdim2_through_m6):
 
 
 def test_lemma_suite_64_65_small():
+    checked = 0
     for m in range(2, 6):
         for perm in permutations(range(1, m + 1)):
             G = build_cg(m, [tuple(range(1, m + 1)), perm], verify=False)
-            rep = lemma_suite_64_65(G)
-            assert rep.status in ("Holds", "Skipped"), (perm, rep.witness)
-            if G.has_trivial_intersection():
-                assert rep.status == "Holds"
+            rep = check_lemma_64_65([G])
+            assert rep.holds, (perm, rep.witness)
+            if not G.has_trivial_intersection():
+                assert rep.instances_checked == 0
+            checked += rep.instances_checked
+    assert checked == 421
 
 
 def test_lemma_suite_64_65_random():
     rng = random.Random(8)
+    corpus = []
     for _ in range(40):
         m = rng.randint(6, 9)
-        G = build_cg(m, [tuple(range(1, m + 1)), random_permutation(m, rng)], verify=False)
-        rep = lemma_suite_64_65(G)
-        assert rep.status in ("Holds", "Skipped"), rep.witness
+        corpus.append(build_cg(m, [tuple(range(1, m + 1)), random_permutation(m, rng)], verify=False))
+    rep = check_lemma_64_65(corpus)
+    assert rep.holds, rep.witness
+    assert rep.instances_checked == 263
 
 
 def test_json_round_trip():
@@ -425,6 +430,26 @@ def test_relabel_equals_block_splitting_shared_prefixes():
             b += block
         chains = (tuple(a), tuple(b))
         assert decompose_and_run(m, chains) == block_decompose_and_run(m, chains), chains
+
+
+def test_relabeling_both_chains_renames_only_the_points():
+    """Renaming every point by sigma on both chains keeps each descriptor's
+    kind and prefix lengths and maps its point j to sigma(j)."""
+    rng = random.Random(77)
+    cases = 0
+    for m in range(1, 7):
+        for chain2 in permutations(range(1, m + 1)):
+            for _ in range(3):
+                chain1 = random_permutation(m, rng)
+                sigma = dict(zip(range(1, m + 1), random_permutation(m, rng)))
+                renamed = [tuple(sigma[p] for p in chain) for chain in (chain1, chain2)]
+                before = decompose_and_run(m, (chain1, chain2))
+                after = decompose_and_run(m, renamed)
+                assert [sigma[j] for j in before.j.tolist()] == after.j.tolist(), (chain1, chain2, sigma)
+                for column in ("kind", "c1_len", "c2_len"):
+                    assert getattr(before, column).tolist() == getattr(after, column).tolist()
+                cases += 1
+    assert cases == 2619
 
 
 def test_inverse_permutation_counts_agree_at_scale():

@@ -212,16 +212,26 @@ def test_glued_inherits_complements_from_parts():
 
 
 def test_reverify_lemma_suite_witness_path():
-    from latmax.report import CheckReport
+    # A lemma 6.4/6.5 witness names its geometry by m and chains, and the
+    # replay rebuilds that geometry; the lemma holds on it, so no honest
+    # witness reproduces, while one whose complement leaves all of the
+    # lattice as a sublattice refutes 6.4(3).
+    from latmax.checks import _lemma64_instances, _witness
 
+    G = build_cg(3, [(1, 2, 3), (3, 2, 1)], verify=False)
+    instances = list(_lemma64_instances([G]))
+    assert instances
+    for host, tag, C, w in instances:
+        witness = _witness(host, tag, C, **w)
+        assert witness["m"] == 3 and witness["chains"] == [[1, 2, 3], [3, 2, 1]]
+        assert "lattice" not in witness
+        fake = CheckReport("lemma-6.4-6.5", "synthetic", 1, "CounterexampleFound", witness)
+        assert not reverify_witness(fake)
     fake = CheckReport(
         "lemma-6.4-6.5",
         "synthetic",
         1,
         "CounterexampleFound",
-        {"claim": "6.4(1a): union not a sublattice complement", "m": 3,
-         "chains": [[1, 2, 3], [3, 2, 1]], "j": 2, "x1": 3, "x2": 2},
+        {"claim": "6.4(3)", "m": 3, "chains": [[1, 2, 3], [3, 2, 1]], "complement": [], "j": 2},
     )
-    # the suite actually holds on this geometry, so the fake witness must
-    # fail to reproduce
-    assert not reverify_witness(fake)
+    assert reverify_witness(fake)

@@ -1,6 +1,7 @@
 """CLI behaviours: output formats, exit codes, round trips."""
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import latmax
-from latmax import cli
+from latmax import checks, cli
 from latmax.corpus import boolean
 from latmax.geometry import ConvexGeometry, build_cg, format_cg_text
 from latmax.lattice import InvariantViolation, to_cover_text
@@ -48,6 +49,13 @@ def test_paper_example_with_verify(capsys):
     rc, out, _ = run_cli(capsys, *PAPER_ARGS, "--verify", "--oracle-bound", "64")
     assert rc == 0
     assert "verified against oracle: 9 complements agree" in out
+
+
+def test_json_verify_keeps_stdout_json(capsys):
+    rc, out, err = run_cli(capsys, "cg-complements", "--perm", "2 1", "--verify", "--json")
+    assert rc == 0
+    assert [row["j"] for row in json.loads(out)] == [1, 2]
+    assert "verified against oracle: 2 complements agree" in err
 
 
 def test_two_element_example(capsys):
@@ -123,6 +131,21 @@ def test_check_command_all_small(capsys):
     assert rep.holds
 
 
+def test_check_all_matches_its_golden_output(capsys):
+    # One line per claim of checks.CLAIMS: ids, labels, counts and order.
+    golden = Path(__file__).parent / "golden" / "check_all_max_m4_random8_seed0.txt"
+    rc, out, _ = run_cli(capsys, "check", "all", "--max-m", "4", "--random", "8", "--seed", "0")
+    assert rc == 0
+    assert out == golden.read_text()
+
+
+def test_cli_takes_its_claims_from_the_claim_table():
+    assert cli.CHECKS is checks.CLAIMS
+    tree = ast.parse(Path(cli.__file__).read_text())
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert not constants & set(checks.CLAIMS)
+
+
 def test_check_unknown_claim(capsys):
     rc, _, err = run_cli(capsys, "check", "nonsense")
     assert rc == 2 and "unknown claim" in err
@@ -130,8 +153,6 @@ def test_check_unknown_claim(capsys):
 
 def test_check_counterexample_exit_code(capsys, tmp_path, monkeypatch):
     import latmax.cli as cli_mod
-
-    cli_mod._register_checks()
 
     def failing(corpus, label="x"):
         return CheckReport("stub", label, 1, "CounterexampleFound", {"claim": "stub"})
@@ -211,6 +232,9 @@ def test_oracle_accepts_multichain_geometry_file(tmp_path, capsys):
         (["--file", "0 1\n1\n"], "nonempty"),
         (["--file", "0 2\n"], "ground set must be nonempty"),
         (["--perm", "99999999999999999999 1"], "not a permutation"),
+        (["--file", "4\n0 1\n0 2\n1 3\n2 3\n"], "cg-complements needs a geometry input"),
+        (["--file", "3 3\n1 2 3\n2 3 1\n3 1 2\n"], "cg-complements needs exactly two chains"),
+        (["check", "nonsense"], "unknown claim(s): ['nonsense']"),
     ],
 )
 def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):
@@ -218,7 +242,9 @@ def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):
         path = tmp_path / "geom.txt"
         path.write_text(argv[1])
         argv = ["--file", str(path)]
-    rc, out, err = run_cli(capsys, "cg-complements", *argv)
+    if argv[0].startswith("--"):
+        argv = ["cg-complements", *argv]
+    rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == ""
     assert "parse error" in err and message in err
     assert "Traceback" not in err

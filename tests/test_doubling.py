@@ -4,9 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import loop_doubled_order
+from helpers import are_isomorphic, loop_doubled_order
 from latmax import lattice
-from latmax.corpus import are_isomorphic, boolean, chain, doubled_sequences, n5
+from latmax.corpus import boolean, chain, doubled_sequences, n5
 from latmax.lattice import Interval, InvariantViolation, double_interval, is_distributive, is_sd
 
 

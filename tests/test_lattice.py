@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    are_isomorphic,
     interval_set,
     naive_glb,
     naive_is_sd_join,
@@ -194,8 +195,6 @@ def _all_cross_joins(L, blocks, i, acc, out):
 
 
 def test_components_reassemble_by_glued_sum(named_lattices):
-    from latmax.corpus import are_isomorphic
-
     for name in ("chain3", "glued_b2_n5", "n5"):
         L = named_lattices[name]
         parts = []

@@ -8,6 +8,7 @@ from latmax import checks
 from latmax.checks import REPLAY, _witness, reverify_witness
 from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, n5
 from latmax.report import CheckReport
+from latmax.sublattice import maximal_complements_oracle
 
 # On chain(4) (0 < 1 < 2 < 3 < 4), C = {1, 3} is neither convex nor an
 # interval, while C = {2} is an honest complement for every claim below.
@@ -30,8 +31,33 @@ CASES = {
 }
 
 
-def _report(tag, L, C, extra):
-    return CheckReport(tag, "synthetic", 1, "CounterexampleFound", _witness(L, tag, C=C, **extra))
+
+def _lemma64_cases():
+    """tag -> (violating, honest) for the lemma 6.4/6.5 tags.
+
+    The first instance of each tag on the m = 4 geometries is honest.  With
+    C = {top} instead, the rest is no sublattice (the two coatoms join to
+    the top), which violates 6.4(1a), 6.4(1b) and 6.4(2); with a maximal
+    complement instead, the rest is a maximal sublattice, which violates
+    6.4(3) and 6.4(3').
+    """
+    first = {}
+    for G, tag, C, w in checks._lemma64_instances(all_cdim2_geometries(4, verify=False)):
+        first.setdefault(tag, (G, C, w))
+    cases = {}
+    for tag, (G, C, w) in first.items():
+        L = G.lattice
+        bad = maximal_complements_oracle(L)[0] if tag.startswith("6.4(3") else {L.top}
+        cases[tag] = ((G, bad, w), (G, C, w))
+    return cases
+
+
+LEMMA64_TAGS = ("6.4(1a)", "6.4(1b)", "6.4(2)", "6.4(3)", "6.4(3')")
+CASES.update(_lemma64_cases())
+
+
+def _report(tag, host, C, extra):
+    return CheckReport(tag, "synthetic", 1, "CounterexampleFound", _witness(host, tag, C=C, **extra))
 
 
 def _observation_witnesses():
@@ -54,6 +80,17 @@ def test_replay_reproduces_violations_and_rejects_honest_witnesses(tag):
         bad, honest = (_report(tag, *case) for case in CASES[tag])
     assert reverify_witness(bad) is True
     assert reverify_witness(honest) is False
+
+
+def test_lemma64_replay_checks_where_the_closure_lies():
+    # Each honest instance turns violating when (j) moves off the chain the
+    # clause puts it on: (1) lies on chain 1, and a 6.4(1b) closure lies on
+    # exactly one chain.
+    (_, honest_1a), (_, honest_1b) = CASES["6.4(1a)"], CASES["6.4(1b)"]
+    G, C, w = honest_1a
+    assert reverify_witness(_report("6.4(1a)", G, C, dict(w, j=1)))
+    G, C, w = honest_1b
+    assert reverify_witness(_report("6.4(1b)", G, C, dict(w, x_chain=3 - w["x_chain"])))
 
 
 def test_unknown_tag_raises():
@@ -99,5 +136,7 @@ def test_every_emitted_tag_has_a_replay_entry(monkeypatch):
     ):
         assert fn(lattices).holds
     assert checks.bounded_interval_baseline(lattices)[0].holds
+    assert checks.check_lemma_64_65(all_cdim2_geometries(4, verify=False)).holds
+    assert set(LEMMA64_TAGS) <= table.looked_up
     assert table.looked_up <= set(REPLAY), sorted(table.looked_up - set(REPLAY))
     assert set(REPLAY) - table.looked_up == {"observation-suite"}
