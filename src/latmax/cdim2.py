@@ -23,11 +23,12 @@ The result is a columnar :class:`Complements` sequence (point j, kind code,
 and the two prefix lengths) in ascending j, the chain-1 interval before the
 chain-2 one.  :class:`Complement` descriptors are built only when the
 sequence is indexed or iterated; materialization against a geometry is on
-demand and costs O(lattice size).
+demand and costs O(lattice size).  The text and JSON renderers read the
+columns directly: each endpoint set is a mask over a byte table of the
+points' tokens, built once per call, so no Complement is built there.
 """
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import ConvexGeometry, _as_chain, _permutation
+from .geometry import ChainSpec, ConvexGeometry, _as_chain, _permutation
 from .lattice import bits, mask_of, minimal_elements
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "OpCounter",
     "classify_complement",
     "complements_to_json",
+    "complements_to_text",
     "decompose_and_run",
     "fast_complements",
     "materialize",
@@ -330,20 +332,102 @@ def _next_point(G: ConvexGeometry, i: int, j: int):
 
 
 # -- serialization ----------------------------------------------------------------
+#
+# Both outputs list every endpoint set, Θ(m²) bytes in all.  They are rendered
+# straight from the Complements columns into one growing buffer: no
+# Complement, frozenset or sort, and no retained piece per line.
+
+# Per kind code: the interval names of a text line, and the head of a JSON row.
+_SHAPE_NAMES = {SHAPE_CHAIN1: (b"C1",), SHAPE_CHAIN2: (b"C2",), SHAPE_UNION: (b"C1", b"C2")}
+_TEXT_NAMES = [_SHAPE_NAMES[shape] for shape, _ in KINDS]
+_JSON_HEADS = [
+    b'{"j": %%d, "shape": "%s", "class": "%s", "intervals": [' % (shape.encode(), case.encode())
+    for shape, case in KINDS
+]
 
 
-def complements_to_json(comps, chain1, chain2) -> str:
-    """JSON array of descriptors with endpoint sets as sorted point lists."""
-    chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
-    rows = []
-    for c in comps:
-        lo, maxima = c.endpoint_sets(chain1, chain2)
-        rows.append(
-            {
-                "j": c.j,
-                "shape": c.shape,
-                "class": c.case,
-                "intervals": [[sorted(lo), sorted(hi)] for hi in maxima],
-            }
-        )
-    return json.dumps(rows)
+def complements_to_text(comps: Complements, chain1, chain2) -> str:
+    """``cg-complements`` text: one tab-separated line per descriptor.
+
+    A line is the label, then (j) and every interval's top as sorted point
+    sets: ``[(5),C1(5)]``, ``(5)={1,3,5}`` and ``C1(5)={1,2,3,4,5}``.  A single
+    interval whose top is (j) itself is labelled ``{(j)}`` and lists (j) only.
+    """
+    out = bytearray()
+    for j, kind, lo, tops in _endpoint_sets(comps, chain1, chain2, b","):
+        j = b"%d" % j
+        if tops is None:
+            out += b"{(%s)}\t(%s)={" % (j, j)
+            out += lo
+            out += b"}\n"
+            continue
+        names = _TEXT_NAMES[kind]
+        out += b" u ".join(b"[(%s),%s(%s)]" % (j, name, j) for name in names)
+        out += b"\t(%s)={" % j
+        out += lo
+        for name, top in zip(names, tops):
+            out += b"}\t%s(%s)={" % (name, j)
+            out += top
+        out += b"}\n"
+    return out.decode("ascii")
+
+
+def complements_to_json(comps: Complements, chain1, chain2) -> str:
+    """JSON array of descriptors with endpoint sets as sorted point lists.
+
+    Each row is ``{"j", "shape", "class", "intervals": [[(j), top], ...]}``,
+    byte for byte as ``json.dumps`` writes it.
+    """
+    out = bytearray(b"[")
+    row_sep = b""
+    for j, kind, lo, tops in _endpoint_sets(comps, chain1, chain2, b", "):
+        out += row_sep
+        row_sep = b", "
+        out += _JSON_HEADS[kind] % j
+        for k, top in enumerate(tops or (lo,)):
+            out += b", [[" if k else b"[["
+            out += lo
+            out += b"], ["
+            out += top
+            out += b"]]"
+        out += b"]}"
+    out += b"]"
+    return out.decode("ascii")
+
+
+def _endpoint_sets(comps, chain1, chain2, sep):
+    """(j, kind, (j), tops) per descriptor, each set as a memoryview of its
+    ascending points joined by ``sep``; ``tops`` lists the interval tops in
+    output order, or is None for a single interval whose top is (j) itself.
+
+    The tokens ``1<sep>2<sep>...m<sep>`` form one byte table, and every byte
+    carries the positions of its point on the two chains.  So C1(j) is the
+    byte mask ``pos1 <= c1_len``, C2(j) is ``pos2 <= c2_len``, (j) is their
+    AND, and a set's bytes are one gather from the table.
+    """
+    m = len(chain1.perm if isinstance(chain1, ChainSpec) else chain1)
+    tokens = [b"%d%s" % (p, sep) for p in range(1, m + 1)]
+    table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    widths = np.fromiter(map(len, tokens), dtype=np.intp, count=m)
+    pos1, pos2 = (
+        np.repeat(_permutation(m, chain)[1].astype(np.min_scalar_type(m)), widths)
+        for chain in (chain1, chain2)
+    )
+    cut = -len(sep)
+
+    def points(mask):
+        return table[mask][:cut].data
+
+    for j, kind, c1_len, c2_len in zip(*(column.tolist() for column in comps._columns())):
+        c1 = pos1 <= c1_len
+        c2 = pos2 <= c2_len
+        lo = c1 & c2
+        if kind == UNION_TYPE3:
+            yield j, kind, points(lo), (points(c1), points(c2))
+            continue
+        top = c2 if KINDS[kind][0] == SHAPE_CHAIN2 else c1
+        # (j) lies inside its top, so equal byte counts mean equal sets.
+        if np.count_nonzero(lo) == np.count_nonzero(top):
+            yield j, kind, points(lo), None
+        else:
+            yield j, kind, points(lo), (points(top),)

@@ -19,15 +19,14 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .cdim2 import (
-    SHAPE_CHAIN1,
-    SHAPE_CHAIN2,
     complements_to_json,
+    complements_to_text,
     decompose_and_run,
     fast_complements,
     materialize,
 )
 from .checks import CLAIMS as CHECKS  # claim id -> (checker, corpus builder)
-from .geometry import BadPermutation, _as_chain, build_cg, parse_cg_text
+from .geometry import BadPermutation, build_cg, parse_cg_text
 from .lattice import Lattice, _clip, _rows, from_cover_text
 from .sublattice import (
     OracleBoundExceeded,
@@ -112,48 +111,26 @@ def cmd_cg_complements(args) -> int:
     if args.json:
         print(complements_to_json(comps, *chains))
     else:
-        for line in _complement_lines_chains(*chains, comps):
-            print(line)
+        sys.stdout.write(complements_to_text(comps, *chains))
 
     if args.verify:
         G = build_cg(m, chains)
         fast_sets = {materialize(G, c) for c in comps}
         oracle_sets = set(maximal_complements_oracle(G.lattice, bound=args.oracle_bound))
-        if fast_sets != oracle_sets:
+        # A complement listed twice leaves the set unchanged but not the count.
+        if fast_sets != oracle_sets or len(comps) != len(fast_sets):
             print("VERIFY MISMATCH", file=sys.stderr)
-            print("fast:", sorted(sorted(s) for s in fast_sets), file=sys.stderr)
+            print(
+                f"fast ({len(comps)} listed, {len(fast_sets)} distinct):",
+                sorted(sorted(s) for s in fast_sets),
+                file=sys.stderr,
+            )
             print("oracle:", sorted(sorted(s) for s in oracle_sets), file=sys.stderr)
             return EXIT_VERIFY
         # With --json, stdout carries only the array.
         note = sys.stderr if args.json else sys.stdout
         print(f"# verified against oracle: {len(oracle_sets)} complements agree", file=note)
     return EXIT_OK
-
-
-def _complement_lines_chains(chain1, chain2, comps):
-    chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
-    lines = []
-    for c in comps:
-        lo, maxima = c.endpoint_sets(chain1, chain2)
-        if c.shape == SHAPE_CHAIN1:
-            names = ["C1"]
-        elif c.shape == SHAPE_CHAIN2:
-            names = ["C2"]
-        else:
-            names = ["C1", "C2"]
-        if len(maxima) == 1 and maxima[0] == lo:
-            label = f"{{({c.j})}}"
-            fields = [label, f"({c.j})={_fmt_points(lo)}"]
-        else:
-            parts = [f"[({c.j}),{nm}({c.j})]" for nm in names]
-            label = " u ".join(parts)
-            fields = [label, f"({c.j})={_fmt_points(lo)}"]
-            fields += [
-                f"{nm}({c.j})={_fmt_points(hiset)}"
-                for nm, hiset in zip(names, maxima)
-            ]
-        lines.append("\t".join(fields))
-    return lines
 
 
 def cmd_oracle(args) -> int:
@@ -188,8 +165,8 @@ def cmd_check(args) -> int:
     if unknown:
         raise _InputError(f"unknown claim(s): {unknown}; known: {sorted(CHECKS)}")
     options = {"max_m": args.max_m, "seed": args.seed, "count": args.random}
-    rc = EXIT_OK
     corpora = {}  # corpus builder -> (items, label), shared by the claims of this call
+    witnesses = []
     for name in names:
         fn, build = CHECKS[name]
         if build not in corpora:
@@ -198,11 +175,13 @@ def cmd_check(args) -> int:
         report = fn(items, label=label)
         print(report.to_json())
         if not report.holds:
-            rc = EXIT_COUNTEREXAMPLE
-            if args.out:
-                Path(args.out).write_text(report.to_json() + "\n")
-                print(f"# witness written to {args.out}", file=sys.stderr)
-    return rc
+            witnesses.append(report.to_json() + "\n")
+    if not witnesses:
+        return EXIT_OK
+    if args.out:
+        Path(args.out).write_text("".join(witnesses))
+        print(f"# {len(witnesses)} witness(es) written to {args.out}", file=sys.stderr)
+    return EXIT_COUNTEREXAMPLE
 
 
 def cmd_bench(args) -> int:
@@ -322,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-m", type=int, default=5, help="exhaustive cdim2 corpus bound")
     sp.add_argument("--random", type=int, default=120, help="random corpus size")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="path for counterexample witness")
+    sp.add_argument("--out", help="path for the counterexample witnesses, one JSON line each")
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("bench", help="operation-count linearity benchmark")

@@ -491,3 +491,56 @@ def are_isomorphic(L1, L2) -> bool:
         return False
 
     return extend(0)
+
+
+# -- the set-by-set renderer the column renderer replaced ---------------------------
+
+
+def _reference_points(pts) -> str:
+    return "{" + ",".join(map(str, sorted(pts))) + "}"
+
+
+def reference_complements_text(comps, chain1, chain2) -> str:
+    """``cg-complements`` text output, one ``Complement`` and frozenset at a time."""
+    from latmax.cdim2 import SHAPE_CHAIN1, SHAPE_CHAIN2
+    from latmax.geometry import _as_chain
+
+    chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
+    lines = []
+    for c in comps:
+        lo, maxima = c.endpoint_sets(chain1, chain2)
+        if c.shape == SHAPE_CHAIN1:
+            names = ["C1"]
+        elif c.shape == SHAPE_CHAIN2:
+            names = ["C2"]
+        else:
+            names = ["C1", "C2"]
+        fields = [f"({c.j})={_reference_points(lo)}"]
+        if len(maxima) == 1 and maxima[0] == lo:
+            fields.insert(0, f"{{({c.j})}}")
+        else:
+            fields.insert(0, " u ".join(f"[({c.j}),{nm}({c.j})]" for nm in names))
+            fields += [f"{nm}({c.j})={_reference_points(hi)}" for nm, hi in zip(names, maxima)]
+        lines.append("\t".join(fields) + "\n")
+    return "".join(lines)
+
+
+def reference_complements_json(comps, chain1, chain2) -> str:
+    """``cg-complements --json`` output through ``json.dumps`` of one dict per row."""
+    import json
+
+    from latmax.geometry import _as_chain
+
+    chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
+    rows = []
+    for c in comps:
+        lo, maxima = c.endpoint_sets(chain1, chain2)
+        rows.append(
+            {
+                "j": c.j,
+                "shape": c.shape,
+                "class": c.case,
+                "intervals": [[sorted(lo), sorted(hi)] for hi in maxima],
+            }
+        )
+    return json.dumps(rows)

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latmax
 from latmax import checks, cli
+from latmax.cdim2 import Complements
 from latmax.corpus import boolean
 from latmax.geometry import ConvexGeometry, build_cg, format_cg_text
 from latmax.lattice import InvariantViolation, to_cover_text
@@ -124,6 +126,20 @@ def test_verify_mismatch_exit_code(capsys, monkeypatch):
     assert "VERIFY MISMATCH" in err
 
 
+def test_verify_catches_a_complement_listed_twice(capsys, monkeypatch):
+    # The same sets, one listed twice: only the count can tell.
+    real = cli.decompose_and_run
+
+    def doubled(m, chains):
+        comps = real(m, chains)
+        return Complements(*(np.concatenate((column, column[:1])) for column in comps._columns()))
+
+    monkeypatch.setattr(cli, "decompose_and_run", doubled)
+    rc, _, err = run_cli(capsys, "cg-complements", "--perm", "2 1 3 4", "--verify")
+    assert rc == 3
+    assert "VERIFY MISMATCH" in err and "listed" in err
+
+
 def test_check_command_all_small(capsys):
     rc, out, _ = run_cli(capsys, "check", "hyp3", "--max-m", "4")
     assert rc == 0
@@ -165,6 +181,26 @@ def test_check_counterexample_exit_code(capsys, tmp_path, monkeypatch):
     assert rc == 4
     assert out_file.exists()
     assert CheckReport.from_json(out_file.read_text()).status == "CounterexampleFound"
+
+
+def test_check_out_keeps_every_witness(capsys, tmp_path, monkeypatch):
+    def stub(claim):
+        def failing(corpus, label="x"):
+            return CheckReport(claim, label, 1, "CounterexampleFound", {"claim": claim})
+
+        return failing
+
+    for claim in ("hyp3", "q2"):
+        monkeypatch.setitem(cli.CHECKS, claim, (stub(claim), cli.CHECKS[claim][1]))
+    out_file = tmp_path / "witnesses.jsonl"
+    rc, _, err = run_cli(
+        capsys, "check", "all", "--max-m", "3", "--random", "2", "--out", str(out_file)
+    )
+    assert rc == 4
+    reports = [CheckReport.from_json(line) for line in out_file.read_text().splitlines()]
+    assert [r.claim for r in reports] == [c for c in cli.CHECKS if c in ("hyp3", "q2")]
+    assert all(r.status == "CounterexampleFound" for r in reports)
+    assert err.count(f"written to {out_file}") == 1
 
 
 def test_bench_rows_and_assertion(capsys):
