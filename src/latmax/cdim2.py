@@ -24,8 +24,8 @@ and the two prefix lengths) in ascending j, the chain-1 interval before the
 chain-2 one.  :class:`Complement` descriptors are built only when the
 sequence is indexed or iterated; materialization against a geometry is on
 demand and costs O(lattice size).  The text and JSON renderers read the
-columns directly: each endpoint set is a mask over a byte table of the
-points' tokens, built once per call, so no Complement is built there.
+columns directly and build no Complement: each endpoint set is a sorted
+chain prefix, written with one gather from a table of the points' tokens.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import ChainSpec, ConvexGeometry, _as_chain, _permutation
+from .geometry import ConvexGeometry, _as_chain, _permutation
 from .lattice import bits, mask_of, minimal_elements
 
 __all__ = [
@@ -334,8 +334,9 @@ def _next_point(G: ConvexGeometry, i: int, j: int):
 # -- serialization ----------------------------------------------------------------
 #
 # Both outputs list every endpoint set, Θ(m²) bytes in all.  They are rendered
-# straight from the Complements columns into one growing buffer: no
-# Complement, frozenset or sort, and no retained piece per line.
+# straight from the descriptor columns into one growing buffer, with no
+# Complement, frozenset or retained piece per line; each set costs
+# O(k log k) for its k points.
 
 # Per kind code: the interval names of a text line, and the head of a JSON row.
 _SHAPE_NAMES = {SHAPE_CHAIN1: (b"C1",), SHAPE_CHAIN2: (b"C2",), SHAPE_UNION: (b"C1", b"C2")}
@@ -344,14 +345,16 @@ _JSON_HEADS = [
     b'{"j": %%d, "shape": "%s", "class": "%s", "intervals": [' % (shape.encode(), case.encode())
     for shape, case in KINDS
 ]
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 
-def complements_to_text(comps: Complements, chain1, chain2) -> str:
+def complements_to_text(comps, chain1, chain2) -> str:
     """``cg-complements`` text: one tab-separated line per descriptor.
 
     A line is the label, then (j) and every interval's top as sorted point
     sets: ``[(5),C1(5)]``, ``(5)={1,3,5}`` and ``C1(5)={1,2,3,4,5}``.  A single
     interval whose top is (j) itself is labelled ``{(j)}`` and lists (j) only.
+    ``comps`` is a :class:`Complements` or any iterable of :class:`Complement`.
     """
     out = bytearray()
     for j, kind, lo, tops in _endpoint_sets(comps, chain1, chain2, b","):
@@ -372,11 +375,12 @@ def complements_to_text(comps: Complements, chain1, chain2) -> str:
     return out.decode("ascii")
 
 
-def complements_to_json(comps: Complements, chain1, chain2) -> str:
+def complements_to_json(comps, chain1, chain2) -> str:
     """JSON array of descriptors with endpoint sets as sorted point lists.
 
     Each row is ``{"j", "shape", "class", "intervals": [[(j), top], ...]}``,
-    byte for byte as ``json.dumps`` writes it.
+    byte for byte as ``json.dumps`` writes it.  ``comps`` is a
+    :class:`Complements` or any iterable of :class:`Complement`.
     """
     out = bytearray(b"[")
     row_sep = b""
@@ -400,34 +404,38 @@ def _endpoint_sets(comps, chain1, chain2, sep):
     ascending points joined by ``sep``; ``tops`` lists the interval tops in
     output order, or is None for a single interval whose top is (j) itself.
 
-    The tokens ``1<sep>2<sep>...m<sep>`` form one byte table, and every byte
-    carries the positions of its point on the two chains.  So C1(j) is the
-    byte mask ``pos1 <= c1_len``, C2(j) is ``pos2 <= c2_len``, (j) is their
-    AND, and a set's bytes are one gather from the table.
+    C_i(j) is the first ``ci_len`` points of chain i, sorted.  (j) keeps the
+    points of its top (C1(j) for the union) that sit within the other
+    chain's prefix.  A set's text is one gather from a table of the points'
+    tokens ``p<sep>``, padded with NUL bytes to one width, which are then
+    deleted.
     """
-    m = len(chain1.perm if isinstance(chain1, ChainSpec) else chain1)
-    tokens = [b"%d%s" % (p, sep) for p in range(1, m + 1)]
-    table = np.frombuffer(b"".join(tokens), dtype=np.uint8)
-    widths = np.fromiter(map(len, tokens), dtype=np.intp, count=m)
-    pos1, pos2 = (
-        np.repeat(_permutation(m, chain)[1].astype(np.min_scalar_type(m)), widths)
-        for chain in (chain1, chain2)
-    )
+    if isinstance(comps, Complements):
+        rows = zip(*(column.tolist() for column in comps._columns()))
+    else:
+        rows = ((c.j, _KIND_CODES[c.shape, c.case], c.c1_len, c.c2_len) for c in comps)
+    chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
+    m = chain1.m
+    (perm1, pos1), (perm2, pos2) = (_permutation(m, chain) for chain in (chain1, chain2))
+    # Row p-1 of the table is point p's token.
+    table = np.array([b"%d%s" % (p, sep) for p in range(1, m + 1)], dtype=bytes)
+    perm1 -= 1
+    perm2 -= 1
     cut = -len(sep)
 
-    def points(mask):
-        return table[mask][:cut].data
+    def points(rows):
+        return memoryview(table.take(rows).tobytes().translate(None, b"\0"))[:cut]
 
-    for j, kind, c1_len, c2_len in zip(*(column.tolist() for column in comps._columns())):
-        c1 = pos1 <= c1_len
-        c2 = pos2 <= c2_len
-        lo = c1 & c2
+    for j, kind, c1_len, c2_len in rows:
+        if KINDS[kind][0] == SHAPE_CHAIN2:
+            top = np.sort(perm2[:c2_len])
+            lo = top[pos1[top] <= c1_len]
+        else:
+            top = np.sort(perm1[:c1_len])
+            lo = top[pos2[top] <= c2_len]
         if kind == UNION_TYPE3:
-            yield j, kind, points(lo), (points(c1), points(c2))
-            continue
-        top = c2 if KINDS[kind][0] == SHAPE_CHAIN2 else c1
-        # (j) lies inside its top, so equal byte counts mean equal sets.
-        if np.count_nonzero(lo) == np.count_nonzero(top):
+            yield j, kind, points(lo), (points(top), points(np.sort(perm2[:c2_len])))
+        elif len(lo) == len(top):
             yield j, kind, points(lo), None
         else:
             yield j, kind, points(lo), (points(top),)

@@ -166,7 +166,7 @@ def cmd_check(args) -> int:
         raise _InputError(f"unknown claim(s): {unknown}; known: {sorted(CHECKS)}")
     options = {"max_m": args.max_m, "seed": args.seed, "count": args.random}
     corpora = {}  # corpus builder -> (items, label), shared by the claims of this call
-    witnesses = []
+    witnesses = 0
     for name in names:
         fn, build = CHECKS[name]
         if build not in corpora:
@@ -175,12 +175,16 @@ def cmd_check(args) -> int:
         report = fn(items, label=label)
         print(report.to_json())
         if not report.holds:
-            witnesses.append(report.to_json() + "\n")
+            # Each witness reaches the file as it is found: the first one
+            # replaces the file, later ones are appended.
+            if args.out:
+                with open(args.out, "a" if witnesses else "w") as out:
+                    out.write(report.to_json() + "\n")
+            witnesses += 1
     if not witnesses:
         return EXIT_OK
     if args.out:
-        Path(args.out).write_text("".join(witnesses))
-        print(f"# {len(witnesses)} witness(es) written to {args.out}", file=sys.stderr)
+        print(f"# {witnesses} witness(es) written to {args.out}", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE
 
 

@@ -203,6 +203,23 @@ def test_check_out_keeps_every_witness(capsys, tmp_path, monkeypatch):
     assert err.count(f"written to {out_file}") == 1
 
 
+def test_check_out_writes_each_witness_as_it_is_found(capsys, tmp_path, monkeypatch):
+    def failing(corpus, label="x"):
+        return CheckReport("hyp3", label, 1, "CounterexampleFound", {"claim": "hyp3"})
+
+    def crashing(corpus, label="x"):
+        raise RuntimeError("checker crashed")
+
+    later = [c for c in cli.CHECKS if c != "hyp3"][-1]
+    monkeypatch.setitem(cli.CHECKS, "hyp3", (failing, cli.CHECKS["hyp3"][1]))
+    monkeypatch.setitem(cli.CHECKS, later, (crashing, cli.CHECKS[later][1]))
+    out_file = tmp_path / "witnesses.jsonl"
+    with pytest.raises(RuntimeError):
+        cli.main(["check", "all", "--max-m", "3", "--random", "2", "--out", str(out_file)])
+    reports = [CheckReport.from_json(line) for line in out_file.read_text().splitlines()]
+    assert [r.claim for r in reports] == ["hyp3"]
+
+
 def test_bench_rows_and_assertion(capsys):
     rc, out, _ = run_cli(capsys, "bench", "--sizes", "10,100", "--seed", "1")
     assert rc == 0

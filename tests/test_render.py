@@ -55,6 +55,19 @@ def test_renderer_takes_chain_specs():
     assert complements_to_json(comps, *specs) == reference_complements_json(comps, *chains)
 
 
+def test_renderer_takes_any_iterable_of_complements():
+    # A filtered list of descriptors and chains given as iterators, as the
+    # set-by-set renderer took them.
+    chains = ((3, 1, 2, 4, 6, 5), (2, 4, 1, 6, 3, 5))
+    comps = [c for c in decompose_and_run(6, chains) if c.j != 4]
+    for render, reference in (
+        (complements_to_text, reference_complements_text),
+        (complements_to_json, reference_complements_json),
+    ):
+        assert render(comps, *map(iter, chains)) == reference(comps, *chains)
+        assert render(iter(comps), *chains) == reference(comps, *chains)
+
+
 def test_empty_result_renders_as_no_lines_and_an_empty_array():
     comps = decompose_and_run(1, ((1,), (1,)))
     assert complements_to_text(comps, (1,), (1,)) == ""
