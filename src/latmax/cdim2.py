@@ -417,14 +417,13 @@ def _endpoint_sets(comps, chain1, chain2, sep):
     chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
     m = chain1.m
     (perm1, pos1), (perm2, pos2) = (_permutation(m, chain) for chain in (chain1, chain2))
-    # Row p-1 of the table is point p's token.
+    # Points are 0-based from here on: row p-1 of the table is point p's token.
     table = np.array([b"%d%s" % (p, sep) for p in range(1, m + 1)], dtype=bytes)
-    perm1 -= 1
-    perm2 -= 1
+    perm1, perm2 = perm1 - 1, perm2 - 1
     cut = -len(sep)
 
-    def points(rows):
-        return memoryview(table.take(rows).tobytes().translate(None, b"\0"))[:cut]
+    def points(ids):
+        return memoryview(table.take(ids).tobytes().translate(None, b"\0"))[:cut]
 
     for j, kind, c1_len, c2_len in rows:
         if KINDS[kind][0] == SHAPE_CHAIN2:
