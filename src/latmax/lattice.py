@@ -136,7 +136,7 @@ class Lattice:
             raise ValueError("order relation is not reflexive")
         if (leq & leq.T).sum() > len(leq):
             raise ValueError("order relation is not antisymmetric")
-        if ((~leq) & (leq @ leq)).any():
+        if ((~leq) & _bool_product(leq, leq)).any():
             raise ValueError("order relation is not transitive")
 
     @cached_property
@@ -176,7 +176,7 @@ class Lattice:
     def cover_matrix(self):
         """Boolean matrix of the covering relation (transitive reduction)."""
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        red = strict & ~(strict @ strict)
+        red = strict & ~_bool_product(strict, strict)
         red.flags.writeable = False
         return red
 
@@ -257,6 +257,16 @@ def bits(mask: int):
         mask ^= low
 
 
+def _bool_product(a, b):
+    """The boolean matrix product of a and b, through a BLAS float32 matmul.
+
+    numpy does not send a boolean matmul to BLAS.  Each entry of the float
+    product counts the k with a[i, k] and b[k, j], and float32 counts those
+    exactly while n < 2^24.
+    """
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def _frozen_table(rows):
     """A read-only int32 array of a square table given as lists of rows."""
     table = np.array(rows, dtype=np.int32)
@@ -271,10 +281,16 @@ def _row_masks(matrix) -> list:
 
 
 def mask_of(ids) -> int:
-    """The bitmask (a Python int) with bit i set for every integer i in ids."""
+    """The bitmask (a Python int) with bit i set for every integer i in ids.
+
+    A negative id raises a ValueError that names it.
+    """
     m = 0
     for i in ids:
-        m |= 1 << operator.index(i)
+        try:
+            m |= 1 << operator.index(i)
+        except ValueError:  # a negative shift count
+            raise ValueError(f"element id {i} is negative") from None
     return m
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
+from operator import and_, or_
 
 from .lattice import (
     InvariantViolation,
@@ -120,24 +120,51 @@ def _close(L: Lattice, closed: int, new: int, stop: int = 0) -> int:
     return mask
 
 
+def _closed(L: Lattice, mask: int) -> bool:
+    """Whether the set of mask is closed under meet and join.
+
+    M is closed iff no z outside M is the meet of M ∩ ↑z or the join of
+    M ∩ ↓z: a ∧ b = z with a, b in M puts a and b in M ∩ ↑z, whose meet is
+    then z, and a closed M holds the meet of any of its subsets.  The meet
+    of a set is z exactly when the AND of its down masks is z's down mask;
+    the join test is the dual.  No pair of M is formed: the cost is the sum
+    of |M ∩ ↑z| + |M ∩ ↓z| over z outside M.
+    """
+    down, up = L.down_masks, L.up_masks
+    for z in bits(L.full_mask() & ~mask):
+        if reduce(and_, map(down.__getitem__, bits(mask & up[z])), -1) == down[z]:
+            return False
+        if reduce(and_, map(up.__getitem__, bits(mask & down[z])), -1) == up[z]:
+            return False
+    return True
+
+
+def _mask_in(L: Lattice, ids) -> int:
+    """mask_of(ids); a ValueError names an id outside 0..n-1."""
+    mask = mask_of(ids)
+    if mask >> L.n:
+        raise ValueError(f"element id {mask.bit_length() - 1} is not in 0..{L.n - 1}")
+    return mask
+
+
 def generate_sublattice(L: Lattice, S) -> frozenset:
     """Smallest sublattice containing S."""
-    mask = mask_of(S)
+    mask = _mask_in(L, S)
     if not mask:
         raise EmptyGenerator("sublattice generators must be nonempty")
     return frozenset(bits(_close(L, 0, mask)))
 
 
 def is_sublattice(L: Lattice, M) -> bool:
-    mask = mask_of(M)
-    return bool(mask) and _close(L, 0, mask) == mask
+    mask = _mask_in(L, M)
+    return bool(mask) and _closed(L, mask)
 
 
 def is_maximal_sublattice(L: Lattice, M) -> bool:
     """Proper sublattice such that adding any outside element generates all of L."""
-    mask = mask_of(M)
+    mask = _mask_in(L, M)
     full = L.full_mask()
-    if not mask or mask == full or _close(L, 0, mask) != mask:
+    if not mask or mask == full or not _closed(L, mask):
         return False
     # Closure is monotone: a closure of M ∪ {x} that reaches an element
     # already known to generate L with M is all of L.
@@ -253,19 +280,22 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
             return False
         if not any(grown & ~cm == 0 for cm in comp_masks):
             return False
-        return not any(r != grown and r & ~grown == 0 for r in found)
+        return not any(r != grown and r & ~grown == 0 for r in local)
 
     for seed in range(n):
         if (blocked >> seed) & 1 or (dbl_mask >> seed) & 1:
             continue
         # (C, forbidden elements, cursor target, cursor pair index); every C
-        # of this seed has the seed as its least element.
+        # of this seed has the seed as its least element.  So a set found
+        # from an earlier seed, which holds that smaller seed, is never a
+        # subset of C: the subset test scans only ``local``, this seed's sets.
+        local: list[int] = []
         stack = [(1 << seed, 0, seed, 0)]
         while stack:
             cmask, forb, z, i = stack.pop()
             viol = first_violation(cmask, z, i)
             if viol is None:
-                found.append(cmask)
+                local.append(cmask)
                 continue
             z, i = viol
             pair = pre[z][i]
@@ -275,6 +305,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
             for e, child_forb in ((y, forb | (1 << x)), (x, forb)):
                 if not (forb >> e) & 1 and admissible(cmask, e):
                     stack.append((cmask | (1 << e), child_forb, *((e, 0) if e < z else (z, i + 1))))
+        found += local
 
     # Doubly irreducible interior elements are removable singletons.
     for d in bits(dbl_mask & ~blocked):

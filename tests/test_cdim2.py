@@ -24,7 +24,7 @@ from latmax.cdim2 import (
 from latmax.checks import check_lemma_64_65
 from latmax.corpus import random_permutation
 from latmax.geometry import BadPermutation, ChainSpec, build_cg
-from latmax.sublattice import maximal_complements_oracle
+from latmax.sublattice import is_maximal_sublattice, maximal_complements_oracle
 
 PAPER_PERM = (3, 6, 7, 10, 1, 8, 9, 5, 2, 4)
 IDENT10 = tuple(range(1, 11))
@@ -184,6 +184,19 @@ def test_oracle_equivalence_exhaustive_m8():
         comps, _ = fast_complements(8, perm)
         fast_sets = {materialize(G, c) for c in comps}
         assert fast_sets == set(maximal_complements_oracle(G.lattice, bound=G.lattice.n)), perm
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [40, 60])
+def test_fast_complements_are_maximal_past_the_oracle(m):
+    # Soundness where the oracle does not reach (n = 427 and 1,066): the rest
+    # of every materialized descriptor is a maximal sublattice.
+    perm = random_permutation(m, random.Random(7000 + m))
+    G = build_cg(m, [tuple(range(1, m + 1)), perm])
+    everything = frozenset(range(G.lattice.n))
+    comps, _ = fast_complements(m, perm)
+    for c in comps:
+        assert is_maximal_sublattice(G.lattice, everything - materialize(G, c)), (m, c.j)
 
 
 def test_decompose_equals_fast_on_identity_first_chain():

@@ -15,10 +15,11 @@ from helpers import (
     naive_lub,
     random_cover_lattice,
 )
-from latmax.corpus import chain, chain_products, doubled_sequences, glued
+from latmax.corpus import chain, chain_products, doubled_sequences, glued, random_cdim_k
 from latmax.lattice import (
     CyclicInput,
     Interval,
+    Lattice,
     NotALattice,
     from_cover_relations,
     from_cover_text,
@@ -228,6 +229,45 @@ def test_cover_text_golden():
 def test_mask_of_numpy_integers_gives_python_int():
     m = mask_of([np.int64(70), np.int32(3)])
     assert type(m) is int and m == 1 << 70 | 1 << 3
+
+
+def test_mask_of_names_a_negative_id():
+    with pytest.raises(ValueError, match="element id -2 is negative"):
+        mask_of([0, 3, -2])
+
+
+def _reference_cover_matrix(leq):
+    """a ≺ b: a < b with no c strictly between, one boolean row at a time."""
+    n = len(leq)
+    strict = leq & ~np.eye(n, dtype=bool)
+    return np.array([[strict[a, b] and not (strict[a] & strict[:, b]).any() for b in range(n)] for a in range(n)])
+
+
+def test_cover_matrix_matches_the_definition(small_corpus):
+    lattices = [*small_corpus.values(), *doubled_sequences(depth=3, seed=7, count=10), chain(40)]
+    lattices += [random_cdim_k(8, k, seed=k).lattice for k in (2, 3)]
+    for L in lattices + [L.dual for L in lattices]:
+        assert np.array_equal(L.cover_matrix, _reference_cover_matrix(L.leq))
+
+
+def _chain_missing(n, a, b):
+    leq = np.triu(np.ones((n, n), dtype=bool))
+    leq[a, b] = False
+    return leq
+
+
+@pytest.mark.parametrize(
+    "leq, message",
+    [
+        (_chain_missing(3, 0, 2), "not transitive"),
+        (_chain_missing(60, 5, 50), "not transitive"),
+        (np.ones((2, 2), dtype=bool), "not antisymmetric"),
+        (np.array([[0, 1], [0, 1]], dtype=bool), "not reflexive"),
+    ],
+)
+def test_order_axioms_are_checked(leq, message):
+    with pytest.raises(ValueError, match=f"order relation is {message}"):
+        Lattice(leq)
 
 
 def test_convex_subset_of_numpy_array():

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import brute_max_complements, closure_scheme_b, full_rescan_oracle, random_cover_lattice
 from latmax import sublattice
-from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, glued, m3, n5
+from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, glued, m3, n5, random_cdim_k
 from latmax.geometry import build_cg
 from latmax.lattice import InvariantViolation, from_cover_relations, is_sd_join, to_cover_text
 from latmax.sublattice import (
@@ -241,7 +241,8 @@ def test_generate_singleton():
 
 
 def _pairwise_closed(L, S):
-    return bool(S) and all(L.meet[a, b] in S and L.join[a, b] in S for a in S for b in S)
+    meet, join = L.meet.tolist(), L.join.tolist()
+    return bool(S) and all(meet[a][b] in S and join[a][b] in S for a in S for b in S)
 
 
 def _subsets(n):
@@ -254,6 +255,33 @@ def test_is_sublattice_matches_pairwise_check(small_corpus):
             continue
         for S in _subsets(L.n):
             assert is_sublattice(L, S) == _pairwise_closed(L, S), (name, sorted(S))
+
+
+def test_is_sublattice_matches_pairwise_check_past_n10():
+    # The up/down-set closedness test against the pairwise definition on
+    # lattices up to n = 51: the rest of every oracle complement, every
+    # one-element flip of it, and 60 random subsets per lattice.
+    lattices = [G.lattice for m in range(1, 6) for G in all_cdim2_geometries(m)]
+    for seed in (0, 7):
+        lattices += doubled_sequences(depth=3, seed=seed, count=120)
+    lattices += [random_cdim_k(6, 2 + s % 3, seed=s).lattice for s in range(80)]
+    rng = random.Random(13)
+    for L in lattices:
+        everything = frozenset(range(L.n))
+        cases = []
+        for C in maximal_complements_oracle(L):
+            M = everything - C
+            cases += [M, *(M ^ {x} for x in everything)]
+        cases += [frozenset(rng.sample(range(L.n), rng.randint(1, L.n))) for _ in range(60)]
+        for S in cases:
+            assert is_sublattice(L, S) == _pairwise_closed(L, S), (to_cover_text(L), sorted(S))
+
+
+@pytest.mark.parametrize("predicate", [is_sublattice, is_maximal_sublattice, generate_sublattice])
+@pytest.mark.parametrize("ids, message", [({0, 1, 3, 99}, "99 is not in 0..3"), ([0, -1, 3], "-1 is negative")])
+def test_sublattice_predicates_name_an_id_outside_the_lattice(predicate, ids, message):
+    with pytest.raises(ValueError, match=f"element id {message}"):
+        predicate(boolean(2), ids)
 
 
 def test_is_maximal_sublattice_matches_definition(small_corpus):
