@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import and_, or_
+from operator import and_
 
 from .lattice import (
     InvariantViolation,
@@ -93,50 +93,55 @@ def resolve_oracle_bound(bound=None) -> int:
 # -- closure and maximality ----------------------------------------------------
 
 
-def _close(L: Lattice, closed: int, new: int, stop: int = 0) -> int:
-    """Mask of the sublattice generated by closed | new; closed must be a sublattice.
+def _accumulators(L: Lattice, mask: int):
+    """The closure accumulators of the held set mask, or None when it is not closed.
 
-    Worklist fixpoint: each round pairs only the elements added by the last
-    round with every element held so far; pairs of older elements are done.
-    ``held`` lists the elements held, each round's fresh ones last, and the
-    k-th element pairs with itself and those before it, so each pair is
-    taken once.  ``stop`` marks elements known to generate L together with
-    ``closed``: once the closure reaches one of them it is all of L, and the
-    full mask is returned at once.
-    """
-    rows = L.pair_masks
-    mask = closed | new
-    fresh = new & ~closed
-    held = [*bits(closed), *bits(fresh)]
-    while fresh:
-        if mask & stop:
-            return L.full_mask()
-        grown = mask
-        for k in range(len(held) - fresh.bit_count(), len(held)):
-            grown = reduce(or_, map(rows[held[k]].__getitem__, held[: k + 1]), grown)
-        fresh = grown & ~mask
-        mask = grown
-        held += bits(fresh)
-    return mask
-
-
-def _closed(L: Lattice, mask: int) -> bool:
-    """Whether the set of mask is closed under meet and join.
-
-    M is closed iff no z outside M is the meet of M ∩ ↑z or the join of
-    M ∩ ↓z: a ∧ b = z with a, b in M puts a and b in M ∩ ↑z, whose meet is
-    then z, and a closed M holds the meet of any of its subsets.  The meet
-    of a set is z exactly when the AND of its down masks is z's down mask;
-    the join test is the dual.  No pair of M is formed: the cost is the sum
-    of |M ∩ ↑z| + |M ∩ ↓z| over z outside M.
+    For z outside M, ``meets[z]`` is the AND of the down masks over M ∩ ↑z
+    and ``joins[z]`` the AND of the up masks over M ∩ ↓z (-1 for an empty
+    set).  M is closed iff no z outside M is the meet of M ∩ ↑z or the join
+    of M ∩ ↓z: a ∧ b = z with a, b in M puts a and b in M ∩ ↑z, whose meet
+    is then z, and a closed M holds the meet of any of its subsets.  The
+    meet of a set is z exactly when the AND of its down masks is z's down
+    mask; the join test is the dual.  No pair of M is formed: the cost is
+    the sum of |M ∩ ↑z| + |M ∩ ↓z| over z outside M.  Entries of held
+    elements are left at -1 and never read.
     """
     down, up = L.down_masks, L.up_masks
+    meets, joins = [-1] * L.n, [-1] * L.n
     for z in bits(L.full_mask() & ~mask):
-        if reduce(and_, map(down.__getitem__, bits(mask & up[z])), -1) == down[z]:
-            return False
-        if reduce(and_, map(up.__getitem__, bits(mask & down[z])), -1) == up[z]:
-            return False
-    return True
+        meets[z] = m = reduce(and_, map(down.__getitem__, bits(mask & up[z])), -1)
+        joins[z] = j = reduce(and_, map(up.__getitem__, bits(mask & down[z])), -1)
+        if m == down[z] or j == up[z]:
+            return None
+    return meets, joins
+
+
+def _grow(L: Lattice, held: int, meets: list, joins: list, new: int, stop: int = 0) -> int:
+    """Mask of the sublattice generated by held | new, updating the accumulators.
+
+    ``meets`` and ``joins`` are the accumulators of the closed set held (see
+    ``_accumulators``); all -1 for an empty one.  Each element added to the
+    set updates only the outside z in its down set (meet side) or its up set
+    (join side); a z whose accumulator reaches its own down (or up) mask is
+    generated and joins the worklist.  ``stop`` marks elements known to
+    generate L together with held: once the closure reaches one of them it
+    is all of L, and the full mask is returned at once.
+    """
+    full = L.full_mask()
+    work = list(bits(new & ~held))
+    held |= new
+    while work:
+        h = work.pop()
+        for accs, own in ((meets, L.down_masks), (joins, L.up_masks)):
+            own_h = own[h]
+            for z in bits(own_h & ~held):
+                accs[z] = acc = accs[z] & own_h
+                if acc == own[z]:
+                    if (stop >> z) & 1:
+                        return full
+                    held |= 1 << z
+                    work.append(z)
+    return held
 
 
 def _mask_in(L: Lattice, ids) -> int:
@@ -152,25 +157,29 @@ def generate_sublattice(L: Lattice, S) -> frozenset:
     mask = _mask_in(L, S)
     if not mask:
         raise EmptyGenerator("sublattice generators must be nonempty")
-    return frozenset(bits(_close(L, 0, mask)))
+    return frozenset(bits(_grow(L, 0, [-1] * L.n, [-1] * L.n, mask)))
 
 
 def is_sublattice(L: Lattice, M) -> bool:
     mask = _mask_in(L, M)
-    return bool(mask) and _closed(L, mask)
+    return bool(mask) and _accumulators(L, mask) is not None
 
 
 def is_maximal_sublattice(L: Lattice, M) -> bool:
     """Proper sublattice such that adding any outside element generates all of L."""
     mask = _mask_in(L, M)
     full = L.full_mask()
-    if not mask or mask == full or not _closed(L, mask):
+    if not mask or mask == full:
         return False
+    accs = _accumulators(L, mask)
+    if accs is None:
+        return False
+    meets, joins = accs
     # Closure is monotone: a closure of M ∪ {x} that reaches an element
     # already known to generate L with M is all of L.
     generating = 0
     for x in bits(full & ~mask):
-        if _close(L, mask, 1 << x, generating) != full:
+        if _grow(L, mask, meets[:], joins[:], 1 << x, generating) != full:
             return False
         generating |= 1 << x
     return True
@@ -251,8 +260,13 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 pre[meet_x[y]].append(pair)
                 pre[join_x[y]].append(pair)
 
-    blocked = (1 << L.bottom) | (1 << L.top)
+    # No seed and no element added to C is bottom, top or doubly
+    # irreducible: a C grown from a seed holds that seed, so adding any
+    # element gives it two or more, and such a complement holds no doubly
+    # irreducible element.  The doubly irreducible singletons are added last.
+    ends = (1 << L.bottom) | (1 << L.top)
     dbl_mask = L.mask_of(L.irreducibles.ji & L.irreducibles.mi)
+    blocked = ends | dbl_mask
     comp_masks = [
         L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)
     ] or [L.full_mask()]
@@ -276,14 +290,12 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
         if (blocked >> e) & 1 or e < seed:
             return False
         grown = cmask | (1 << e)
-        if grown & dbl_mask and grown != grown & -grown:
-            return False
         if not any(grown & ~cm == 0 for cm in comp_masks):
             return False
         return not any(r != grown and r & ~grown == 0 for r in local)
 
     for seed in range(n):
-        if (blocked >> seed) & 1 or (dbl_mask >> seed) & 1:
+        if (blocked >> seed) & 1:
             continue
         # (C, forbidden elements, cursor target, cursor pair index); every C
         # of this seed has the seed as its least element.  So a set found
@@ -308,7 +320,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
         found += local
 
     # Doubly irreducible interior elements are removable singletons.
-    for d in bits(dbl_mask & ~blocked):
+    for d in bits(dbl_mask & ~ends):
         found.append(1 << d)
 
     found.sort(key=lambda m: m.bit_count())

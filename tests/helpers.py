@@ -32,6 +32,39 @@ def naive_is_sd_join(L):
     return True
 
 
+def block_scan_is_sd_join(L):
+    """x∨y = x∨z implies x∨(y∧z) = x∨y, scanned over all triples.
+
+    The tables are read in numpy blocks of about 2^16 triples (x, y, z), so
+    lattices of a few dozen elements stay fast; the test is the definition.
+    """
+    import numpy as np
+
+    J, M = L.join, L.meet
+    step = max(1, (1 << 16) // (L.n * L.n))
+    for lo in range(0, L.n, step):
+        jx = J[lo : lo + step]
+        same = jx[:, :, None] == jx[:, None, :]  # x∨y = x∨z
+        fixed = jx[:, M] == jx[:, :, None]  # x∨(y∧z) = x∨y
+        if np.any(same & ~fixed):
+            return False
+    return True
+
+
+def random_moore_lattice(rng, points, count):
+    """The lattice of a random intersection-closed family on ``points`` points.
+
+    ``count`` random subsets (as bitmasks) and the whole set are closed under
+    intersection and ordered by inclusion.  Such families are often not
+    semidistributive.
+    """
+    from latmax.lattice import Lattice
+
+    whole = (1 << points) - 1
+    family = sorted(intersection_closure({whole, *(rng.getrandbits(points) for _ in range(count))}))
+    return Lattice([[a & ~b == 0 for b in family] for a in family])
+
+
 def powerset(items):
     items = list(items)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
@@ -138,27 +171,30 @@ def brute_max_complements(L):
 
 def closure_scheme_b(L, S):
     """Def 2.1(6)(b): iterate S -> (S^meet)^join to the fixpoint."""
+    # The tables are read as lists of rows, which is much faster than numpy
+    # scalar indexing on lattices of a few dozen elements.
+    meet, join = L.meet.tolist(), L.join.tolist()
     cur = frozenset(S)
     while True:
-        met = _op_closure(L.meet, cur)
-        joined = _op_closure(L.join, met)
+        met = _op_closure(meet, cur)
+        joined = _op_closure(join, met)
         if joined == cur:
             return cur
         cur = joined
 
 
-def _op_closure(table, items):
+def _op_closure(rows, items):
+    """Close items under the symmetric operation whose table is rows.
+
+    Each round pairs the elements found by the last round with every element
+    held before it, so every pair of the result is taken once it is held.
+    """
     vals = set(items)
-    frontier = list(vals)
+    frontier = vals
     while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(vals):
-                c = int(table[a, b])
-                if c not in vals:
-                    vals.add(c)
-                    fresh.append(c)
-        frontier = fresh
+        held = list(vals)
+        frontier = {rows[a][b] for a in frontier for b in held} - vals
+        vals |= frontier
     return frozenset(vals)
 
 

@@ -187,7 +187,7 @@ def test_oracle_equivalence_exhaustive_m8():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("m", [40, 60])
+@pytest.mark.parametrize("m", [40, 60, 80, 120])
 def test_fast_complements_are_maximal_past_the_oracle(m):
     # Soundness where the oracle does not reach (n = 427 and 1,066): the rest
     # of every materialized descriptor is a maximal sublattice.

@@ -258,9 +258,10 @@ def test_is_sublattice_matches_pairwise_check(small_corpus):
 
 
 def test_is_sublattice_matches_pairwise_check_past_n10():
-    # The up/down-set closedness test against the pairwise definition on
-    # lattices up to n = 51: the rest of every oracle complement, every
-    # one-element flip of it, and 60 random subsets per lattice.
+    # The up/down-set closedness test, the accumulator closure and the
+    # maximality test against their definitions on lattices up to n = 51:
+    # the rest of every oracle complement, every one-element flip of it, and
+    # 60 random subsets per lattice.
     lattices = [G.lattice for m in range(1, 6) for G in all_cdim2_geometries(m)]
     for seed in (0, 7):
         lattices += doubled_sequences(depth=3, seed=seed, count=120)
@@ -274,7 +275,15 @@ def test_is_sublattice_matches_pairwise_check_past_n10():
             cases += [M, *(M ^ {x} for x in everything)]
         cases += [frozenset(rng.sample(range(L.n), rng.randint(1, L.n))) for _ in range(60)]
         for S in cases:
-            assert is_sublattice(L, S) == _pairwise_closed(L, S), (to_cover_text(L), sorted(S))
+            closed = _pairwise_closed(L, S)
+            assert is_sublattice(L, S) == closed, (to_cover_text(L), sorted(S))
+            maximal = (
+                closed
+                and S != everything
+                and all(closure_scheme_b(L, S | {x}) == everything for x in everything - S)
+            )
+            assert is_maximal_sublattice(L, S) == maximal, (to_cover_text(L), sorted(S))
+            assert generate_sublattice(L, S) == closure_scheme_b(L, S), (to_cover_text(L), sorted(S))
 
 
 @pytest.mark.parametrize("predicate", [is_sublattice, is_maximal_sublattice, generate_sublattice])
