@@ -189,7 +189,7 @@ def test_oracle_equivalence_exhaustive_m8():
 @pytest.mark.slow
 @pytest.mark.parametrize("m", [40, 60, 80, 120])
 def test_fast_complements_are_maximal_past_the_oracle(m):
-    # Soundness where the oracle does not reach (n = 427 and 1,066): the rest
+    # Soundness where the oracle does not reach (n = 427 to 3,523): the rest
     # of every materialized descriptor is a maximal sublattice.
     perm = random_permutation(m, random.Random(7000 + m))
     G = build_cg(m, [tuple(range(1, m + 1)), perm])
