@@ -100,7 +100,9 @@ class Complement:
     ``j`` is the ground point whose closure (j) is the common minimum;
     ``c1_len``/``c2_len`` are the prefix lengths of C1(j)/C2(j) on the two
     chains.  ``shape`` says which intervals are present and ``case`` is the
-    classification-theorem tag.
+    classification-theorem tag.  When C1(j) = C2(j) the single interval is
+    on both chains and ``shape`` names chain 1, so swapping the chains
+    mirrors every shape label but that one.
     """
 
     j: int
@@ -345,16 +347,15 @@ _JSON_HEADS = [
     b'{"j": %%d, "shape": "%s", "class": "%s", "intervals": [' % (shape.encode(), case.encode())
     for shape, case in KINDS
 ]
-_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 
 
 def complements_to_text(comps, chain1, chain2) -> str:
-    """``cg-complements`` text: one tab-separated line per descriptor.
+    """``cg-complements`` text: one tab-separated line per descriptor of a
+    :class:`Complements`.
 
     A line is the label, then (j) and every interval's top as sorted point
     sets: ``[(5),C1(5)]``, ``(5)={1,3,5}`` and ``C1(5)={1,2,3,4,5}``.  A single
     interval whose top is (j) itself is labelled ``{(j)}`` and lists (j) only.
-    ``comps`` is a :class:`Complements` or any iterable of :class:`Complement`.
     """
     out = bytearray()
     for j, kind, lo, tops in _endpoint_sets(comps, chain1, chain2, b","):
@@ -376,11 +377,11 @@ def complements_to_text(comps, chain1, chain2) -> str:
 
 
 def complements_to_json(comps, chain1, chain2) -> str:
-    """JSON array of descriptors with endpoint sets as sorted point lists.
+    """JSON array of the descriptors of a :class:`Complements`, with endpoint
+    sets as sorted point lists.
 
     Each row is ``{"j", "shape", "class", "intervals": [[(j), top], ...]}``,
-    byte for byte as ``json.dumps`` writes it.  ``comps`` is a
-    :class:`Complements` or any iterable of :class:`Complement`.
+    byte for byte as ``json.dumps`` writes it.
     """
     out = bytearray(b"[")
     row_sep = b""
@@ -410,10 +411,7 @@ def _endpoint_sets(comps, chain1, chain2, sep):
     tokens ``p<sep>``, padded with NUL bytes to one width, which are then
     deleted.
     """
-    if isinstance(comps, Complements):
-        rows = zip(*(column.tolist() for column in comps._columns()))
-    else:
-        rows = ((c.j, _KIND_CODES[c.shape, c.case], c.c1_len, c.c2_len) for c in comps)
+    rows = zip(*(column.tolist() for column in comps._columns()))
     chain1, chain2 = _as_chain(chain1), _as_chain(chain2)
     m = chain1.m
     (perm1, pos1), (perm2, pos2) = (_permutation(m, chain) for chain in (chain1, chain2))

@@ -20,7 +20,6 @@ from .lattice import (
     Lattice,
     _int_field,
     _rows,
-    bits,
     is_lower_semimodular,
     is_sd_join,
     mask_of,
@@ -164,7 +163,6 @@ class ConvexGeometry:
         self.chain_member = tuple(
             tuple(a in ids for ids in chain_sets) for a in range(n)
         )
-        self._closures: dict = {}
         if verify:
             self._verify()
 
@@ -185,14 +183,12 @@ class ConvexGeometry:
         return self.chain_elements[i][max(self.chains[i].pos[x] for x in pts)]
 
     def point_closure(self, x: int) -> int:
-        """(x): the smallest family member containing x; join-irreducible."""
-        cached = self._closures.get(x)
-        if cached is None:
-            out = (1 << self.m) - 1
-            for i in range(len(self.chains)):
-                out &= self._point_masks[self.chain_prefix_of_point(i, x)]
-            cached = self._closures[x] = self.set_index[frozenset(b + 1 for b in bits(out))]
-        return cached
+        """(x): the smallest family member containing x; join-irreducible.
+
+        It is the meet, that is the intersection, of the prefixes C_i(x).
+        """
+        prefixes = (self.chain_prefix_of_point(i, x) for i in range(len(self.chains)))
+        return self.lattice.meet_of(prefixes)
 
     def least_mi_on_chain(self, i: int, x: int) -> int:
         """M_i(x): least meet-irreducible prefix of chain i containing x.

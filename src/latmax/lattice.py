@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 
 import numpy as np
 
@@ -296,6 +295,18 @@ def minimal_elements(L: Lattice, S) -> list:
     return [a for a in S if down[a] & smask == 1 << a]
 
 
+def _least(L: Lattice, mask: int):
+    """The least element of the nonempty set mask, or None when it has none.
+
+    The AND of the down masks over the set holds the set's common lower
+    bounds, and a least element is the one of them inside the set.
+    ``_least(L.dual, mask)`` gives the greatest element.
+    """
+    lower = reduce(operator.and_, map(L.down_masks.__getitem__, bits(mask)))
+    least = lower & mask
+    return least.bit_length() - 1 if least else None
+
+
 # -- construction ------------------------------------------------------------
 
 
@@ -385,15 +396,15 @@ def is_sd_join(L: Lattice) -> bool:
 
     A finite lattice is SD-join iff κ^σ(m) exists for every meet-irreducible
     m (Freese, Ježek and Nation, *Free Lattices*, ch. 2): the set
-    K = ↓m^* ∖ ↓m has a least element.  The AND of the down masks over K
-    holds the common lower bounds of K, and one of them lies in K exactly
-    when K has a least element.  The cost is O(n) mask ANDs per
+    ↓m^* ∖ ↓m has a least element.  The cost is O(n) mask ANDs per
     meet-irreducible, against the O(n³) triples of the definition.
     """
     if L._sd_join is None:
         down = L.down_masks
-        ks = (down[cover] & ~down[m] for m, cover in L.irreducibles.upper_star.items())
-        L._sd_join = all(reduce(operator.and_, map(down.__getitem__, bits(k))) & k for k in ks)
+        L._sd_join = all(
+            _least(L, down[cover] & ~down[m]) is not None
+            for m, cover in L.irreducibles.upper_star.items()
+        )
     return L._sd_join
 
 
@@ -443,12 +454,14 @@ def canonical_join_rep(L: Lattice, x: int):
     """The canonical join representation of x, or None when it does not exist.
 
     Returns the unique antichain X of join-irreducibles with ∨X = x that is
-    way-below every other join representation of x.  The bottom element's
-    representation is the empty set.  For each lower cover y of x the set
-    {j ∈ Ji : j <= x, j ≰ y} must have a unique minimal element (which is
-    then the canonical joinand "responsible" for y); absence of such an
-    element, or the collected joinands failing to form an antichain, is a
-    witness that SD-join fails at x.
+    way-below every other join representation of x; the bottom's, with no
+    lower covers, is the empty set.  x has one iff for every lower cover
+    y ≺ x the set ↓x ∖ ↓y has a least element j_y, and then X = {j_y}.
+    (⇐) Every join representation of x has, for each y, an element outside
+    ↓y, and it lies above j_y; for y ≠ y′, y lies in ↓x ∖ ↓y′, so j_{y′} <= y
+    and the j_y form an irredundant antichain.  (⇒) X refines {y, z} for
+    every z in ↓x ∖ ↓y; taking z in X shows that one element of X lies
+    outside ↓y, and it lies below every such z.
     """
     reps = L._canonical_reps
     if x not in reps:
@@ -462,51 +475,33 @@ def canonical_meet_rep(L: Lattice, x: int):
 
 
 def _canonical_rep_uncached(L: Lattice, x: int):
-    if x == L.bottom:
-        return frozenset()
-    leq = L.leq
-    below = [j for j in L.irreducibles.ji if leq[j, x]]
-    cands = set()
-    for y in L.lower_covers[x]:
-        mins = minimal_elements(L, [j for j in below if not leq[j, y]])
-        if len(mins) != 1:
-            return None
-        cands.add(mins[0])
-    for a, b in combinations(cands, 2):
-        if leq[a, b] or leq[b, a]:
-            return None
-    # Definitional check: no representation avoiding the up-set of a candidate
-    # may reach x, i.e. x is not a join of irreducibles not above j.  All of
-    # them lie below x, so some join of them is x only when the join of all is.
-    for j in cands:
-        avoid = [u for u in below if not leq[j, u]]
-        if avoid and L.join_of(avoid) == x:
-            return None
-    if L.join_of(cands) != x:
-        raise InvariantViolation(f"canonical joinands {sorted(cands)} do not join to {x}")
-    return frozenset(cands)
+    down = L.down_masks
+    joinands = {_least(L, down[x] & ~down[y]) for y in L.lower_covers[x]}
+    if None in joinands:
+        return None
+    if L.join_of((L.bottom, *joinands)) != x:
+        raise InvariantViolation(f"canonical joinands {sorted(joinands)} do not join to {x}")
+    return frozenset(joinands)
 
 
 # -- kappa maps ---------------------------------------------------------------
 
 
 def kappa(L: Lattice, j: int):
-    """Greatest element of K(j) = {u : u >= j_*, u ≱ j} if unique, else None.
+    """The greatest element of K(j) = ↑j_* ∖ ↑j, or None when it has none.
 
-    Defined for join-irreducible j.  When the result exists it is always
-    meet-irreducible: every upper cover of it must be above j, hence equals
-    the join with j.
+    Defined for join-irreducible j.  A greatest element of L is a least one
+    of ``L.dual``.  When the result exists it is always meet-irreducible:
+    every upper cover of it must be above j, hence equals the join with j.
     """
     info = L.irreducibles
     if j not in info.ji:
         raise ValueError(f"element {j} is not join-irreducible")
-    k_mask = L.up_masks[info.lower_star[j]] & ~L.up_masks[j]
-    for u in bits(k_mask):
-        if k_mask & ~L.down_masks[u] == 0:
-            if u not in info.mi:
-                raise InvariantViolation(f"kappa({j}) = {u} is not meet-irreducible")
-            return u
-    return None
+    up = L.up_masks
+    u = _least(L.dual, up[info.lower_star[j]] & ~up[j])
+    if u is not None and u not in info.mi:
+        raise InvariantViolation(f"kappa({j}) = {u} is not meet-irreducible")
+    return u
 
 
 def kappa_sigma(L: Lattice, m: int):
@@ -517,19 +512,17 @@ def kappa_sigma(L: Lattice, m: int):
 
 
 def kappa_bijection_check(L: Lattice) -> bool:
-    """Whether κ is a total bijection Ji -> Mi with κ^σ as its inverse."""
+    """Whether κ is a total bijection Ji -> Mi with κ^σ as its inverse.
+
+    κ^σ(κ(j)) = j for every j makes κ total and injective, and an injection
+    between sets of equal size is a bijection.
+    """
     info = L.irreducibles
-    image = {}
+    if len(info.ji) != len(info.mi):
+        return False
     for j in info.ji:
         m = kappa(L, j)
-        if m is None:
-            return False
-        image[j] = m
-    if set(image.values()) != set(info.mi) or len(set(image.values())) != len(image):
-        return False
-    for m in info.mi:
-        j = kappa_sigma(L, m)
-        if j is None or image.get(j) != m:
+        if m is None or kappa_sigma(L, m) != j:
             return False
     return True
 

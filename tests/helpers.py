@@ -141,6 +141,30 @@ def _fold_glb(leq, items):
     return acc
 
 
+def loop_kappa_bijection_check(L):
+    """Whether κ is a total bijection Ji -> Mi with κ^σ as its inverse, loop by loop.
+
+    κ must be total on Ji, its image must be Mi without repeats, and κ^σ(m)
+    must exist and map back to m for every m in Mi.
+    """
+    from latmax.lattice import kappa, kappa_sigma
+
+    info = L.irreducibles
+    image = {}
+    for j in info.ji:
+        m = kappa(L, j)
+        if m is None:
+            return False
+        image[j] = m
+    if set(image.values()) != set(info.mi) or len(set(image.values())) != len(image):
+        return False
+    for m in info.mi:
+        j = kappa_sigma(L, m)
+        if j is None or image.get(j) != m:
+            return False
+    return True
+
+
 def brute_removable_sets(L):
     """All nonempty C avoiding bottom/top with L minus C closed under both ops."""
     interior = [a for a in range(L.n) if a not in (L.bottom, L.top)]

@@ -1,9 +1,16 @@
 """Canonical join/meet representations and the kappa machinery."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from helpers import brute_canonical_join_rep, brute_canonical_meet_rep
+from helpers import (
+    brute_canonical_join_rep,
+    brute_canonical_meet_rep,
+    loop_kappa_bijection_check,
+    random_moore_lattice,
+)
 from latmax.corpus import all_cdim2_geometries, boolean, chain
 from latmax.lattice import (
     canonical_join_rep,
@@ -15,6 +22,21 @@ from latmax.lattice import (
     kappa_bijection_check,
     kappa_sigma,
 )
+
+
+@pytest.fixture(scope="module")
+def moore_families():
+    """Seeded random intersection-closed families and their duals.
+
+    Many of them are not semidistributive, so elements without a canonical
+    representation and partial kappa maps are common.
+    """
+    rng = random.Random(15)
+    out = {}
+    for k in range(300):
+        L = random_moore_lattice(rng, rng.randint(3, 6), rng.randint(2, 9))
+        out[f"moore{k}"], out[f"moore{k}_dual"] = L, L.dual
+    return out
 
 
 def test_boolean_top_canonical_rep(named_lattices):
@@ -39,11 +61,15 @@ def test_m3_top_has_no_canonical_rep(named_lattices):
     assert canonical_join_rep(named_lattices["m3"], 4) is None
 
 
-def test_canonical_reps_match_brute_force(small_corpus):
-    for name, L in small_corpus.items():
+def test_canonical_reps_match_brute_force(small_corpus, moore_families):
+    no_rep = 0
+    for name, L in {**small_corpus, **moore_families}.items():
         for x in range(L.n):
-            assert canonical_join_rep(L, x) == brute_canonical_join_rep(L, x), (name, x)
+            rep = canonical_join_rep(L, x)
+            assert rep == brute_canonical_join_rep(L, x), (name, x)
             assert canonical_meet_rep(L, x) == brute_canonical_meet_rep(L, x), (name, x)
+            no_rep += rep is None
+    assert no_rep >= 300
 
 
 def test_canonical_reps_match_brute_force_on_geometries():
@@ -83,9 +109,10 @@ def test_kappa_requires_join_irreducible(named_lattices):
         kappa(named_lattices["b2"], 3)
 
 
-def test_kappa_direct_enumeration_agrees(small_corpus):
+def test_kappa_direct_enumeration_agrees(small_corpus, moore_families):
     """kappa equals the unique greatest element of K(j) computed by raw scan."""
-    for name, L in small_corpus.items():
+    partial = 0
+    for name, L in {**small_corpus, **moore_families}.items():
         info = L.irreducibles
         for j in info.ji:
             jstar = info.lower_star[j]
@@ -93,6 +120,17 @@ def test_kappa_direct_enumeration_agrees(small_corpus):
             greatest = [u for u in K if all(L.leq[v, u] for v in K)]
             expect = greatest[0] if len(greatest) == 1 else None
             assert kappa(L, j) == expect, (name, j)
+            partial += expect is None
+    assert partial >= 100
+
+
+def test_kappa_bijection_check_matches_loop_reference(small_corpus, moore_families):
+    bijective = 0
+    for name, L in {**small_corpus, **moore_families}.items():
+        expect = loop_kappa_bijection_check(L)
+        assert kappa_bijection_check(L) == expect, name
+        bijective += expect
+    assert 100 <= bijective <= len(small_corpus) + len(moore_families) - 100
 
 
 def test_kappa_bijection_examples(named_lattices):

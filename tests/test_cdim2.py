@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from helpers import block_decompose_and_run, scalar_fast_complements
 from latmax.cdim2 import (
+    SHAPE_CHAIN1,
+    SHAPE_CHAIN2,
+    SHAPE_UNION,
     Complement,
     Complements,
     NoCaseMatches,
@@ -463,6 +466,38 @@ def test_relabeling_both_chains_renames_only_the_points():
                     assert getattr(before, column).tolist() == getattr(after, column).tolist()
                 cases += 1
     assert cases == 2619
+
+
+def _by_endpoint_sets(m, chains):
+    """{((j), maxima, case): descriptor} over ``decompose_and_run(m, chains)``."""
+    out = {}
+    for c in decompose_and_run(m, chains):
+        lo, maxima = c.endpoint_sets(*chains)
+        key = (lo, frozenset(maxima), c.case)
+        assert key not in out, (chains, key)
+        out[key] = c
+    return out
+
+
+def test_chain_swap_keeps_complements_and_mirrors_shapes():
+    """Swapping the two chains keeps the set of ((j), maxima, case) and
+    mirrors the shape label, except where C1(j) = C2(j): that single
+    interval is labelled chain 1 in either order.  Every pair of chains is
+    a renaming of some (identity, phi), so the identity first covers them."""
+    mirror = {SHAPE_CHAIN1: SHAPE_CHAIN2, SHAPE_CHAIN2: SHAPE_CHAIN1, SHAPE_UNION: SHAPE_UNION}
+    ties = 0
+    for m in range(1, 7):
+        ident = tuple(range(1, m + 1))
+        for phi in permutations(ident):
+            fwd, back = _by_endpoint_sets(m, (ident, phi)), _by_endpoint_sets(m, (phi, ident))
+            assert fwd.keys() == back.keys(), phi
+            for key, c in fwd.items():
+                if set(ident[: c.c1_len]) == set(phi[: c.c2_len]):
+                    assert c.shape == back[key].shape == SHAPE_CHAIN1, (phi, c)
+                    ties += 1
+                else:
+                    assert back[key].shape == mirror[c.shape], (phi, c)
+    assert ties > 0
 
 
 def test_inverse_permutation_counts_agree_at_scale():
