@@ -5,10 +5,12 @@ from .cdim2 import (
     Complements,
     NoCaseMatches,
     OpCounter,
+    Verification,
     classify_complement,
     decompose_and_run,
     fast_complements,
     materialize,
+    verify_complements,
 )
 from .geometry import (
     BadPermutation,

@@ -23,9 +23,11 @@ The result is a columnar :class:`Complements` sequence (point j, kind code,
 and the two prefix lengths) in ascending j, the chain-1 interval before the
 chain-2 one.  :class:`Complement` descriptors are built only when the
 sequence is indexed or iterated; materialization against a geometry is on
-demand and costs O(lattice size).  The text and JSON renderers read the
-columns directly and build no Complement: each endpoint set is a sorted
-chain prefix, written with one gather from a table of the points' tokens.
+demand and costs O(lattice size), and :func:`verify_complements` checks a
+listed result against the brute-force oracle.  The text and JSON renderers
+read the columns directly and build no Complement: each endpoint set is a
+sorted chain prefix, written with one gather from a table of the points'
+tokens.
 """
 from __future__ import annotations
 
@@ -38,18 +40,21 @@ import numpy as np
 
 from .geometry import ConvexGeometry, _as_chain, _permutation
 from .lattice import bits, mask_of, minimal_elements
+from .sublattice import maximal_complements_oracle
 
 __all__ = [
     "Complement",
     "Complements",
     "NoCaseMatches",
     "OpCounter",
+    "Verification",
     "classify_complement",
     "complements_to_json",
     "complements_to_text",
     "decompose_and_run",
     "fast_complements",
     "materialize",
+    "verify_complements",
 ]
 
 SHAPE_CHAIN1 = "IntervalChain1"
@@ -246,12 +251,13 @@ def decompose_and_run(m: int, chains) -> Complements:
 
 
 def materialize(G: ConvexGeometry, comp: Complement) -> frozenset:
-    """The complement as a set of lattice-element ids of the geometry."""
+    """The complement as a set of lattice-element ids of the geometry; (j) is
+    the meet, that is the intersection, of the chain prefixes C1(j), C2(j)."""
     if len(G.chains) != 2:
         raise ValueError("materialization needs a two-chain geometry")
-    lo_set, maxima = comp.endpoint_sets(G.chains[0], G.chains[1])
-    his = [G.set_index[top_set] for top_set in maxima]
-    return frozenset(bits(_union_mask(G.lattice, G.set_index[lo_set], his)))
+    c1, c2 = G.chain_elements[0][comp.c1_len], G.chain_elements[1][comp.c2_len]
+    tops = {SHAPE_CHAIN1: (c1,), SHAPE_CHAIN2: (c2,), SHAPE_UNION: (c1, c2)}[comp.shape]
+    return frozenset(bits(_union_mask(G.lattice, int(G.lattice.meet[c1, c2]), tops)))
 
 
 def _union_mask(L, lo: int, his) -> int:
@@ -284,8 +290,9 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     if len(minima) != 1:
         raise NoCaseMatches(f"complement has {len(minima)} minimal elements")
     lo = minima[0]
-    j = _closure_point(G, lo)
-    if j is None:
+    # (j) ⊆ C1(j), so j is the last point of (j) on chain 1.
+    j = max(G.element_set(lo), key=G.chains[0].pos.__getitem__, default=None)
+    if j is None or G.point_closure(j) != lo:
         raise NoCaseMatches("minimum is not a point closure")
 
     tags = set()
@@ -320,17 +327,53 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     return tags.pop()
 
 
-def _closure_point(G: ConvexGeometry, a: int):
-    for x in G.element_set(a):
-        if G.point_closure(x) == a:
-            return x
-    return None
-
-
 def _next_point(G: ConvexGeometry, i: int, j: int):
     """The point added right after C_i(j) on chain i, if any."""
     k = G.chains[i].pos[j]
     return G.chains[i].perm[k] if k < G.m else None
+
+
+@dataclass(frozen=True)
+class Verification:
+    """Listed descriptors against the oracle: ``listed`` counts them, ``fast``
+    holds their distinct sets and ``oracle`` the oracle's, and
+    ``misclassified`` the j, in listing order, of each wrong case tag."""
+
+    listed: int
+    fast: frozenset
+    oracle: frozenset
+    misclassified: tuple
+
+    @property
+    def sets_agree(self) -> bool:
+        """The fast sets are the oracle's, and none is listed twice."""
+        return self.fast == self.oracle and self.listed == len(self.fast)
+
+    @property
+    def ok(self) -> bool:
+        return self.sets_agree and not self.misclassified
+
+
+def verify_complements(G: ConvexGeometry, comps, bound=None) -> Verification:
+    """Check the descriptors ``comps`` listed for G: sets, count and tags.
+
+    Materializes and classifies each descriptor once, then runs the oracle
+    once.  A descriptor whose set fits no classification case is
+    misclassified.
+    """
+    fast = set()
+    misclassified = []
+    for c in comps:
+        cset = materialize(G, c)
+        fast.add(cset)
+        try:
+            confirmed = classify_complement(G, cset) == c.case
+        except NoCaseMatches:
+            confirmed = False
+        if not confirmed:
+            misclassified.append(c.j)
+    oracle = frozenset(maximal_complements_oracle(G.lattice, bound=bound))
+    return Verification(len(comps), frozenset(fast), oracle, tuple(misclassified))
 
 
 # -- serialization ----------------------------------------------------------------

@@ -28,6 +28,7 @@ from .lattice import (
     is_sd,
     is_sd_join,
     is_sd_meet,
+    mask_of,
     minimal_elements,
     to_cover_text,
 )
@@ -151,7 +152,7 @@ def _convex_fails(L: Lattice, C, w) -> bool:
 def _hyp2_fails(L: Lattice, C, w) -> bool:
     """C lacks a unique minimal element c0, or some [c0, t] with t maximal leaves C."""
     minima = minimal_elements(L, C)
-    cmask = L.mask_of(C)
+    cmask = mask_of(C)
     return len(minima) != 1 or any(
         L.interval_mask(minima[0], t) & ~cmask for t in minimal_elements(L.dual, C)
     )
@@ -159,7 +160,7 @@ def _hyp2_fails(L: Lattice, C, w) -> bool:
 
 def _hyp4_fails(L: Lattice, C, w) -> bool:
     """No lower cover m of w["element"] lies outside C with all of [0, m] outside C."""
-    cmask = L.mask_of(C)
+    cmask = mask_of(C)
     return not any(
         not (cmask >> m) & 1 and L.down_masks[m] & cmask == 0
         for m in L.lower_covers[w["element"]]
@@ -194,7 +195,7 @@ def _lemma42_fails(L: Lattice, C, w) -> bool:
 
 def _lemma54_fails(L: Lattice, C, w) -> bool:
     """[w["x"], w["u2"]] lies inside C, missing the sublattice."""
-    return L.interval_mask(w["x"], w["u2"]) & ~L.mask_of(C) == 0
+    return L.interval_mask(w["x"], w["u2"]) & ~mask_of(C) == 0
 
 
 def _distributive_fails(L: Lattice, C, w) -> bool:
@@ -207,7 +208,7 @@ def _distributive_fails(L: Lattice, C, w) -> bool:
 def _rest_is_sublattice(G: ConvexGeometry, C, w) -> bool:
     """The elements of G outside C form a sublattice (6.4(3) fails)."""
     L = G.lattice
-    return is_sublattice(L, bits(L.full_mask() & ~L.mask_of(C)))
+    return is_sublattice(L, bits(L.full_mask() & ~mask_of(C)))
 
 
 def _lemma64_2_fails(G: ConvexGeometry, C, w) -> bool:
@@ -228,7 +229,7 @@ def _lemma64_1b_fails(G: ConvexGeometry, C, w) -> bool:
 def _lemma64_3_maximal_fails(G: ConvexGeometry, C, w) -> bool:
     """The rest of G outside C is a maximal sublattice."""
     L = G.lattice
-    return is_maximal_sublattice(L, bits(L.full_mask() & ~L.mask_of(C)))
+    return is_maximal_sublattice(L, bits(L.full_mask() & ~mask_of(C)))
 
 
 def _observation_reproduces(L: Lattice, C, w) -> bool:
@@ -498,7 +499,7 @@ def _lemma54_instances(corpus, seed: int):
             continue
         up, down = L.up_masks, L.down_masks
         for C in sublattice_complements(L, seed=seed):
-            cmask = L.mask_of(C)
+            cmask = mask_of(C)
             for x in C:
                 try:
                     scms = strict_canonical_meetands(L, C, x)

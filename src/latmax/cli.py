@@ -24,6 +24,7 @@ from .cdim2 import (
     decompose_and_run,
     fast_complements,
     materialize,
+    verify_complements,
 )
 from .checks import CLAIMS as CHECKS  # claim id -> (checker, corpus builder)
 from .geometry import BadPermutation, build_cg, parse_cg_text
@@ -114,22 +115,19 @@ def cmd_cg_complements(args) -> int:
         sys.stdout.write(complements_to_text(comps, *chains))
 
     if args.verify:
-        G = build_cg(m, chains)
-        fast_sets = {materialize(G, c) for c in comps}
-        oracle_sets = set(maximal_complements_oracle(G.lattice, bound=args.oracle_bound))
-        # A complement listed twice leaves the set unchanged but not the count.
-        if fast_sets != oracle_sets or len(comps) != len(fast_sets):
+        v = verify_complements(build_cg(m, chains), comps, bound=args.oracle_bound)
+        if not v.ok:
             print("VERIFY MISMATCH", file=sys.stderr)
-            print(
-                f"fast ({len(comps)} listed, {len(fast_sets)} distinct):",
-                sorted(sorted(s) for s in fast_sets),
-                file=sys.stderr,
-            )
-            print("oracle:", sorted(sorted(s) for s in oracle_sets), file=sys.stderr)
+            if not v.sets_agree:
+                fast = sorted(map(sorted, v.fast))
+                print(f"fast ({v.listed} listed, {len(v.fast)} distinct):", fast, file=sys.stderr)
+                print("oracle:", sorted(map(sorted, v.oracle)), file=sys.stderr)
+            if v.misclassified:
+                print(f"misclassified j: {list(v.misclassified)}", file=sys.stderr)
             return EXIT_VERIFY
         # With --json, stdout carries only the array.
         note = sys.stderr if args.json else sys.stdout
-        print(f"# verified against oracle: {len(oracle_sets)} complements agree", file=note)
+        print(f"# verified against oracle: {len(v.oracle)} complements agree", file=note)
     return EXIT_OK
 
 
@@ -220,14 +218,13 @@ def cmd_bench(args) -> int:
                 f"m={m:>8}  complements={len(comps):>8}  comparisons={ops.comparisons:>10}"
                 f"  set_ops={ops.set_ops:>10}  comparisons/m={ratio:.2f}  wall={dt*1000:.2f}ms"
             )
-    if not args.no_assert:
-        bad = [r for r in rows if r[4] > 12]
-        if bad:
-            print(f"linearity assertion failed: {bad}", file=sys.stderr)
-            return EXIT_COUNTEREXAMPLE
-        # With --json, stdout carries only the records.
-        note = sys.stderr if args.json else sys.stdout
-        print("# linearity ok: comparisons/m <= 12 at every size", file=note)
+    bad = [r for r in rows if r[4] > 12]
+    if bad:
+        print(f"linearity assertion failed: {bad}", file=sys.stderr)
+        return EXIT_COUNTEREXAMPLE
+    # With --json, stdout carries only the records.
+    note = sys.stderr if args.json else sys.stdout
+    print("# linearity ok: comparisons/m <= 12 at every size", file=note)
     return EXIT_OK
 
 
@@ -292,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cg-complements", help="fast enumeration of maximal-sublattice complements")
     add_common(sp)
     sp.add_argument("--json", action="store_true", help="JSON output")
-    sp.add_argument("--verify", action="store_true", help="cross-run the brute-force oracle and diff")
+    sp.add_argument("--verify", action="store_true", help="cross-run the brute-force oracle; diff the sets and check the case tags")
     sp.set_defaults(fn=cmd_cg_complements)
 
     sp = sub.add_parser("oracle", help="brute-force complements + frattini sublattice")
@@ -311,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="operation-count linearity benchmark")
     sp.add_argument("--sizes", default="10,100,1000,10000,100000")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--no-assert", action="store_true", help="skip the linearity assertion")
     sp.add_argument("--json", action="store_true", help="one JSON record per size")
     sp.set_defaults(fn=cmd_bench)
 

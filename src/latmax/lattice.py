@@ -221,9 +221,6 @@ class Lattice:
     def interval(self, lo: int, hi: int) -> frozenset:
         return frozenset(bits(self.interval_mask(lo, hi)))
 
-    def mask_of(self, elems) -> int:
-        return mask_of(elems)
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
@@ -439,7 +436,7 @@ def is_lower_semimodular(L: Lattice) -> bool:
 def is_convex_subset(L: Lattice, S) -> bool:
     """Whether [a, c] ⊆ S for every comparable pair a <= c inside S."""
     elems = sorted(S)
-    smask = L.mask_of(elems)
+    smask = mask_of(elems)
     for a in elems:
         for c in elems:
             if L.leq[a, c] and L.interval_mask(a, c) & ~smask:

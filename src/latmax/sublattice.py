@@ -265,7 +265,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     # element gives it two or more, and such a complement holds no doubly
     # irreducible element.  The doubly irreducible singletons are added last.
     ends = (1 << L.bottom) | (1 << L.top)
-    dbl_mask = L.mask_of(L.irreducibles.ji & L.irreducibles.mi)
+    dbl_mask = mask_of(L.irreducibles.ji & L.irreducibles.mi)
     blocked = ends | dbl_mask
     comp_masks = [
         L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)
@@ -419,7 +419,7 @@ def observation_suite(L: Lattice, M) -> CheckReport:
         return CheckReport("observation-suite", f"n={L.n}", checked, COUNTEREXAMPLE, witness)
 
     info = L.irreducibles
-    cmask = L.mask_of(cset)
+    cmask = mask_of(cset)
     minima = minimal_elements(L, cset)
     maxima = minimal_elements(L.dual, cset)
 

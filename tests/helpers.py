@@ -367,7 +367,7 @@ def subset_loop_sublattice_complements(L):
 def unpruned_lemma54_instances(corpus, seed):
     """The lemma 5.4 instances (L, tag, C, w), trying every u2 in C."""
     from latmax.checks import _lattices, sublattice_complements
-    from latmax.lattice import bits, is_sd
+    from latmax.lattice import bits, is_sd, mask_of
     from latmax.sublattice import NoCanonicalRep, strict_canonical_meetands
 
     for L in _lattices(corpus):
@@ -375,7 +375,7 @@ def unpruned_lemma54_instances(corpus, seed):
             continue
         up, down = L.up_masks, L.down_masks
         for C in sublattice_complements(L, seed=seed):
-            cmask = L.mask_of(C)
+            cmask = mask_of(C)
             for x in C:
                 try:
                     scms = strict_canonical_meetands(L, C, x)
@@ -433,7 +433,7 @@ def full_rescan_oracle(L):
     violation scan differs: it restarts at C's lowest target every time
     instead of resuming from a cursor.  No cache, no bound, no self-check.
     """
-    from latmax.lattice import bits, indecomposable_components
+    from latmax.lattice import bits, indecomposable_components, mask_of
 
     n = L.n
     pre = [[] for _ in range(n)]
@@ -444,7 +444,7 @@ def full_rescan_oracle(L):
                 pre[int(L.join[x, y])].append((x, y))
 
     blocked = (1 << L.bottom) | (1 << L.top)
-    dbl_mask = L.mask_of(L.irreducibles.ji & L.irreducibles.mi)
+    dbl_mask = mask_of(L.irreducibles.ji & L.irreducibles.mi)
     comp_masks = [L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)] or [L.full_mask()]
 
     def first_violation(cmask):

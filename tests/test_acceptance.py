@@ -12,7 +12,7 @@ from itertools import permutations
 import pytest
 
 from latmax import cli
-from latmax.cdim2 import classify_complement, fast_complements, materialize
+from latmax.cdim2 import fast_complements, materialize, verify_complements
 from latmax.checks import (
     check_distributive_baseline,
     check_hyp2_sd_join,
@@ -38,7 +38,7 @@ from latmax.corpus import (
 )
 from latmax.geometry import build_cg
 from latmax.lattice import is_sd, is_sd_join, is_sd_meet, kappa, kappa_bijection_check, kappa_sigma
-from latmax.sublattice import maximal_complements_oracle, observation_suite
+from latmax.sublattice import observation_suite
 
 PAPER_PERM = (3, 6, 7, 10, 1, 8, 9, 5, 2, 4)
 
@@ -58,6 +58,14 @@ def sweep_corpus():
         for perm in permutations(identity):
             out.append((m, perm, build_cg(m, [identity, perm], verify=False)))
     return out
+
+
+@pytest.fixture(scope="module")
+def sweep_verifications(sweep_corpus):
+    """(verify_complements of every sweep geometry, seconds taken)."""
+    t0 = time.perf_counter()
+    verifications = [verify_complements(G, fast_complements(m, perm)[0]) for m, perm, G in sweep_corpus]
+    return verifications, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -119,39 +127,22 @@ def test_criterion_1_golden_example(capsys):
         )
 
 
-def test_criterion_2_oracle_equivalence(sweep_corpus, capsys):
-    mismatches = 0
-    t0 = time.perf_counter()
-    for m, perm, G in sweep_corpus:
-        comps, _ = fast_complements(m, perm)
-        fast_sets = {materialize(G, c) for c in comps}
-        oracle_sets = set(maximal_complements_oracle(G.lattice))
-        if fast_sets != oracle_sets:
-            mismatches += 1
-    elapsed = time.perf_counter() - t0
+def test_criterion_2_oracle_equivalence(sweep_verifications, capsys):
+    verifications, elapsed = sweep_verifications
+    mismatches = sum(not v.sets_agree for v in verifications)
     with capsys.disabled():
         _line(
             2,
             "oracle-equivalence-sweep",
             mismatches == 0,
-            f"{len(sweep_corpus)} permutations (m<=7), {mismatches} mismatches, {elapsed:.1f}s",
+            f"{len(verifications)} permutations (m<=7), {mismatches} mismatches, {elapsed:.1f}s",
         )
 
 
-def test_criterion_3_classification_totality(sweep_corpus, capsys):
-    bad = 0
-    total = 0
-    for m, perm, G in sweep_corpus:
-        comps, _ = fast_complements(m, perm)
-        for c in comps:
-            total += 1
-            try:
-                tag = classify_complement(G, materialize(G, c))
-            except Exception:
-                bad += 1
-                continue
-            if tag != c.case:
-                bad += 1
+def test_criterion_3_classification_totality(sweep_verifications, capsys):
+    verifications, _ = sweep_verifications
+    total = sum(v.listed for v in verifications)
+    bad = sum(len(v.misclassified) for v in verifications)
     with capsys.disabled():
         _line(3, "classification-totality", bad == 0, f"{total} complements, {bad} misfits")
 

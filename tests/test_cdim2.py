@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import block_decompose_and_run, scalar_fast_complements
 from latmax.cdim2 import (
+    C1_TYPE2,
     SHAPE_CHAIN1,
     SHAPE_CHAIN2,
     SHAPE_UNION,
@@ -23,6 +24,7 @@ from latmax.cdim2 import (
     decompose_and_run,
     fast_complements,
     materialize,
+    verify_complements,
 )
 from latmax.checks import check_lemma_64_65
 from latmax.corpus import random_permutation
@@ -146,12 +148,25 @@ def test_op_counter_is_linear():
 
 def test_oracle_equivalence_small_exhaustive(cdim2_through_m6):
     for G in cdim2_through_m6:
-        perm = G.chains[1].perm
-        comps, _ = fast_complements(G.m, perm)
-        fast_sets = {materialize(G, c) for c in comps}
-        assert len(fast_sets) == len(comps)
-        oracle = set(maximal_complements_oracle(G.lattice, bound=40))
-        assert fast_sets == oracle, (G.m, perm)
+        comps, _ = fast_complements(G.m, G.chains[1].perm)
+        v = verify_complements(G, comps, bound=40)
+        assert v.ok, (G.chains[1].perm, v)
+
+
+def test_verify_complements_sees_missing_repeated_and_mistagged():
+    G = build_cg(10, [IDENT10, PAPER_PERM])
+    comps, _ = fast_complements(10, PAPER_PERM)
+    assert verify_complements(G, comps).ok
+    truncated = verify_complements(G, comps[:-1])
+    assert not truncated.ok and truncated.oracle - truncated.fast == {materialize(G, comps[-1])}
+    repeated = verify_complements(G, [*comps, comps[0]])
+    assert (repeated.listed, len(repeated.fast), len(repeated.oracle)) == (10, 9, 9)
+    assert repeated.fast == repeated.oracle and not repeated.ok
+    # j = 2 is [(2), C1(2)] of Type1; tagging it Type2 keeps its set.
+    kind = comps.kind.copy()
+    kind[0] = C1_TYPE2
+    mistagged = verify_complements(G, Complements(comps.j, kind, comps.c1_len, comps.c2_len))
+    assert mistagged.sets_agree and mistagged.misclassified == (2,) and not mistagged.ok
 
 
 def test_oracle_equivalence_m9_random():
@@ -160,8 +175,7 @@ def test_oracle_equivalence_m9_random():
         perm = random_permutation(9, rng)
         G = build_cg(9, [tuple(range(1, 10)), perm], verify=False)
         comps, _ = fast_complements(9, perm)
-        fast_sets = {materialize(G, c) for c in comps}
-        assert fast_sets == set(maximal_complements_oracle(G.lattice, bound=64)), perm
+        assert verify_complements(G, comps, bound=64).ok, perm
 
 
 def test_oracle_equivalence_seeded_m8_to_25():
@@ -172,10 +186,7 @@ def test_oracle_equivalence_seeded_m8_to_25():
         perm = random_permutation(m, rng)
         G = build_cg(m, [tuple(range(1, m + 1)), perm])
         comps, _ = fast_complements(m, perm)
-        fast_sets = [materialize(G, c) for c in comps]
-        oracle = maximal_complements_oracle(G.lattice, bound=G.lattice.n)
-        assert len(set(fast_sets)) == len(fast_sets) == len(oracle), perm
-        assert set(fast_sets) == set(oracle), perm
+        assert verify_complements(G, comps).ok, perm
 
 
 @pytest.mark.slow
@@ -185,8 +196,7 @@ def test_oracle_equivalence_exhaustive_m8():
     for perm in permutations(identity):
         G = build_cg(8, [identity, perm])
         comps, _ = fast_complements(8, perm)
-        fast_sets = {materialize(G, c) for c in comps}
-        assert fast_sets == set(maximal_complements_oracle(G.lattice, bound=G.lattice.n)), perm
+        assert verify_complements(G, comps).ok, perm
 
 
 @pytest.mark.slow
@@ -215,23 +225,18 @@ def test_decompose_equals_fast_on_identity_first_chain():
 
 
 def test_decompose_arbitrary_chains_against_oracle():
-    rng = random.Random(31)
-    for _ in range(60):
-        m = rng.randint(2, 7)
-        c1 = list(range(1, m + 1))
-        c2 = list(range(1, m + 1))
-        rng.shuffle(c1)
-        rng.shuffle(c2)
-        G = build_cg(m, [tuple(c1), tuple(c2)], verify=False)
-        got = {materialize(G, c) for c in decompose_and_run(m, (tuple(c1), tuple(c2)))}
-        assert got == set(maximal_complements_oracle(G.lattice, bound=40)), (c1, c2)
-
-
-def test_classification_matches_branches(cdim2_through_m6):
-    for G in cdim2_through_m6:
-        comps, _ = fast_complements(G.m, G.chains[1].perm)
-        for c in comps:
-            assert classify_complement(G, materialize(G, c)) == c.case
+    # 60 samples with m <= 7 and 120 with m <= 8, two seeded streams.
+    for seed, count, max_m in ((31, 60, 7), (5150, 120, 8)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            m = rng.randint(2, max_m)
+            c1 = list(range(1, m + 1))
+            c2 = list(range(1, m + 1))
+            rng.shuffle(c1)
+            rng.shuffle(c2)
+            chains = (tuple(c1), tuple(c2))
+            G = build_cg(m, chains, verify=False)
+            assert verify_complements(G, decompose_and_run(m, chains)).ok, chains
 
 
 def test_classify_rejects_non_complement():
@@ -319,9 +324,9 @@ def test_singleton_blocks_contribute_cut_singletons():
     # blocks {1,2},{3},{4}: the cut {1,2,3} is doubly irreducible
     comps = decompose_and_run(4, ((1, 2, 3, 4), (2, 1, 3, 4)))
     G = build_cg(4, [(1, 2, 3, 4), (2, 1, 3, 4)])
-    got = {materialize(G, c) for c in comps}
-    assert frozenset({G.set_index[frozenset({1, 2, 3})]}) in got
-    assert got == set(maximal_complements_oracle(G.lattice, bound=32))
+    v = verify_complements(G, comps, bound=32)
+    assert frozenset({G.set_index[frozenset({1, 2, 3})]}) in v.fast
+    assert v.ok
     cut = next(c for c in comps if c.j == 3)
     assert cut.case == "Type2"
 
@@ -343,8 +348,7 @@ def test_fast_equals_oracle_property(m, rnd):
     perm = tuple(perm)
     G = build_cg(m, [tuple(range(1, m + 1)), perm], verify=False)
     comps, _ = fast_complements(m, perm)
-    fast_sets = {materialize(G, c) for c in comps}
-    assert fast_sets == set(maximal_complements_oracle(G.lattice, bound=64))
+    assert verify_complements(G, comps, bound=64).ok
 
 
 def test_interval_maxima_are_least_mi_on_chain():
@@ -355,19 +359,6 @@ def test_interval_maxima_are_least_mi_on_chain():
         chains = {"IntervalChain1": (0,), "IntervalChain2": (1,), "UnionBothChains": (0, 1)}
         for i in chains[c.shape]:
             assert G.chain_prefix_of_point(i, c.j) == G.least_mi_on_chain(i, c.j)
-
-
-def test_classification_on_decomposed_arbitrary_chains():
-    rng = random.Random(5150)
-    for _ in range(120):
-        m = rng.randint(2, 8)
-        c1 = list(range(1, m + 1))
-        c2 = list(range(1, m + 1))
-        rng.shuffle(c1)
-        rng.shuffle(c2)
-        G = build_cg(m, [tuple(c1), tuple(c2)], verify=False)
-        for c in decompose_and_run(m, (tuple(c1), tuple(c2))):
-            assert classify_complement(G, materialize(G, c)) == c.case
 
 
 # -- the columnar result -------------------------------------------------------

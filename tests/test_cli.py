@@ -13,7 +13,7 @@ import pytest
 
 import latmax
 from latmax import checks, cli
-from latmax.cdim2 import Complements
+from latmax.cdim2 import C1_TYPE2, Complements
 from latmax.corpus import boolean
 from latmax.geometry import ConvexGeometry, build_cg, format_cg_text
 from latmax.lattice import InvariantViolation, to_cover_text
@@ -138,6 +138,22 @@ def test_verify_catches_a_complement_listed_twice(capsys, monkeypatch):
     rc, _, err = run_cli(capsys, "cg-complements", "--perm", "2 1 3 4", "--verify")
     assert rc == 3
     assert "VERIFY MISMATCH" in err and "listed" in err
+
+
+def test_verify_reports_a_misclassified_complement(capsys, monkeypatch):
+    # The right sets, but j = 2 tagged Type2 instead of Type1.
+    real = cli.decompose_and_run
+
+    def mistagged(m, chains):
+        comps = real(m, chains)
+        kind = comps.kind.copy()
+        kind[0] = C1_TYPE2
+        return Complements(comps.j, kind, comps.c1_len, comps.c2_len)
+
+    monkeypatch.setattr(cli, "decompose_and_run", mistagged)
+    rc, _, err = run_cli(capsys, *PAPER_ARGS, "--verify")
+    assert rc == 3
+    assert err.splitlines() == ["VERIFY MISMATCH", "misclassified j: [2]"]
 
 
 def test_check_command_all_small(capsys):
