@@ -224,19 +224,21 @@ def test_decompose_equals_fast_on_identity_first_chain():
         ] == [(c.j, c.shape, c.case, c.c1_len, c.c2_len) for c in via_blocks]
 
 
+def _random_chain_pairs(seed, count, max_m):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(2, max_m)
+        c1 = list(range(1, m + 1))
+        c2 = list(range(1, m + 1))
+        rng.shuffle(c1)
+        rng.shuffle(c2)
+        yield m, (tuple(c1), tuple(c2))
+
+
 def test_decompose_arbitrary_chains_against_oracle():
-    # 60 samples with m <= 7 and 120 with m <= 8, two seeded streams.
-    for seed, count, max_m in ((31, 60, 7), (5150, 120, 8)):
-        rng = random.Random(seed)
-        for _ in range(count):
-            m = rng.randint(2, max_m)
-            c1 = list(range(1, m + 1))
-            c2 = list(range(1, m + 1))
-            rng.shuffle(c1)
-            rng.shuffle(c2)
-            chains = (tuple(c1), tuple(c2))
-            G = build_cg(m, chains, verify=False)
-            assert verify_complements(G, decompose_and_run(m, chains)).ok, chains
+    for m, chains in _random_chain_pairs(31, 60, 7):
+        G = build_cg(m, chains, verify=False)
+        assert verify_complements(G, decompose_and_run(m, chains)).ok, chains
 
 
 def test_classify_rejects_non_complement():
@@ -359,6 +361,14 @@ def test_interval_maxima_are_least_mi_on_chain():
         chains = {"IntervalChain1": (0,), "IntervalChain2": (1,), "UnionBothChains": (0, 1)}
         for i in chains[c.shape]:
             assert G.chain_prefix_of_point(i, c.j) == G.least_mi_on_chain(i, c.j)
+
+
+def test_classification_on_decomposed_arbitrary_chains():
+    # verify_complements confirms each case tag through classify_complement.
+    for m, chains in _random_chain_pairs(5150, 120, 8):
+        G = build_cg(m, chains, verify=False)
+        v = verify_complements(G, decompose_and_run(m, chains))
+        assert v.misclassified == () and v.ok, chains
 
 
 # -- the columnar result -------------------------------------------------------
