@@ -14,10 +14,14 @@ with O(1) integer comparisons, which of the intervals [(j), C1(j)],
   (C1(j) ⊆ C2(j) iff every point up to j sits within the first
   phi^-1(j) positions of chain 2).
 
-Both passes are whole-array numpy operations; the second is five boolean
-masks over j.  Two arbitrary chains need no block decomposition: renaming
-every point by its position on chain 1 turns chain 1 into the identity, and
-the points of the result are renamed back.
+Both passes are whole-array numpy operations.  The second packs five flags
+per point j into one byte: the three about chain 2 are computed once per
+chain-2 position and gathered at phi^-1(j) in one read, and the two about
+chain 1 are added at j.  The branch itself is tabulated once over all 32
+flag bytes, so one lookup per point gives both output slots and their kind
+codes.  Two arbitrary chains need no block decomposition: renaming every
+point by its position on chain 1 turns chain 1 into the identity, and the
+points of the result are renamed back.
 
 The result is a columnar :class:`Complements` sequence (point j, kind code,
 and the two prefix lengths) in ascending j, the chain-1 interval before the
@@ -74,6 +78,38 @@ KINDS = (
     (SHAPE_UNION, TYPE3),
 )
 C1_TYPE1, C2_TYPE1, C1_TYPE2, C2_TYPE2, UNION_TYPE3 = range(len(KINDS))
+
+# Flag bits of the second pass at a point j.  The first three are read on
+# chain 2 at phi^-1(j), the last two on chain 1 at j.
+SAME_STEP = 1  # both chains add j+1 right after (j)
+CLOSURE_IS_C2 = 2  # (j) = C2(j)
+NEXT_IN_C1 = 4  # phi(phi^-1(j)+1) in C1(j)
+CLOSURE_IS_C1 = 8  # (j) = C1(j)
+NEXT_IN_C2 = 16  # j+1 in C2(j)
+
+
+def _slot_kinds(flags):
+    """The O(1) branch at one point: the kind codes of its chain-1 (or
+    union) slot and its chain-2 slot, None for an empty slot."""
+    if flags & SAME_STEP:
+        if flags & CLOSURE_IS_C2:
+            return C1_TYPE2, None
+        if flags & CLOSURE_IS_C1:
+            return None, C2_TYPE2
+        return UNION_TYPE3, None
+    return (
+        C1_TYPE1 if flags & NEXT_IN_C2 else None,
+        C2_TYPE1 if flags & NEXT_IN_C1 else None,
+    )
+
+
+# _SLOTS[flags] is the branch for every flag byte: two bytes, the slots in
+# order, each 1 + its kind code or 0 when empty.
+_SLOTS = (
+    np.array([[0 if k is None else k + 1 for k in _slot_kinds(f)] for f in range(32)], dtype=np.int8)
+    .view(np.uint16)
+    .ravel()
+)
 
 # Descriptors built per .tolist() call while iterating a Complements.
 _CHUNK = 1 << 14
@@ -197,42 +233,35 @@ def fast_complements(m: int, phi) -> tuple:
 def _enumerate(perm, inv) -> tuple:
     """Both passes for the geometry (identity, perm), where inv = perm^-1."""
     m = len(perm)
-    ops = OpCounter(set_ops=3 * m)
+    # Two running maxima, then one comparison per flag and point.
+    ops = OpCounter(comparisons=2 * (m - 1) + 5 * m, set_ops=3 * m)
 
     # First pass.  pm_chain2[k-1] = max point among the first k of chain 2;
     # pm_chain1[j-1] = max chain-2 position among the points 1..j.
     pm_chain2 = np.maximum.accumulate(perm)
     pm_chain1 = np.maximum.accumulate(inv)
-    ops.comparisons += 2 * (m - 1)
 
-    # Second pass: five masks over j.  The three about chain 2 compare
-    # neighbours along chain 2 and are read at j's position there.  Past the
-    # end of a chain the next entry reads m+2, which fails every comparison.
-    end = np.array([m + 2])
-    succ2 = np.concatenate((perm[1:], end))  # succ2[k-1] = point after position k
-    at_j = inv - 1
-    same_step = (succ2 == perm + 1)[at_j]  # both chains add j+1 right after (j)
-    closure_is_c2 = (pm_chain2 == perm)[at_j]  # (j) = C2(j)
-    next_in_c1 = (succ2 < perm)[at_j]  # phi(phi^-1(j)+1) in C1(j)
-    closure_is_c1 = pm_chain1 == inv  # (j) = C1(j)
-    next_in_c2 = np.concatenate((inv[1:], end)) < inv  # j+1 in C2(j)
-    ops.comparisons += 5 * m
+    # Second pass.  The three flags about chain 2 compare neighbours along
+    # chain 2; they share one byte per chain-2 position k (entry k, entry 0
+    # unused), gathered once at phi^-1(j).  The two about chain 1 join that
+    # byte at j.  Past the end of a chain every "next" flag is clear.
+    on_chain2 = np.zeros(m + 1, dtype=np.uint8)
+    on_chain2[1:] = (pm_chain2 == perm).view(np.uint8) * CLOSURE_IS_C2
+    step = perm[1:] - perm[:-1]
+    on_chain2[1:m] |= (step == 1).view(np.uint8) * SAME_STEP
+    on_chain2[1:m] |= (step < 0).view(np.uint8) * NEXT_IN_C1
+    flags = on_chain2.take(inv)
+    flags |= (pm_chain1 == inv).view(np.uint8) * CLOSURE_IS_C1
+    flags[:-1] |= (inv[1:] < inv[:-1]).view(np.uint8) * NEXT_IN_C2
 
-    # Slot 0 holds the chain-1 interval or the union, slot 1 the chain-2
-    # interval; flattening the slots row by row gives the output order.
-    slots = np.empty((m, 2), dtype=bool)
-    slots[:, 0] = np.where(same_step, closure_is_c2 | ~closure_is_c1, next_in_c2)
-    slots[:, 1] = np.where(same_step, closure_is_c1 & ~closure_is_c2, next_in_c1)
-    flat = np.flatnonzero(slots)
+    # Each point has two slots, the chain-1 interval or the union first and
+    # the chain-2 interval second; a slot holds 1 + its kind code, or 0.
+    # Flattening the slots point by point gives the output order.
+    slots = _SLOTS.take(flags).view(np.int8)
+    flat = np.flatnonzero(slots != 0)  # a bool array takes numpy's fast scan
     row = flat >> 1
-    same = same_step[row]
-    kind = np.where(
-        flat & 1,
-        np.where(same, C2_TYPE2, C2_TYPE1),
-        np.where(same, np.where(closure_is_c2[row], C1_TYPE2, UNION_TYPE3), C1_TYPE1),
-    ).astype(np.int8)
     points = row + 1
-    return Complements(points, kind, points, inv[row]), ops
+    return Complements(points, slots[flat] - 1, points, inv[row]), ops
 
 
 def decompose_and_run(m: int, chains) -> Complements:

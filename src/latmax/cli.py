@@ -19,15 +19,15 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .cdim2 import (
+    _enumerate,
     complements_to_json,
     complements_to_text,
     decompose_and_run,
-    fast_complements,
     materialize,
     verify_complements,
 )
 from .checks import CLAIMS as CHECKS  # claim id -> (checker, corpus builder)
-from .geometry import BadPermutation, build_cg, parse_cg_text
+from .geometry import BadPermutation, _permutation, build_cg, parse_cg_text
 from .lattice import Lattice, _clip, _rows, from_cover_text
 from .sublattice import (
     OracleBoundExceeded,
@@ -195,10 +195,15 @@ def cmd_bench(args) -> int:
     rng = _random.Random(args.seed)
     rows = []
     for m in sizes:
-        perm = corpus_mod.random_permutation(m, rng)
+        phi = corpus_mod.random_permutation(m, rng)
+        # fast_complements, timed per stage: validate, then both passes.
         t0 = time.perf_counter()
-        comps, ops = fast_complements(m, perm)
-        dt = time.perf_counter() - t0
+        perm, inv = _permutation(m, phi)
+        t1 = time.perf_counter()
+        comps, ops = _enumerate(perm, inv)
+        t2 = time.perf_counter()
+        validate_s, enumerate_s = t1 - t0, t2 - t1
+        dt = validate_s + enumerate_s
         ratio = ops.comparisons / m
         rows.append((m, len(comps), ops.comparisons, ops.set_ops, ratio, dt))
         if args.json:
@@ -207,6 +212,8 @@ def cmd_bench(args) -> int:
                 "complements": len(comps),
                 "comparisons": ops.comparisons,
                 "set_ops": ops.set_ops,
+                "validate_s": validate_s,
+                "enumerate_s": enumerate_s,
                 "wall_s": dt,
                 "python": platform.python_version(),
                 "numpy": np.__version__,

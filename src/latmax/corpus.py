@@ -7,7 +7,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .geometry import ConvexGeometry, build_cg
-from .lattice import Interval, Lattice, double_interval, from_cover_relations
+from .lattice import Interval, Lattice, bits, double_interval, from_cover_relations
 from .sublattice import DEFAULT_ORACLE_BOUND
 
 __all__ = [
@@ -146,8 +146,8 @@ def doubled_sequences(depth: int, seed: int, count: int = 200, max_interval: int
             pairs = [
                 (lo, hi)
                 for lo in range(L.n)
-                for hi in range(L.n)
-                if L.leq[lo, hi] and L.interval_mask(lo, hi).bit_count() <= max_interval
+                for hi in bits(L.up_masks[lo])
+                if L.interval_mask(lo, hi).bit_count() <= max_interval
             ]
             lo, hi = pairs[rng.randrange(len(pairs))]
             L = double_interval(L, Interval(lo, hi))

@@ -10,6 +10,7 @@ inclusion order as ``leq``).  Ground points are 1-based throughout.
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,11 +85,22 @@ def _permutation(m: int, phi):
 
     The one check of a chain's points.  A fault names the first offending
     point or the count given, never the whole chain.
+
+    A tuple or list is read through an int64 buffer, which takes what
+    ``operator.index`` takes.  The buffer refuses floats, strings, nested
+    lists, numpy bools and ints past int64, and it reads a bool as an int;
+    on any of these, or any fault, the chain is read again through numpy,
+    which names the fault.
     """
     if m < 1:
         raise BadPermutation("ground set must be nonempty")
     if isinstance(phi, ChainSpec):
         phi = phi.perm
+    if type(phi) in (tuple, list) and len(phi) == m:
+        try:
+            return _inverted(m, np.frombuffer(array("q", phi), dtype=np.int64), phi)
+        except (TypeError, OverflowError, BadPermutation):
+            pass  # read it again below, where each fault gets its message
     try:
         perm = np.asarray(phi)
     except ValueError:  # a ragged chain such as [1, [2]]: name its first non-point
@@ -103,18 +115,25 @@ def _permutation(m: int, phi):
         raise BadPermutation(f"{fault}: a point lies past the int64 range")
     if perm.dtype.kind not in "iu":
         raise BadPermutation(f"points must be integers, got {perm.dtype}")
-    perm = perm.astype(np.int64, copy=False)
+    return _inverted(m, perm.astype(np.int64, copy=False), phi)
+
+
+def _inverted(m: int, perm, phi):
+    """(perm, perm^-1) for an int64 array perm of m points read from phi."""
+    fault = f"not a permutation of 1..{m}"
     if perm.min() < 1 or perm.max() > m:
         k = ((perm < 1) | (perm > m)).argmax()
         raise BadPermutation(f"{fault}: point {perm[k]} is out of range")
-    inv = np.zeros(m, dtype=np.int64)
-    inv[perm - 1] = np.arange(1, m + 1)
+    # Entry 0 of the padded inverse is never written.
+    inv = np.zeros(m + 1, dtype=np.int64)
+    inv[perm] = np.arange(1, m + 1)
+    inv = inv[1:]
     if not inv.all():
         # Of the copies of a repeated point, at most one keeps its position.
         k = (inv[perm - 1] != np.arange(1, m + 1)).argmax()
         raise BadPermutation(f"{fault}: point {perm[k]} repeats")
-    # numpy reads True as 1 (and False as the out-of-range 0), so a bool can
-    # only hide at the single position holding 1.
+    # Both reads take True as 1 (and False as the out-of-range 0), so a bool
+    # can only hide at the single position holding 1.
     if not isinstance(phi, np.ndarray) and isinstance(phi[inv[0] - 1], (bool, np.bool_)):
         raise BadPermutation("points must be integers, got a bool")
     return perm, inv

@@ -167,7 +167,11 @@ def is_sublattice(L: Lattice, M) -> bool:
 
 def is_maximal_sublattice(L: Lattice, M) -> bool:
     """Proper sublattice such that adding any outside element generates all of L."""
-    mask = _mask_in(L, M)
+    return _is_maximal_mask(L, _mask_in(L, M))
+
+
+def _is_maximal_mask(L: Lattice, mask: int) -> bool:
+    """is_maximal_sublattice on the mask of M."""
     full = L.full_mask()
     if not mask or mask == full:
         return False
@@ -330,7 +334,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
             minimal.append(cand)
     full = L.full_mask()
     for c in minimal:
-        if not is_maximal_sublattice(L, bits(full & ~c)):
+        if not _is_maximal_mask(L, full & ~c):
             raise InvariantViolation(f"oracle complement {list(bits(c))} leaves no maximal sublattice")
     result = sorted((frozenset(bits(c)) for c in minimal), key=sorted)
     L._oracle_complements = tuple(result)

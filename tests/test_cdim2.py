@@ -6,6 +6,7 @@ import pickle
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,26 +91,64 @@ def test_bad_permutation():
         fast_complements(3, (1, 2, 2))
 
 
+_REPEATS = "not a permutation of 1..3: point 2 repeats"
+_TOO_BIG = "not a permutation of 1..2: point 3 is out of range"
+_ZERO = "not a permutation of 1..2: point 0 is out of range"
+_SHORT = "not a permutation of 1..3: 2 points given"
+_LONG = "not a permutation of 1..2: 3 points given"
+_EMPTY = "ground set must be nonempty"
+_FLOATS = "points must be integers, got float64"
+_A_BOOL = "points must be integers, got a bool"
+_ALL_BOOL = "points must be integers, got bool"
+_STRINGS = "points must be integers, got <U1"
+_HUGE = "not a permutation of 1..2: a point lies past the int64 range"
+_SHAPE = "not a permutation of 1..2: an array of shape (1, 2) given"
+
+
+_MALFORMED = [
+    (3, (1, 2, 2), _REPEATS),  # repeated point
+    (2, (1, 3), _TOO_BIG),  # out of range
+    (2, (0, 1), _ZERO),
+    (3, (1, 2), _SHORT),  # too short
+    (2, (1, 2, 3), _LONG),  # too long
+    (0, (), _EMPTY),  # empty ground set
+    (2, (1.7, 2.2), _FLOATS),  # floats
+    (2, (1.0, 2.0), _FLOATS),
+    (2, (True, 2), _A_BOOL),  # a bool reads as 1
+    (1, (True,), _ALL_BOOL),
+    (2, ("1", "2"), _STRINGS),
+    (2, [[1, 2]], _SHAPE),
+    (2, (2**70, 1), _HUGE),  # past int64
+    (2, [1, [2]], "points must be integers, got [2]"),  # ragged
+    (2, (True, False), _ALL_BOOL),  # all bools: numpy reads a bool array
+    (2, (2, np.True_), _A_BOOL),
+    # The same faults as lists.
+    (3, [1, 2, 2], _REPEATS),
+    (2, [1, 3], _TOO_BIG),
+    (2, [0, 1], _ZERO),
+    (3, [1, 2], _SHORT),
+    (2, [1, 2, 3], _LONG),
+    (0, [], _EMPTY),
+    (2, [1.7, 2.2], _FLOATS),
+    (2, [1.0, 2.0], _FLOATS),
+    (2, [True, 2], _A_BOOL),
+    (1, [True], _ALL_BOOL),
+    (2, [True, False], _ALL_BOOL),
+    (2, ["1", "2"], _STRINGS),
+    (2, [2**70, 1], _HUGE),
+    # Arrays, and numpy scalars in a tuple.
+    (2, np.array([1.0, 2.0]), _FLOATS),
+    (2, np.array([True, False]), _ALL_BOOL),
+    (2, np.array([[1, 2]]), _SHAPE),
+    (3, (np.int32(1), np.int32(2), np.int32(2)), _REPEATS),
+]
+
+
+# Case ids read m-phi<index>, as pytest names an (m, phi) pair.
 @pytest.mark.parametrize(
-    "m, phi",
-    [
-        (3, (1, 2, 2)),  # repeated point
-        (2, (1, 3)),  # out of range
-        (2, (0, 1)),
-        (3, (1, 2)),  # too short
-        (2, (1, 2, 3)),  # too long
-        (0, ()),  # empty ground set
-        (2, (1.7, 2.2)),  # floats
-        (2, (1.0, 2.0)),
-        (2, (True, 2)),  # a bool reads as 1
-        (1, (True,)),
-        (2, ("1", "2")),
-        (2, [[1, 2]]),
-        (2, (2**70, 1)),  # past int64
-        (2, [1, [2]]),  # ragged
-    ],
+    "m, phi, message", _MALFORMED, ids=[f"{m}-phi{k}" for k, (m, _, _) in enumerate(_MALFORMED)]
 )
-def test_malformed_permutation_rejected(m, phi):
+def test_malformed_permutation_rejected(m, phi, message):
     identity = tuple(range(1, m + 1))
     calls = [lambda: fast_complements(m, phi), lambda: decompose_and_run(m, (identity, phi))]
     try:
@@ -119,12 +158,32 @@ def test_malformed_permutation_rejected(m, phi):
     else:
         # One validator: every entry point gives the same message.
         calls += [lambda: chain.validate(m), lambda: build_cg(m, [identity, phi])]
-    messages = set()
     for call in calls:
         with pytest.raises(BadPermutation) as info:
             call()
-        messages.add(str(info.value))
-    assert len(messages) == 1, messages
+        assert str(info.value) == message
+
+
+class _Index:
+    """A point that is no int but converts to one, as operator.index asks."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_index_points_read_alike_by_every_entry_point():
+    # ChainSpec takes what operator.index takes; so do the tuple and list
+    # reads of the fast path, even where numpy would promote the mix to
+    # float64 or object.
+    phi = (np.uint64(2), np.int64(3), _Index(1))
+    plain = (2, 3, 1)
+    ChainSpec(phi).validate(3)
+    for chain in (phi, list(phi)):
+        assert fast_complements(3, chain)[0] == fast_complements(3, plain)[0]
+        assert decompose_and_run(3, (chain, (1, 2, 3))) == decompose_and_run(3, (plain, (1, 2, 3)))
 
 
 @pytest.mark.parametrize("chain", [(1.5, 2), (True, 2), ("1", "2")])
@@ -423,6 +482,28 @@ def test_vectorized_equals_scalar_random():
         comps, ops = fast_complements(m, perm)
         assert comps == scalar_fast_complements(m, perm), m
         assert ops.set_ops == 3 * m and ops.comparisons <= 12 * m
+
+
+@pytest.mark.slow
+def test_vectorized_equals_scalar_at_a_million():
+    m = 10**6
+    perm = random_permutation(m, random.Random(78))
+    comps, ops = fast_complements(m, perm)
+    assert comps == scalar_fast_complements(m, perm)
+    assert ops.set_ops == 3 * m and ops.comparisons == 2 * (m - 1) + 5 * m
+
+
+def test_output_columns_keep_their_dtypes():
+    rng = random.Random(79)
+    for m in (1, 2, 10, 1000):
+        perm = random_permutation(m, rng)
+        fast, _ = fast_complements(m, perm)
+        assert fast.j is fast.c1_len
+        relabeled = decompose_and_run(m, (random_permutation(m, rng), perm))
+        for comps in (fast, relabeled):
+            assert [column.dtype for column in comps._columns()] == [
+                np.int64, np.int8, np.int64, np.int64
+            ]
 
 
 def test_relabel_equals_block_splitting_exhaustive():

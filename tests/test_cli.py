@@ -484,10 +484,12 @@ def test_bench_json_records(capsys):
     assert [r["m"] for r in records] == [10, 100]
     for r in records:
         assert set(r) == {
-            "m", "complements", "comparisons", "set_ops", "wall_s", "python", "numpy", "cpu_count",
+            "m", "complements", "comparisons", "set_ops", "validate_s", "enumerate_s", "wall_s",
+            "python", "numpy", "cpu_count",
         }
         assert r["set_ops"] == 3 * r["m"] and r["comparisons"] <= 12 * r["m"]
-        assert r["wall_s"] >= 0
+        assert r["validate_s"] >= 0 and r["enumerate_s"] >= 0
+        assert r["wall_s"] == r["validate_s"] + r["enumerate_s"]
     assert "linearity ok" in err
 
 

@@ -335,6 +335,6 @@ def test_oracle_equals_the_full_rescan_reference(cdim2_through_m6):
 
 
 def test_oracle_self_check_failure_raises(monkeypatch):
-    monkeypatch.setattr(sublattice, "is_maximal_sublattice", lambda L, M: False)
+    monkeypatch.setattr(sublattice, "_is_maximal_mask", lambda L, mask: False)
     with pytest.raises(InvariantViolation, match="leaves no maximal sublattice"):
         maximal_complements_oracle(boolean(2))
