@@ -284,14 +284,11 @@ def materialize(G: ConvexGeometry, comp: Complement) -> frozenset:
     the meet, that is the intersection, of the chain prefixes C1(j), C2(j)."""
     if len(G.chains) != 2:
         raise ValueError("materialization needs a two-chain geometry")
+    L = G.lattice
     c1, c2 = G.chain_elements[0][comp.c1_len], G.chain_elements[1][comp.c2_len]
+    lo = int(L.meet[c1, c2])
     tops = {SHAPE_CHAIN1: (c1,), SHAPE_CHAIN2: (c2,), SHAPE_UNION: (c1, c2)}[comp.shape]
-    return frozenset(bits(_union_mask(G.lattice, int(G.lattice.meet[c1, c2]), tops)))
-
-
-def _union_mask(L, lo: int, his) -> int:
-    """Mask of the union of the intervals [lo, hi] over hi in his."""
-    return reduce(operator.or_, (L.interval_mask(lo, hi) for hi in his), 0)
+    return frozenset(bits(reduce(operator.or_, (L.interval_mask(lo, hi) for hi in tops))))
 
 
 # -- classification ------------------------------------------------------------
@@ -300,12 +297,14 @@ def _union_mask(L, lo: int, his) -> int:
 def classify_complement(G: ConvexGeometry, C) -> str:
     """The unique classification case matched by a complement C (element ids).
 
-    Case 1: a single interval [(j), C_i(j)] whose chain-i successor point
-    already sits inside C_i'(j), with (j) off chain i'.  Case 2: a single
-    interval with (j) on chain i' and both chains stepping at the same next
-    point.  Case 3: the union of both intervals with (j) on neither chain,
-    again stepping at the same point.  Raises NoCaseMatches when no case
-    (or more than one) fits: that would refute the classification theorem.
+    Everything is read at the point j of C's minimum (j): the intervals
+    [(j), C_i(j)], the point x_i chain i adds after C_i(j), whether x_i lies
+    in the other prefix C_i'(j), and whether (j) lies on chain i.  Case 1:
+    [(j), C_i(j)] with x_i inside C_i'(j) and (j) off chain i'.  Case 2:
+    [(j), C_i(j)] with (j) on chain i' and x_1 = x_2.  Case 3: the union of
+    both intervals with (j) on neither chain and x_1 = x_2.  Raises
+    NoCaseMatches when no case (or more than one) fits: that would refute
+    the classification theorem.
     """
     if len(G.chains) != 2:
         raise ValueError("classification needs a two-chain geometry")
@@ -315,7 +314,6 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     cmask = mask_of(cset)
     L = G.lattice
     minima = minimal_elements(L, cset)
-    maxima = minimal_elements(L.dual, cset)
     if len(minima) != 1:
         raise NoCaseMatches(f"complement has {len(minima)} minimal elements")
     lo = minima[0]
@@ -324,42 +322,19 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     if j is None or G.point_closure(j) != lo:
         raise NoCaseMatches("minimum is not a point closure")
 
-    tags = set()
-    if len(maxima) == 2:
-        expected = {G.chain_prefix_of_point(0, j), G.chain_prefix_of_point(1, j)}
-        if set(maxima) == expected and _union_mask(L, lo, maxima) == cmask:
-            x1 = _next_point(G, 0, j)
-            x2 = _next_point(G, 1, j)
-            on1, on2 = G.chain_member[lo][0], G.chain_member[lo][1]
-            if x1 is not None and x1 == x2 and not on1 and not on2:
-                tags.add(TYPE3)
-    elif len(maxima) == 1:
-        hi = maxima[0]
-        for i in (0, 1):
-            if G.chain_prefix_of_point(i, j) != hi:
-                continue
-            if L.interval_mask(lo, hi) != cmask:
-                continue
-            other = 1 - i
-            xi = _next_point(G, i, j)
-            if xi is None:
-                continue
-            on_other = G.chain_member[lo][other]
-            # chain-i successor already inside C_other(j)?
-            inside = G.chains[other].pos[xi] <= G.chains[other].pos[j] if xi != j else False
-            if inside and not on_other:
-                tags.add(TYPE1)
-            if on_other and xi == _next_point(G, other, j):
-                tags.add(TYPE2)
+    interval = [L.interval_mask(lo, G.chain_prefix_of_point(i, j)) for i in (0, 1)]
+    (x1, x2), inside = zip(G.successor(0, j), G.successor(1, j))
+    on = G.chain_member[lo]
+    same_step = x1 is not None and x1 == x2
+    # (case, set, premise).  The union needs no count of maxima: were one
+    # prefix inside the other, (j) would equal it and lie on a chain.
+    rows = [(TYPE3, interval[0] | interval[1], same_step and not any(on))]
+    for i in (0, 1):
+        rows += [(TYPE1, interval[i], inside[i] and not on[1 - i]), (TYPE2, interval[i], same_step and on[1 - i])]
+    tags = {case for case, mask, premise in rows if premise and mask == cmask}
     if len(tags) != 1:
         raise NoCaseMatches(f"matched cases {sorted(tags)} for C={sorted(cset)}")
     return tags.pop()
-
-
-def _next_point(G: ConvexGeometry, i: int, j: int):
-    """The point added right after C_i(j) on chain i, if any."""
-    k = G.chains[i].pos[j]
-    return G.chains[i].perm[k] if k < G.m else None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 
-from .cdim2 import _next_point
 from .corpus import cdim2_corpus, sd_corpus
 from .geometry import ConvexGeometry, build_cg
 from .lattice import (
@@ -66,6 +65,8 @@ __all__ = [
 ]
 
 EXHAUSTIVE_SUBLATTICE_LIMIT = 10
+# Random generated sublattices drawn per lattice past that limit.
+SUBLATTICE_SAMPLES = 60
 
 
 def _lattices(corpus):
@@ -406,7 +407,8 @@ def _lemma64_instances(corpus):
             continue
         L = G.lattice
         for j in range(1, G.m + 1):
-            x1, x2 = _next_point(G, 0, j), _next_point(G, 1, j)
+            # the successors x_i of C_i(j), and whether each lies in the other prefix
+            (x1, x2), inside = zip(G.successor(0, j), G.successor(1, j))
             if x1 is None or x2 is None:
                 continue
             lo = G.point_closure(j)
@@ -420,8 +422,6 @@ def _lemma64_instances(corpus):
                     i = 0 if x_on[0] else 1
                     yield G, "6.4(1b)", intervals[1 - i], {**w, "x_chain": i + 1}
                 continue
-            # inside[i]: the successor on chain i already lies in the other prefix
-            inside = [G.chains[1 - i].pos[xi] <= G.chains[1 - i].pos[j] for i, xi in enumerate((x1, x2))]
             for i in (0, 1):
                 tag = "6.4(2)" if inside[i] else "6.4(3')" if inside[1 - i] else "6.4(3)"
                 yield G, tag, intervals[i], {**w, "chain": i + 1}
@@ -443,21 +443,22 @@ def check_lemma_64_65(corpus, label="corpus") -> CheckReport:
 # -- sublattice-quantified lemmas ----------------------------------------------------
 
 
-def sublattice_complements(L: Lattice, seed: int = 0, samples: int = 60):
+def sublattice_complements(L: Lattice):
     """Nonempty complements of proper sublattices of L, deduplicated.
 
     Exhaustive for small lattices, from one truth table over all 2^n subsets
     (:func:`~latmax.sublattice.sublattice_masks`), in ascending order of the
     sublattice's mask; for larger ones, the complements of the maximal
-    sublattices plus seeded random generated sublattices.
+    sublattices plus SUBLATTICE_SAMPLES random generated sublattices, drawn
+    with seed 0.
     """
     full = L.full_mask()
     if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
         return [frozenset(bits(full & ~mask)) for mask in sublattice_masks(L)]
     everything = frozenset(range(L.n))
     seen = set(maximal_complements_oracle(L))
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(0)
+    for _ in range(SUBLATTICE_SAMPLES):
         size = rng.randint(1, max(1, L.n // 2))
         gens = rng.sample(range(L.n), size)
         sub = generate_sublattice(L, gens)
@@ -466,7 +467,7 @@ def sublattice_complements(L: Lattice, seed: int = 0, samples: int = 60):
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
-def check_lemma_42(corpus, label="corpus", seed: int = 0) -> CheckReport:
+def check_lemma_42(corpus, label="corpus") -> CheckReport:
     """SD-join: every element of every sublattice complement has a strict
     canonical joinand; dually with meetands on SD-meet lattices.
 
@@ -478,7 +479,7 @@ def check_lemma_42(corpus, label="corpus", seed: int = 0) -> CheckReport:
     def instances():
         for L in _lattices(corpus):
             sides = _sides(L, "lemma4.2")
-            for C in sublattice_complements(L, seed=seed) if sides else ():
+            for C in sublattice_complements(L) if sides else ():
                 for x in C:
                     for K, tag in sides:
                         if x != K.bottom:
@@ -487,7 +488,7 @@ def check_lemma_42(corpus, label="corpus", seed: int = 0) -> CheckReport:
     return _sweep("lemma42-scj", label, instances())
 
 
-def _lemma54_instances(corpus, seed: int):
+def _lemma54_instances(corpus):
     """The instances (L, "lemma5.4", C, w) of :func:`check_lemma_54`.
 
     A t exists only when u2 lies above some t in C ∩ (x, u1], so u2 is
@@ -498,7 +499,7 @@ def _lemma54_instances(corpus, seed: int):
         if not is_sd(L):
             continue
         up, down = L.up_masks, L.down_masks
-        for C in sublattice_complements(L, seed=seed):
+        for C in sublattice_complements(L):
             cmask = mask_of(C)
             for x in C:
                 try:
@@ -524,12 +525,12 @@ def _lemma54_instances(corpus, seed: int):
                             yield L, "lemma5.4", C, {"x": x, "u1": u1, "u2": u2, "t": t}
 
 
-def check_lemma_54(corpus, label="corpus", seed: int = 0) -> CheckReport:
+def check_lemma_54(corpus, label="corpus") -> CheckReport:
     """SD lattices: in a sublattice complement C, if u1 is a strict canonical
     meetand of x, t in C is comparable to all of C ∩ [x, u2], x < t <= u1, u2
     and u2 ≰ u1, then [x, u2] meets the sublattice.  A witness names the
     least such t."""
-    return _sweep("lemma54-bridge", label, _lemma54_instances(corpus, seed))
+    return _sweep("lemma54-bridge", label, _lemma54_instances(corpus))
 
 
 # -- baseline sweeps -------------------------------------------------------------

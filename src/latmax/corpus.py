@@ -25,6 +25,9 @@ __all__ = [
     "sd_corpus",
 ]
 
+# The largest interval, in elements, that doubled_sequences doubles.
+MAX_DOUBLED_INTERVAL = 4
+
 
 def chain(length: int) -> Lattice:
     """Chain with `length` cover edges (length+1 elements)."""
@@ -133,9 +136,10 @@ def _doubling_bases():
     ]
 
 
-def doubled_sequences(depth: int, seed: int, count: int = 200, max_interval: int = 4):
+def doubled_sequences(depth: int, seed: int, count: int = 200):
     """Deterministic bounded lattices: random interval doublings of small
-    distributive bases (1..depth doublings each, intervals capped in size)."""
+    distributive bases (1..depth doublings each, of intervals with at most
+    MAX_DOUBLED_INTERVAL elements)."""
     rng = random.Random(seed)
     bases = _doubling_bases()
     out = []
@@ -147,7 +151,7 @@ def doubled_sequences(depth: int, seed: int, count: int = 200, max_interval: int
                 (lo, hi)
                 for lo in range(L.n)
                 for hi in bits(L.up_masks[lo])
-                if L.interval_mask(lo, hi).bit_count() <= max_interval
+                if L.interval_mask(lo, hi).bit_count() <= MAX_DOUBLED_INTERVAL
             ]
             lo, hi = pairs[rng.randrange(len(pairs))]
             L = double_interval(L, Interval(lo, hi))

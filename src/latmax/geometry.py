@@ -201,6 +201,17 @@ class ConvexGeometry:
             return self.chain_elements[i][0]
         return self.chain_elements[i][max(self.chains[i].pos[x] for x in pts)]
 
+    def successor(self, i: int, j: int):
+        """(x, inside) on chain i of a two-chain geometry: x is the point added
+        right after C_i(j), None when C_i(j) is X, and inside says whether x
+        lies in the other chain's prefix C_i'(j)."""
+        k = self.chains[i].pos[j]
+        if k == self.m:
+            return None, False
+        x = self.chains[i].perm[k]
+        other = self.chains[1 - i].pos
+        return x, other[x] <= other[j]
+
     def point_closure(self, x: int) -> int:
         """(x): the smallest family member containing x; join-irreducible.
 

@@ -282,6 +282,14 @@ def mask_of(ids) -> int:
     return m
 
 
+def _mask_in(L: Lattice, ids) -> int:
+    """mask_of(ids); a ValueError names an id outside 0..n-1."""
+    mask = mask_of(ids)
+    if mask >> L.n:
+        raise ValueError(f"element id {mask.bit_length() - 1} is not in 0..{L.n - 1}")
+    return mask
+
+
 def minimal_elements(L: Lattice, S) -> list:
     """The minimal elements of the set S, in S's iteration order.
 
@@ -434,14 +442,15 @@ def is_lower_semimodular(L: Lattice) -> bool:
 
 
 def is_convex_subset(L: Lattice, S) -> bool:
-    """Whether [a, c] ⊆ S for every comparable pair a <= c inside S."""
-    elems = sorted(S)
-    smask = mask_of(elems)
-    for a in elems:
-        for c in elems:
-            if L.leq[a, c] and L.interval_mask(a, c) & ~smask:
-                return False
-    return True
+    """Whether [a, c] ⊆ S for every comparable pair a <= c inside S, that is
+    whether every element above one element of S and below another lies in
+    S.  A ValueError names an id outside 0..n-1."""
+    smask = _mask_in(L, S)
+    above = below = 0
+    for a in bits(smask):
+        above |= L.up_masks[a]
+        below |= L.down_masks[a]
+    return not above & below & ~smask
 
 
 # -- canonical representations ------------------------------------------------

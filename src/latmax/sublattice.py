@@ -21,6 +21,7 @@ from operator import and_
 from .lattice import (
     InvariantViolation,
     Lattice,
+    _mask_in,
     bits,
     canonical_join_rep,
     indecomposable_components,
@@ -142,14 +143,6 @@ def _grow(L: Lattice, held: int, meets: list, joins: list, new: int, stop: int =
                     held |= 1 << z
                     work.append(z)
     return held
-
-
-def _mask_in(L: Lattice, ids) -> int:
-    """mask_of(ids); a ValueError names an id outside 0..n-1."""
-    mask = mask_of(ids)
-    if mask >> L.n:
-        raise ValueError(f"element id {mask.bit_length() - 1} is not in 0..{L.n - 1}")
-    return mask
 
 
 def generate_sublattice(L: Lattice, S) -> frozenset:
@@ -404,9 +397,10 @@ def observation_suite(L: Lattice, M) -> CheckReport:
     membership under two atoms/coatoms; no split into incomparable halves;
     the m0-dichotomy (and its dual); saturation at maximal elements of
     M minus top (and dually); and the greatest/least-element subcover facts.
-    Reports the first violated observation.
+    Reports the first violated observation.  A ValueError names an id of M
+    outside 0..n-1.
     """
-    melems = frozenset(M)
+    melems = frozenset(bits(_mask_in(L, M)))
     call = frozenset(range(L.n))
     cset = call - melems
     checked = 0

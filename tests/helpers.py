@@ -364,7 +364,20 @@ def subset_loop_sublattice_complements(L):
     return [frozenset(bits(full & ~mask)) for mask in range(1, full) if is_sublattice(L, bits(mask))]
 
 
-def unpruned_lemma54_instances(corpus, seed):
+def pair_loop_is_convex_subset(L, S):
+    """Whether [a, c] ⊆ S for every comparable pair a <= c inside S, pair by pair."""
+    from latmax.lattice import mask_of
+
+    elems = sorted(S)
+    smask = mask_of(elems)
+    for a in elems:
+        for c in elems:
+            if L.leq[a, c] and L.interval_mask(a, c) & ~smask:
+                return False
+    return True
+
+
+def unpruned_lemma54_instances(corpus):
     """The lemma 5.4 instances (L, tag, C, w), trying every u2 in C."""
     from latmax.checks import _lattices, sublattice_complements
     from latmax.lattice import bits, is_sd, mask_of
@@ -374,7 +387,7 @@ def unpruned_lemma54_instances(corpus, seed):
         if not is_sd(L):
             continue
         up, down = L.up_masks, L.down_masks
-        for C in sublattice_complements(L, seed=seed):
+        for C in sublattice_complements(L):
             cmask = mask_of(C)
             for x in C:
                 try:

@@ -28,8 +28,9 @@ from latmax.cdim2 import (
     verify_complements,
 )
 from latmax.checks import check_lemma_64_65
-from latmax.corpus import random_permutation
+from latmax.corpus import all_cdim2_geometries, random_permutation
 from latmax.geometry import BadPermutation, ChainSpec, build_cg
+from latmax.lattice import bits
 from latmax.sublattice import is_maximal_sublattice, maximal_complements_oracle
 
 PAPER_PERM = (3, 6, 7, 10, 1, 8, 9, 5, 2, 4)
@@ -228,6 +229,17 @@ def test_verify_complements_sees_missing_repeated_and_mistagged():
     assert mistagged.sets_agree and mistagged.misclassified == (2,) and not mistagged.ok
 
 
+def test_verify_complements_counts_a_set_that_fits_no_case():
+    G = build_cg(10, [IDENT10, PAPER_PERM])
+    comps, _ = fast_complements(10, PAPER_PERM)
+    # [C1(0) ∧ C2(0), C1(10)] is the whole lattice, whose minimum is no point closure.
+    whole = Complement(1, SHAPE_CHAIN1, "Type1", 10, 0)
+    with pytest.raises(NoCaseMatches, match="minimum is not a point closure"):
+        classify_complement(G, materialize(G, whole))
+    v = verify_complements(G, [*comps, whole])
+    assert v.misclassified == (1,) and not v.ok
+
+
 def test_oracle_equivalence_m9_random():
     rng = random.Random(1234)
     for _ in range(60):
@@ -304,6 +316,28 @@ def test_classify_rejects_non_complement():
     G = build_cg(3, [(1, 2, 3), (3, 2, 1)])
     with pytest.raises((NoCaseMatches, ValueError)):
         classify_complement(G, frozenset({G.lattice.bottom, G.lattice.top}))
+
+
+def test_classify_tags_exactly_the_oracle_complements():
+    # Every nonempty subset of the 33 two-chain geometries with m <= 4: an
+    # oracle complement gets the tag the fast path lists, any other set
+    # raises NoCaseMatches.
+    subsets = tagged = 0
+    for m in range(1, 5):
+        for G in all_cdim2_geometries(m, verify=False):
+            comps, _ = fast_complements(m, G.chains[1].perm)
+            expected = {materialize(G, c): c.case for c in comps}
+            assert set(expected) == set(maximal_complements_oracle(G.lattice))
+            for mask in range(1, 1 << G.lattice.n):
+                C = frozenset(bits(mask))
+                try:
+                    tag = classify_complement(G, C)
+                except NoCaseMatches:
+                    tag = None
+                assert tag == expected.get(C), (G.chains[1].perm, sorted(C))
+                subsets += 1
+                tagged += tag is not None
+    assert (subsets, tagged) == (10_411, 109)
 
 
 def test_paper_example_classes():

@@ -160,9 +160,9 @@ def test_lemma54_instances_equal_the_unpruned_loop(seed):
     # the CLI's SD corpus for `check lemma54 --seed <seed>`
     doubles = doubled_sequences(depth=3, seed=seed, count=120)
     corpus = [n5()] + [L for L in doubles if L.n <= DEFAULT_ORACLE_BOUND]
-    got = list(_lemma54_instances(corpus, seed=0))
+    got = list(_lemma54_instances(corpus))
     assert len(got) > 1000
-    assert got == list(unpruned_lemma54_instances(corpus, seed=0))
+    assert got == list(unpruned_lemma54_instances(corpus))
 
 
 def test_star_import_brings_the_baselines():

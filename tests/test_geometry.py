@@ -7,9 +7,10 @@ from itertools import permutations
 import pytest
 
 from helpers import intersection_closure
+from latmax import geometry
 from latmax.corpus import random_cdim_k, random_permutation
 from latmax.geometry import BadPermutation, TopOnly, build_cg, format_cg_text, parse_cg_text
-from latmax.lattice import indecomposable_components
+from latmax.lattice import InvariantViolation, indecomposable_components
 
 
 PAPER_PERM = (3, 6, 7, 10, 1, 8, 9, 5, 2, 4)
@@ -211,3 +212,50 @@ def test_random_cdim_k_builds_verified():
     G = random_cdim_k(6, 3, seed=9)
     assert G.m == 6 and len(G.chains) == 3
     assert G.cdim() <= 3
+
+
+def _doubled_points(mask):
+    """mask with each point bit p spread to bits 2p and 2p + 1."""
+    return sum(3 << 2 * p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+def _plant(G, fault, monkeypatch):
+    """Break one fact that ConvexGeometry._verify checks, on the geometry of
+    the chains 1 2 and 2 1, whose elements are {}, {1}, {2} and {1, 2}."""
+    masks, chains = G._point_masks, G.chain_elements
+    if fault == "meet":
+        G._point_masks = [0b11, *masks[1:]]
+    elif fault == "join":
+        join = G.lattice.join.copy()
+        join[1, 2] = join[2, 1] = 1
+        monkeypatch.setattr(G.lattice, "join", join)
+    elif fault == "sd-join":
+        monkeypatch.setattr(geometry, "is_sd_join", lambda L: False)
+    elif fault == "semimodular":
+        monkeypatch.setattr(geometry, "is_lower_semimodular", lambda L: False)
+    elif fault == "cover":
+        G._point_masks = [_doubled_points(m) for m in masks]
+    elif fault == "irreducible":
+        G.chain_elements = (chains[0], chains[0])
+    elif fault == "prefixes":
+        G.chain_elements = (chains[1], chains[0])
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("meet", "meet of 0 and 1 is not their intersection"),
+        ("join", "join of 1 and 2 does not contain their union"),
+        ("sd-join", "must satisfy SD-join"),
+        ("semimodular", "must be lower semimodular"),
+        ("cover", "cover 0 < 1 does not add exactly one point"),
+        ("irreducible", "a meet-irreducible lies on no generating chain"),
+        ("prefixes", "element 1 is not the meet of its chain prefixes"),
+    ],
+)
+def test_verify_reports_each_planted_fault(fault, message, monkeypatch):
+    G = build_cg(2, [(1, 2), (2, 1)])
+    assert [sorted(s) for s in G.family] == [[], [1], [2], [1, 2]]
+    _plant(G, fault, monkeypatch)
+    with pytest.raises(InvariantViolation, match=message):
+        G._verify()

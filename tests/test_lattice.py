@@ -14,6 +14,7 @@ from helpers import (
     naive_glb,
     naive_is_sd_join,
     naive_lub,
+    pair_loop_is_convex_subset,
     random_cover_lattice,
     random_moore_lattice,
 )
@@ -65,6 +66,14 @@ def test_not_a_lattice_reports_pair():
     with pytest.raises(NotALattice) as err:
         from_cover_relations(3, [(0, 1), (0, 2)])
     assert err.value.pair is not None
+
+
+def test_bowtie_has_no_unique_glb():
+    # 0 and 1 have the two incomparable lower bounds 2 and 3.
+    covers = [(4, 2), (4, 3), (2, 0), (2, 1), (3, 0), (3, 1), (0, 5), (1, 5)]
+    with pytest.raises(NotALattice, match=r"^no unique glb for \(0, 1\)$") as err:
+        from_cover_relations(6, covers)
+    assert err.value.pair == (0, 1)
 
 
 def test_cyclic_input_rejected():
@@ -290,6 +299,19 @@ def _chain_missing(n, a, b):
 def test_order_axioms_are_checked(leq, message):
     with pytest.raises(ValueError, match=f"order relation is {message}"):
         Lattice(leq)
+
+
+def test_convexity_equals_the_pair_loop_on_every_subset(small_corpus):
+    for name, L in small_corpus.items():
+        for mask in range(1 << L.n):
+            S = [a for a in range(L.n) if mask >> a & 1]
+            assert is_convex_subset(L, S) == pair_loop_is_convex_subset(L, S), (name, S)
+
+
+@pytest.mark.parametrize("ids, message", [([0, 7], "7 is not in 0..3"), ([2, -1], "-1 is negative")])
+def test_convexity_names_an_id_outside_the_lattice(ids, message):
+    with pytest.raises(ValueError, match=f"element id {message}"):
+        is_convex_subset(chain(3), ids)
 
 
 def test_convex_subset_of_numpy_array():

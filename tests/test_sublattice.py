@@ -10,7 +10,14 @@ from helpers import brute_max_complements, closure_scheme_b, full_rescan_oracle,
 from latmax import sublattice
 from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, glued, m3, n5, random_cdim_k
 from latmax.geometry import build_cg
-from latmax.lattice import InvariantViolation, from_cover_relations, is_sd_join, to_cover_text
+from latmax.lattice import (
+    InvariantViolation,
+    Lattice,
+    from_cover_relations,
+    indecomposable_components,
+    is_sd_join,
+    to_cover_text,
+)
 from latmax.sublattice import (
     EmptyGenerator,
     NoCanonicalRep,
@@ -23,6 +30,7 @@ from latmax.sublattice import (
     is_sublattice,
     maximal_complements_oracle,
     maximal_sublattices,
+    observation_suite,
     strict_canonical_joinands,
     strict_canonical_meetands,
 )
@@ -286,7 +294,7 @@ def test_is_sublattice_matches_pairwise_check_past_n10():
             assert generate_sublattice(L, S) == closure_scheme_b(L, S), (to_cover_text(L), sorted(S))
 
 
-@pytest.mark.parametrize("predicate", [is_sublattice, is_maximal_sublattice, generate_sublattice])
+@pytest.mark.parametrize("predicate", [is_sublattice, is_maximal_sublattice, generate_sublattice, observation_suite])
 @pytest.mark.parametrize("ids, message", [({0, 1, 3, 99}, "99 is not in 0..3"), ([0, -1, 3], "-1 is negative")])
 def test_sublattice_predicates_name_an_id_outside_the_lattice(predicate, ids, message):
     with pytest.raises(ValueError, match=f"element id {message}"):
@@ -332,6 +340,22 @@ def test_oracle_equals_the_full_rescan_reference(cdim2_through_m6):
     # so the two searches return the same complements in the same order.
     for L in _reference_corpus(cdim2_through_m6):
         assert maximal_complements_oracle(L, bound=L.n) == full_rescan_oracle(L), to_cover_text(L)
+
+
+def test_oracle_component_prune_under_a_numbering_that_is_no_linear_extension():
+    # Every corpus numbers its elements along a linear extension, so the
+    # seed-order rule already keeps C inside one component.  Here the cut
+    # element of B3 ⊕ B3 is id 0, below the bottom's id, and the component
+    # rule prunes the search (18 times, by a line trace).
+    L = glued([boolean(3), boolean(3)])
+    cut = 7  # the top of the first B3, the bottom of the second
+    order = [cut, *(a for a in range(L.n) if a != cut)]
+    L = Lattice(L.leq[np.ix_(order, order)])
+    assert L.n == 15 and L.bottom == 1 and L.top == 14
+    assert [iv.lo for iv in indecomposable_components(L)] == [1, 0]
+    got = maximal_complements_oracle(L)
+    assert got == brute_max_complements(L)
+    assert got == full_rescan_oracle(L)
 
 
 def test_oracle_self_check_failure_raises(monkeypatch):
