@@ -43,7 +43,7 @@ from functools import reduce
 import numpy as np
 
 from .geometry import ConvexGeometry, _as_chain, _permutation
-from .lattice import bits, mask_of, minimal_elements
+from .lattice import _mask_in, _minimal_mask, bits
 from .sublattice import maximal_complements_oracle
 
 __all__ = [
@@ -281,9 +281,13 @@ def decompose_and_run(m: int, chains) -> Complements:
 
 def materialize(G: ConvexGeometry, comp: Complement) -> frozenset:
     """The complement as a set of lattice-element ids of the geometry; (j) is
-    the meet, that is the intersection, of the chain prefixes C1(j), C2(j)."""
+    the meet, that is the intersection, of the chain prefixes C1(j), C2(j).
+    A ValueError names a prefix length outside 0..m."""
     if len(G.chains) != 2:
         raise ValueError("materialization needs a two-chain geometry")
+    for length in (comp.c1_len, comp.c2_len):
+        if not 0 <= length <= G.m:
+            raise ValueError(f"prefix length {length} is not in 0..{G.m}")
     L = G.lattice
     c1, c2 = G.chain_elements[0][comp.c1_len], G.chain_elements[1][comp.c2_len]
     lo = int(L.meet[c1, c2])
@@ -304,19 +308,19 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     [(j), C_i(j)] with (j) on chain i' and x_1 = x_2.  Case 3: the union of
     both intervals with (j) on neither chain and x_1 = x_2.  Raises
     NoCaseMatches when no case (or more than one) fits: that would refute
-    the classification theorem.
+    the classification theorem.  A ValueError names an id of C outside
+    0..n-1.
     """
     if len(G.chains) != 2:
         raise ValueError("classification needs a two-chain geometry")
-    cset = frozenset(C)
-    if not cset:
-        raise ValueError("empty complement")
-    cmask = mask_of(cset)
     L = G.lattice
-    minima = minimal_elements(L, cset)
-    if len(minima) != 1:
-        raise NoCaseMatches(f"complement has {len(minima)} minimal elements")
-    lo = minima[0]
+    cmask = _mask_in(L, C)
+    if not cmask:
+        raise ValueError("empty complement")
+    minima = _minimal_mask(L, cmask)
+    if minima.bit_count() != 1:
+        raise NoCaseMatches(f"complement has {minima.bit_count()} minimal elements")
+    lo = minima.bit_length() - 1
     # (j) ⊆ C1(j), so j is the last point of (j) on chain 1.
     j = max(G.element_set(lo), key=G.chains[0].pos.__getitem__, default=None)
     if j is None or G.point_closure(j) != lo:
@@ -333,7 +337,7 @@ def classify_complement(G: ConvexGeometry, C) -> str:
         rows += [(TYPE1, interval[i], inside[i] and not on[1 - i]), (TYPE2, interval[i], same_step and on[1 - i])]
     tags = {case for case, mask, premise in rows if premise and mask == cmask}
     if len(tags) != 1:
-        raise NoCaseMatches(f"matched cases {sorted(tags)} for C={sorted(cset)}")
+        raise NoCaseMatches(f"matched cases {sorted(tags)} for C={list(bits(cmask))}")
     return tags.pop()
 
 

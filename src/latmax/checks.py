@@ -9,6 +9,10 @@ lattice by its cover list, a geometry by m and its chains) plus the
 violating data, with the very call that found it.  A dual claim is its
 primal predicate run on ``L.dual``, under the primal tag plus ``-dual``.
 
+Inside this module a complement is the int mask of its element ids, from
+the corpus to the verdict; element lists appear only in a witness
+(:func:`_witness`) and are read back by :func:`reverify_witness`.
+
 :data:`CLAIMS` is the one table of the claims ``latmax check`` runs: claim
 id -> (checker, corpus builder), in report order.
 """
@@ -20,27 +24,28 @@ from .corpus import cdim2_corpus, sd_corpus
 from .geometry import ConvexGeometry, build_cg
 from .lattice import (
     Lattice,
+    _is_convex_mask,
+    _least,
+    _mask_in,
+    _minimal_mask,
     bits,
     from_cover_text,
-    is_convex_subset,
     is_distributive,
     is_sd,
     is_sd_join,
     is_sd_meet,
     mask_of,
-    minimal_elements,
     to_cover_text,
 )
 from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 from .sublattice import (
     NoCanonicalRep,
-    generate_sublattice,
-    is_maximal_sublattice,
+    _generated_mask,
+    _is_maximal_mask,
+    _strict_joinands,
     is_sublattice,
     maximal_complements_oracle,
     observation_suite,
-    strict_canonical_joinands,
-    strict_canonical_meetands,
     sublattice_masks,
 )
 
@@ -79,12 +84,12 @@ def _geometries(corpus):
 
 
 def _complements(corpus, keep=None):
-    """(L, C) for every maximal-sublattice complement C of every lattice L of
-    corpus that keep accepts (all of them when keep is None)."""
+    """(L, cmask) for the mask of every maximal-sublattice complement of every
+    lattice L of corpus that keep accepts (all of them when keep is None)."""
     for L in _lattices(corpus):
         if keep is None or keep(L):
             for C in maximal_complements_oracle(L):
-                yield L, C
+                yield L, mask_of(C)
 
 
 def _sides(L: Lattice, tag: str) -> list:
@@ -94,157 +99,178 @@ def _sides(L: Lattice, tag: str) -> list:
 
 
 def _sided_complements(corpus, tag):
-    """(L, K, side tag, C) for every complement C and every side (K, side tag) of L."""
+    """(L, K, side tag, cmask) for every complement mask and every side (K, side tag) of L."""
     for L in _lattices(corpus):
         sides = _sides(L, tag)
         for C in maximal_complements_oracle(L) if sides else ():
+            cmask = mask_of(C)
             for K, side_tag in sides:
-                yield L, K, side_tag, C
+                yield L, K, side_tag, cmask
 
 
-def _witness(host, claim: str, C, **extra) -> dict:
-    """The witness that C violates claim in host, which it names: a geometry
-    by m and its chains, a lattice by its cover list."""
+def _witness(host, claim: str, cmask: int, **extra) -> dict:
+    """The witness that the complement cmask violates claim in host, which it
+    names: a geometry by m and its chains, a lattice by its cover list."""
     if isinstance(host, ConvexGeometry):
         w = {"claim": claim, "m": host.m, "chains": [list(c.perm) for c in host.chains]}
         host = host.lattice
     else:
         w = {"claim": claim, "lattice": to_cover_text(host)}
-    w.update(sublattice=sorted(set(range(host.n)) - set(C)), complement=sorted(C))
+    w.update(sublattice=list(bits(host.full_mask() & ~cmask)), complement=list(bits(cmask)))
     w.update(extra)
     return w
 
 
-# Witness tags a sweep tests without counting them as instances of its claim.
-_UNCOUNTED = frozenset({"hyp4-convexity"})
+# The witness tag a sweep tests without counting it as an instance of its claim.
+_UNCOUNTED_TAG = "hyp4-convexity"
 
 
 def _sweep(claim: str, label: str, instances) -> CheckReport:
-    """Test every instance (host, tag, C, w) with ``REPLAY[tag](host, C, w)``,
-    the call :func:`reverify_witness` makes on the serialized witness.
+    """Test every instance (host, tag, cmask, w) with ``REPLAY[tag](host,
+    cmask, w)``, the call :func:`reverify_witness` makes on the serialized
+    witness.
 
     The host is a lattice, or a geometry for the claims about its chains.
-    The first violation stops the sweep; its witness is the set C of host
-    plus the entries of w.
+    The first violation stops the sweep; its witness is the complement
+    cmask of host plus the entries of w.
     """
     checked = 0
-    for host, tag, C, w in instances:
-        checked += tag not in _UNCOUNTED
-        if REPLAY[tag](host, C, w):
-            return CheckReport(claim, label, checked, COUNTEREXAMPLE, _witness(host, tag, C, **w))
+    for host, tag, cmask, w in instances:
+        checked += tag != _UNCOUNTED_TAG
+        if REPLAY[tag](host, cmask, w):
+            return CheckReport(claim, label, checked, COUNTEREXAMPLE, _witness(host, tag, cmask, **w))
     return CheckReport(claim, label, checked, HOLDS)
 
 
-# -- violation predicates (L, C, w): True when C violates the claim in L --------
-# C is a complement and w holds the witness entries the claim needs.
+# -- violation predicates (L, cmask, w): True when C violates the claim in L -----
+# cmask is the mask of a nonempty complement C and w holds the witness entries
+# the claim needs.
 
 
-def _interval_fails(L: Lattice, C, w) -> bool:
+def _interval_bounds(L: Lattice, cmask: int):
+    """(a, b) with C = [a, b] when C is the interval [∧C, ∨C], else None.
+
+    C = [∧C, ∨C] iff C has a least element a, a greatest element b, and
+    [a, b] = C.  (⇐) A least element of C is its meet and a greatest one its
+    join, so [∧C, ∨C] = [a, b] = C.  (⇒) ∧C <= ∨C, so both lie in
+    [∧C, ∨C] = C, where ∧C is below every element and ∨C above every one:
+    they are the least and the greatest element of C.
+    """
+    a, b = _least(L, cmask), _least(L.dual, cmask)
+    if a is None or b is None or L.interval_mask(a, b) != cmask:
+        return None
+    return a, b
+
+
+def _interval_fails(L: Lattice, cmask: int, w) -> bool:
     """C is not the interval [meet C, join C]."""
-    cset = frozenset(C)
-    return L.interval(L.meet_of(cset), L.join_of(cset)) != cset
+    return _interval_bounds(L, cmask) is None
 
 
-def _convex_fails(L: Lattice, C, w) -> bool:
+def _convex_fails(L: Lattice, cmask: int, w) -> bool:
     """Some [a, c] with a <= c in C leaves C."""
-    return not is_convex_subset(L, C)
+    return not _is_convex_mask(L, cmask)
 
 
-def _hyp2_fails(L: Lattice, C, w) -> bool:
-    """C lacks a unique minimal element c0, or some [c0, t] with t maximal leaves C."""
-    minima = minimal_elements(L, C)
-    cmask = mask_of(C)
-    return len(minima) != 1 or any(
-        L.interval_mask(minima[0], t) & ~cmask for t in minimal_elements(L.dual, C)
+def _hyp2_fails(L: Lattice, cmask: int, w) -> bool:
+    """C lacks a unique minimal element c0, or some [c0, t] with t maximal leaves C.
+
+    In a finite set a unique minimal element is the least one.
+    """
+    c0 = _least(L, cmask)
+    return c0 is None or any(
+        L.interval_mask(c0, t) & ~cmask for t in bits(_minimal_mask(L.dual, cmask))
     )
 
 
-def _hyp4_fails(L: Lattice, C, w) -> bool:
+def _hyp4_fails(L: Lattice, cmask: int, w) -> bool:
     """No lower cover m of w["element"] lies outside C with all of [0, m] outside C."""
-    cmask = mask_of(C)
     return not any(
         not (cmask >> m) & 1 and L.down_masks[m] & cmask == 0
         for m in L.lower_covers[w["element"]]
     )
 
 
-def _q2_fails(L: Lattice, C, w) -> bool:
+def _q2_fails(L: Lattice, cmask: int, w) -> bool:
     """The join-irreducibles in C are not just one minimum, or its
     meet-irreducibles are not exactly its maximal elements."""
     info = L.irreducibles
-    minima = minimal_elements(L, C)
+    c0 = _least(L, cmask)
     return (
-        info.ji & C != set(minima)
-        or len(minima) != 1
-        or info.mi & C != set(minimal_elements(L.dual, C))
+        c0 is None
+        or mask_of(info.ji) & cmask != 1 << c0
+        or mask_of(info.mi) & cmask != _minimal_mask(L.dual, cmask)
     )
 
 
-def _thm44_fails(L: Lattice, C, w) -> bool:
+def _thm44_fails(L: Lattice, cmask: int, w) -> bool:
     """C holds a coatom, yet not exactly one coatom as its only maximal
     element, or C is no interval."""
-    hit = L.coatoms & C
+    hit = mask_of(L.coatoms) & cmask
     return bool(hit) and (
-        set(minimal_elements(L.dual, C)) != hit or len(hit) != 1 or _interval_fails(L, C, w)
+        _minimal_mask(L.dual, cmask) != hit or hit.bit_count() != 1 or _interval_fails(L, cmask, w)
     )
 
 
-def _lemma42_fails(L: Lattice, C, w) -> bool:
+def _lemma42_fails(L: Lattice, cmask: int, w) -> bool:
     """w["element"] has no strict canonical joinand in C."""
-    return not strict_canonical_joinands(L, C, w["element"])
+    return not _strict_joinands(L, cmask, w["element"])
 
 
-def _lemma54_fails(L: Lattice, C, w) -> bool:
+def _lemma54_fails(L: Lattice, cmask: int, w) -> bool:
     """[w["x"], w["u2"]] lies inside C, missing the sublattice."""
-    return L.interval_mask(w["x"], w["u2"]) & ~mask_of(C) == 0
+    return L.interval_mask(w["x"], w["u2"]) & ~cmask == 0
 
 
-def _distributive_fails(L: Lattice, C, w) -> bool:
+def _distributive_fails(L: Lattice, cmask: int, w) -> bool:
     """C is not an interval [a, b] with a its only join- and b its only meet-irreducible."""
-    info = L.irreducibles
-    lo, hi = L.meet_of(C), L.join_of(C)
-    return not (L.interval(lo, hi) == C and info.ji & C == {lo} and info.mi & C == {hi})
+    bounds = _interval_bounds(L, cmask)
+    if bounds is None:
+        return True
+    info, (lo, hi) = L.irreducibles, bounds
+    return mask_of(info.ji) & cmask != 1 << lo or mask_of(info.mi) & cmask != 1 << hi
 
 
-def _rest_is_sublattice(G: ConvexGeometry, C, w) -> bool:
+def _rest_is_sublattice(G: ConvexGeometry, cmask: int, w) -> bool:
     """The elements of G outside C form a sublattice (6.4(3) fails)."""
     L = G.lattice
-    return is_sublattice(L, bits(L.full_mask() & ~mask_of(C)))
+    return is_sublattice(L, bits(L.full_mask() & ~cmask))
 
 
-def _lemma64_2_fails(G: ConvexGeometry, C, w) -> bool:
+def _lemma64_2_fails(G: ConvexGeometry, cmask: int, w) -> bool:
     """The rest of G outside C is no sublattice."""
-    return not _rest_is_sublattice(G, C, w)
+    return not _rest_is_sublattice(G, cmask, w)
 
 
-def _lemma64_1a_fails(G: ConvexGeometry, C, w) -> bool:
+def _lemma64_1a_fails(G: ConvexGeometry, cmask: int, w) -> bool:
     """(j) lies on a chain, or the rest is no sublattice."""
-    return any(G.chain_member[G.point_closure(w["j"])]) or _lemma64_2_fails(G, C, w)
+    return any(G.chain_member[G.point_closure(w["j"])]) or _lemma64_2_fails(G, cmask, w)
 
 
-def _lemma64_1b_fails(G: ConvexGeometry, C, w) -> bool:
+def _lemma64_1b_fails(G: ConvexGeometry, cmask: int, w) -> bool:
     """(j) is off the chain w["x_chain"] of (x), or the rest is no sublattice."""
-    return not G.chain_member[G.point_closure(w["j"])][w["x_chain"] - 1] or _lemma64_2_fails(G, C, w)
+    return not G.chain_member[G.point_closure(w["j"])][w["x_chain"] - 1] or _lemma64_2_fails(G, cmask, w)
 
 
-def _lemma64_3_maximal_fails(G: ConvexGeometry, C, w) -> bool:
+def _lemma64_3_maximal_fails(G: ConvexGeometry, cmask: int, w) -> bool:
     """The rest of G outside C is a maximal sublattice."""
     L = G.lattice
-    return is_maximal_sublattice(L, bits(L.full_mask() & ~mask_of(C)))
+    return _is_maximal_mask(L, L.full_mask() & ~cmask)
 
 
-def _observation_reproduces(L: Lattice, C, w) -> bool:
-    rerun = observation_suite(L, frozenset(w["sublattice"]))
+def _observation_reproduces(L: Lattice, cmask: int, w) -> bool:
+    rerun = observation_suite(L, w["sublattice"])
     return rerun.status == COUNTEREXAMPLE and rerun.witness["observation"] == w["observation"]
 
 
 def _on_dual(fails):
     """The dual claim's predicate: fails run on L.dual."""
-    return lambda L, C, w: fails(L.dual, C, w)
+    return lambda L, cmask, w: fails(L.dual, cmask, w)
 
 
-# Witness tag -> predicate(L, C, w), True when the violation reproduces.  The
-# sweeps test every instance through this table, and so does the replay.
+# Witness tag -> predicate(host, cmask, w), True when the violation
+# reproduces.  The sweeps test every instance through this table, and so
+# does the replay.
 REPLAY = {
     "hyp1": _interval_fails,
     "hyp2": _hyp2_fails,
@@ -284,7 +310,8 @@ def reverify_witness(report: CheckReport) -> bool:
     if claim not in REPLAY:
         raise ValueError(f"unknown witness claim {claim!r}")
     host = build_cg(w["m"], w["chains"], verify=False) if "chains" in w else from_cover_text(w["lattice"])
-    return bool(REPLAY[claim](host, frozenset(w.get("complement", [])), w))
+    L = host.lattice if isinstance(host, ConvexGeometry) else host
+    return bool(REPLAY[claim](host, _mask_in(L, w.get("complement", [])), w))
 
 
 # -- hypotheses -----------------------------------------------------------------
@@ -292,7 +319,7 @@ def reverify_witness(report: CheckReport) -> bool:
 
 def check_hyp1_sd_interval(corpus, label="corpus") -> CheckReport:
     """SD lattices: every maximal-sublattice complement is an interval."""
-    instances = ((L, "hyp1", C, {}) for L, C in _complements(corpus, is_sd))
+    instances = ((L, "hyp1", cmask, {}) for L, cmask in _complements(corpus, is_sd))
     return _sweep("hyp1-sd-interval", label, instances)
 
 
@@ -308,15 +335,15 @@ def check_hyp2_sd_join(corpus, label="corpus") -> CheckReport:
     """
     instances = (
         # K's minimal elements are L's maximal ones on the dual side.
-        (L, tag, C, {"minima" if K is L else "maxima": sorted(minimal_elements(K, C))})
-        for L, K, tag, C in _sided_complements(corpus, "hyp2")
+        (L, tag, cmask, {"minima" if K is L else "maxima": list(bits(_minimal_mask(K, cmask)))})
+        for L, K, tag, cmask in _sided_complements(corpus, "hyp2")
     )
     return _sweep("hyp2-sdjoin-union", label, instances)
 
 
 def check_hyp3_convex(corpus, label="corpus") -> CheckReport:
     """Any lattice: every maximal-sublattice complement is convex."""
-    instances = ((L, "hyp3", C, {}) for L, C in _complements(corpus))
+    instances = ((L, "hyp3", cmask, {}) for L, cmask in _complements(corpus))
     return _sweep("hyp3-convex", label, instances)
 
 
@@ -332,10 +359,10 @@ def check_hyp4_cover(corpus, label="corpus") -> CheckReport:
     """
 
     def instances():
-        for L, C in _complements(_geometries(corpus)):
-            for x in C:
-                yield L, "hyp4", C, {"element": x}
-            yield L, "hyp4-convexity", C, {}
+        for L, cmask in _complements(_geometries(corpus)):
+            for x in bits(cmask):
+                yield L, "hyp4", cmask, {"element": x}
+            yield L, "hyp4-convexity", cmask, {}
 
     return _sweep("hyp4-cover", label, instances())
 
@@ -345,9 +372,10 @@ def check_q2_irreducibles(corpus, label="corpus") -> CheckReport:
     only meet-irreducibles are the maximal elements of C."""
 
     def instances():
-        for L, C in _complements(_geometries(corpus)):
+        for L, cmask in _complements(_geometries(corpus)):
             info = L.irreducibles
-            yield L, "q2", C, {"ji_inside": sorted(info.ji & C), "mi_inside": sorted(info.mi & C)}
+            ji, mi = mask_of(info.ji) & cmask, mask_of(info.mi) & cmask
+            yield L, "q2", cmask, {"ji_inside": list(bits(ji)), "mi_inside": list(bits(mi))}
 
     return _sweep("q2-irreducibles", label, instances())
 
@@ -358,21 +386,23 @@ def check_q2_irreducibles(corpus, label="corpus") -> CheckReport:
 def check_thm_44_gist(corpus, label="corpus") -> CheckReport:
     """SD-join: a coatom in C is the unique maximal element of C, and then C
     is an interval."""
-    instances = (
-        (L, "thm4.4", C, {"coatoms": sorted(L.coatoms & C)})
-        for L, C in _complements(corpus, is_sd_join)
-        if L.coatoms & C
-    )
-    return _sweep("thm44-coatom", label, instances)
+
+    def instances():
+        for L, cmask in _complements(corpus, is_sd_join):
+            hit = mask_of(L.coatoms) & cmask
+            if hit:
+                yield L, "thm4.4", cmask, {"coatoms": list(bits(hit))}
+
+    return _sweep("thm44-coatom", label, instances())
 
 
 def check_thm_45_greatest(corpus, label="corpus") -> CheckReport:
     """SD-join: a complement with a greatest element is an interval; dually a
     complement of an SD-meet lattice with a least element is an interval."""
     instances = (
-        (L, tag, C, {})
-        for L, K, tag, C in _sided_complements(corpus, "thm4.5")
-        if len(minimal_elements(K.dual, C)) == 1
+        (L, tag, cmask, {})
+        for L, K, tag, cmask in _sided_complements(corpus, "thm4.5")
+        if _least(K.dual, cmask) is not None
     )
     return _sweep("thm45-greatest", label, instances)
 
@@ -382,16 +412,15 @@ def check_thm_51_55(corpus, label="corpus") -> CheckReport:
     element, contains an atom or coatom, or has an element comparable to all
     of C."""
 
-    def triggered(L, C):
-        return (
-            len(minimal_elements(L.dual, C)) == 1
-            or len(minimal_elements(L, C)) == 1
-            or (L.atoms | L.coatoms) & C
-            or any(all(L.leq[a, b] or L.leq[b, a] for b in C) for a in C)
+    def triggered(L, cmask):
+        # A greatest or least element is comparable to all of C.
+        up, down = L.up_masks, L.down_masks
+        return (mask_of(L.atoms) | mask_of(L.coatoms)) & cmask or any(
+            (up[a] | down[a]) & cmask == cmask for a in bits(cmask)
         )
 
     instances = (
-        (L, "thm5.1/5.5", C, {}) for L, C in _complements(corpus, is_sd) if triggered(L, C)
+        (L, "thm5.1/5.5", cmask, {}) for L, cmask in _complements(corpus, is_sd) if triggered(L, cmask)
     )
     return _sweep("thm51-55-interval", label, instances)
 
@@ -400,7 +429,7 @@ def check_thm_51_55(corpus, label="corpus") -> CheckReport:
 
 
 def _lemma64_instances(corpus):
-    """The instances (G, tag, C, w) of :func:`check_lemma_64_65`, one per
+    """The instances (G, tag, cmask, w) of :func:`check_lemma_64_65`, one per
     clause; w names the point j and the successors x1, x2 of its prefixes."""
     for G in _geometries(corpus):
         if len(G.chains) != 2 or not G.has_trivial_intersection():
@@ -412,7 +441,7 @@ def _lemma64_instances(corpus):
             if x1 is None or x2 is None:
                 continue
             lo = G.point_closure(j)
-            intervals = [L.interval(lo, G.chain_prefix_of_point(i, j)) for i in (0, 1)]
+            intervals = [L.interval_mask(lo, G.chain_prefix_of_point(i, j)) for i in (0, 1)]
             w = {"j": j, "x1": x1, "x2": x2}
             if x1 == x2:
                 x_on = G.chain_member[G.point_closure(x1)]
@@ -443,28 +472,33 @@ def check_lemma_64_65(corpus, label="corpus") -> CheckReport:
 # -- sublattice-quantified lemmas ----------------------------------------------------
 
 
-def sublattice_complements(L: Lattice):
-    """Nonempty complements of proper sublattices of L, deduplicated.
+def sublattice_complements(L: Lattice) -> list:
+    """Masks of the nonempty complements of proper sublattices of L, deduplicated.
 
     Exhaustive for small lattices, from one truth table over all 2^n subsets
     (:func:`~latmax.sublattice.sublattice_masks`), in ascending order of the
     sublattice's mask; for larger ones, the complements of the maximal
     sublattices plus SUBLATTICE_SAMPLES random generated sublattices, drawn
-    with seed 0.
+    with seed 0, ordered by size and then by their sorted elements.  Computed
+    once per lattice, so the claims of one ``check all`` share it.
     """
+    if L._sublattice_complements is None:
+        L._sublattice_complements = tuple(_sublattice_complements(L))
+    return list(L._sublattice_complements)
+
+
+def _sublattice_complements(L: Lattice) -> list:
     full = L.full_mask()
     if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
-        return [frozenset(bits(full & ~mask)) for mask in sublattice_masks(L)]
-    everything = frozenset(range(L.n))
-    seen = set(maximal_complements_oracle(L))
+        return [full & ~mask for mask in sublattice_masks(L)]
+    seen = {mask_of(C) for C in maximal_complements_oracle(L)}
     rng = random.Random(0)
     for _ in range(SUBLATTICE_SAMPLES):
         size = rng.randint(1, max(1, L.n // 2))
-        gens = rng.sample(range(L.n), size)
-        sub = generate_sublattice(L, gens)
-        if len(sub) < L.n:
-            seen.add(everything - sub)
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+        sub = _generated_mask(L, mask_of(rng.sample(range(L.n), size)))
+        if sub != full:
+            seen.add(full & ~sub)
+    return sorted(seen, key=lambda cmask: (cmask.bit_count(), list(bits(cmask))))
 
 
 def check_lemma_42(corpus, label="corpus") -> CheckReport:
@@ -479,50 +513,48 @@ def check_lemma_42(corpus, label="corpus") -> CheckReport:
     def instances():
         for L in _lattices(corpus):
             sides = _sides(L, "lemma4.2")
-            for C in sublattice_complements(L) if sides else ():
-                for x in C:
+            for cmask in sublattice_complements(L) if sides else ():
+                for x in bits(cmask):
                     for K, tag in sides:
                         if x != K.bottom:
-                            yield L, tag, C, {"element": x}
+                            yield L, tag, cmask, {"element": x}
 
     return _sweep("lemma42-scj", label, instances())
 
 
 def _lemma54_instances(corpus):
-    """The instances (L, "lemma5.4", C, w) of :func:`check_lemma_54`.
+    """The instances (L, "lemma5.4", cmask, w) of :func:`check_lemma_54`.
 
-    A t exists only when u2 lies above some t in C ∩ (x, u1], so u2 is
-    skipped unless it lies in ``reach``, the union of the up sets of those t,
-    and outside the down set of u1.
+    A t exists only when u2 lies above some t in C ∩ (x, u1], so u2 ranges
+    over C ∩ ``reach``, where reach is the union of the up sets of those t
+    less the down set of u1.
     """
     for L in _lattices(corpus):
         if not is_sd(L):
             continue
-        up, down = L.up_masks, L.down_masks
-        for C in sublattice_complements(L):
-            cmask = mask_of(C)
-            for x in C:
+        up, down, dual = L.up_masks, L.down_masks, L.dual
+        comparable = [u | d for u, d in zip(up, down)]
+        for cmask in sublattice_complements(L):
+            for x in bits(cmask):
                 try:
-                    scms = strict_canonical_meetands(L, C, x)
+                    # the strict canonical meetands of x
+                    scms = _strict_joinands(dual, cmask, x)
                 except NoCanonicalRep:
                     continue
-                for u1 in scms:
+                above = cmask & up[x]
+                for u1 in bits(scms):
+                    between = above & down[u1] & ~(1 << x)  # C ∩ (x, u1]
                     reach = 0
-                    for t in bits(cmask & up[x] & down[u1] & ~(1 << x)):
+                    for t in bits(between):
                         reach |= up[t]
-                    reach &= ~down[u1]
-                    if not reach:
-                        continue
-                    for u2 in C:
-                        if not reach >> u2 & 1:
-                            continue
-                        box = cmask & up[x] & down[u2]
+                    for u2 in bits(cmask & reach & ~down[u1]):
+                        box = above & down[u2]
                         # t in C strictly above x, below u1 and u2, and
                         # comparable to every element of the box
-                        mid = box & down[u1] & ~(1 << x)
-                        t = next((t for t in bits(mid) if not box & ~(up[t] | down[t])), None)
+                        mid = between & down[u2]
+                        t = next((t for t in bits(mid) if not box & ~comparable[t]), None)
                         if t is not None:
-                            yield L, "lemma5.4", C, {"x": x, "u1": u1, "u2": u2, "t": t}
+                            yield L, "lemma5.4", cmask, {"x": x, "u1": u1, "u2": u2, "t": t}
 
 
 def check_lemma_54(corpus, label="corpus") -> CheckReport:
@@ -541,7 +573,7 @@ def check_distributive_baseline(corpus, label="corpus") -> CheckReport:
     unique internal join-irreducible and b the unique internal
     meet-irreducible."""
     instances = (
-        (L, "distributive-baseline", C, {}) for L, C in _complements(corpus, is_distributive)
+        (L, "distributive-baseline", cmask, {}) for L, cmask in _complements(corpus, is_distributive)
     )
     return _sweep("distributive-baseline", label, instances)
 
@@ -556,10 +588,10 @@ def bounded_interval_baseline(corpus, label="corpus"):
     histogram: dict = {}
 
     def instances():
-        for L, C in _complements(corpus):
-            yield L, "bounded-baseline", C, {}
+        for L, cmask in _complements(corpus):
+            yield L, "bounded-baseline", cmask, {}
             # reached only when the sweep found C to be an interval
-            k = len(L.irreducibles.ji & C)
+            k = (mask_of(L.irreducibles.ji) & cmask).bit_count()
             histogram[k] = histogram.get(k, 0) + 1
 
     return _sweep("bounded-baseline", label, instances()), histogram

@@ -84,9 +84,12 @@ class Lattice:
     ``a ∧ b`` is exactly ``down(a) & down(b)``.
     """
 
-    # The oracle's result, a tuple once computed, and whether the lattice is
-    # SD-join, a bool once computed; each dual view has its own.
+    # The oracle's result, a tuple once computed; the masks of the proper
+    # sublattices' complements the checks quantify over, a tuple once
+    # computed; and whether the lattice is SD-join, a bool once computed.
+    # Each dual view has its own.
     _oracle_complements = None
+    _sublattice_complements = None
     _sd_join = None
 
     def __init__(self, leq):
@@ -131,7 +134,7 @@ class Lattice:
 
     @staticmethod
     def _check_partial_order(leq):
-        if not leq[np.diag_indices_from(leq)].all():
+        if not leq.diagonal().all():
             raise ValueError("order relation is not reflexive")
         if (leq & leq.T).sum() > len(leq):
             raise ValueError("order relation is not antisymmetric")
@@ -295,9 +298,20 @@ def minimal_elements(L: Lattice, S) -> list:
 
     ``minimal_elements(L.dual, S)`` gives the maximal ones.
     """
-    smask = mask_of(S)
+    minima = _minimal_mask(L, mask_of(S))
+    return [a for a in S if minima >> a & 1]
+
+
+def _minimal_mask(L: Lattice, mask: int) -> int:
+    """The mask of the minimal elements of the set mask: those whose down
+    set meets it only in themselves.  ``_minimal_mask(L.dual, mask)`` gives
+    the maximal ones."""
     down = L.down_masks
-    return [a for a in S if down[a] & smask == 1 << a]
+    minima = 0
+    for a in bits(mask):
+        if down[a] & mask == 1 << a:
+            minima |= 1 << a
+    return minima
 
 
 def _least(L: Lattice, mask: int):
@@ -445,12 +459,17 @@ def is_convex_subset(L: Lattice, S) -> bool:
     """Whether [a, c] ⊆ S for every comparable pair a <= c inside S, that is
     whether every element above one element of S and below another lies in
     S.  A ValueError names an id outside 0..n-1."""
-    smask = _mask_in(L, S)
+    return _is_convex_mask(L, _mask_in(L, S))
+
+
+def _is_convex_mask(L: Lattice, mask: int) -> bool:
+    """is_convex_subset on the mask of S: nothing outside S lies above one
+    element of S and below another."""
     above = below = 0
-    for a in bits(smask):
+    for a in bits(mask):
         above |= L.up_masks[a]
         below |= L.down_masks[a]
-    return not above & below & ~smask
+    return not above & below & ~mask
 
 
 # -- canonical representations ------------------------------------------------

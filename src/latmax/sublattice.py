@@ -15,7 +15,7 @@ convert only at that boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_
 
 from .lattice import (
@@ -150,7 +150,12 @@ def generate_sublattice(L: Lattice, S) -> frozenset:
     mask = _mask_in(L, S)
     if not mask:
         raise EmptyGenerator("sublattice generators must be nonempty")
-    return frozenset(bits(_grow(L, 0, [-1] * L.n, [-1] * L.n, mask)))
+    return frozenset(bits(_generated_mask(L, mask)))
+
+
+def _generated_mask(L: Lattice, mask: int) -> int:
+    """generate_sublattice on the mask of S, as a mask."""
+    return _grow(L, 0, [-1] * L.n, [-1] * L.n, mask)
 
 
 def is_sublattice(L: Lattice, M) -> bool:
@@ -352,22 +357,29 @@ def frattini(L: Lattice, bound=None) -> frozenset:
 
 
 def strict_canonical_joinands(L: Lattice, C, x: int) -> frozenset:
-    """Canonical joinands j of x whose whole interval [j, x] stays inside C."""
-    cset = frozenset(C)
-    if x not in cset:
+    """Canonical joinands j of x whose whole interval [j, x] stays inside C.
+
+    A ValueError names an id of C outside 0..n-1.
+    """
+    return frozenset(bits(_strict_joinands(L, _mask_in(L, C), x)))
+
+
+def _strict_joinands(L: Lattice, cmask: int, x: int) -> int:
+    """strict_canonical_joinands on the mask of C, as a mask.
+
+    [j, x] stays inside C iff no element of ↓x outside C lies above j.
+    """
+    if x < 0 or not cmask >> x & 1:
         raise ValueError(f"element {x} not in the complement set")
     rep = canonical_join_rep(L, x)
     if rep is None:
         raise NoCanonicalRep(f"no canonical representation at {x}")
-    cmask = _complement_mask(cset)
-    return frozenset(j for j in rep if L.interval_mask(j, x) & ~cmask == 0)
-
-
-@lru_cache(maxsize=1)
-def _complement_mask(cset: frozenset) -> int:
-    """mask_of(cset), kept for the last set: the checkers ask about every x
-    of one complement in turn, on L and on its dual."""
-    return mask_of(cset)
+    up, leaving = L.up_masks, L.down_masks[x] & ~cmask
+    strict = 0
+    for j in rep:
+        if not up[j] & leaving:
+            strict |= 1 << j
+    return strict
 
 
 def strict_canonical_meetands(L: Lattice, C, x: int) -> frozenset:

@@ -352,7 +352,8 @@ def block_decompose_and_run(m, chains):
 
 
 def subset_loop_sublattice_complements(L):
-    """Complements of all nonempty proper sublattices, one closure per subset.
+    """Masks of the complements of all nonempty proper sublattices, one
+    closure per subset.
 
     The exhaustive branch of ``checks.sublattice_complements`` as a loop over
     the 2^n - 2 nonempty proper subsets in ascending mask order.
@@ -361,7 +362,7 @@ def subset_loop_sublattice_complements(L):
     from latmax.sublattice import is_sublattice
 
     full = L.full_mask()
-    return [frozenset(bits(full & ~mask)) for mask in range(1, full) if is_sublattice(L, bits(mask))]
+    return [full & ~mask for mask in range(1, full) if is_sublattice(L, bits(mask))]
 
 
 def pair_loop_is_convex_subset(L, S):
@@ -378,23 +379,23 @@ def pair_loop_is_convex_subset(L, S):
 
 
 def unpruned_lemma54_instances(corpus):
-    """The lemma 5.4 instances (L, tag, C, w), trying every u2 in C."""
+    """The lemma 5.4 instances (L, tag, cmask, w), trying every u2 in C."""
     from latmax.checks import _lattices, sublattice_complements
-    from latmax.lattice import bits, is_sd, mask_of
+    from latmax.lattice import bits, is_sd
     from latmax.sublattice import NoCanonicalRep, strict_canonical_meetands
 
     for L in _lattices(corpus):
         if not is_sd(L):
             continue
         up, down = L.up_masks, L.down_masks
-        for C in sublattice_complements(L):
-            cmask = mask_of(C)
+        for cmask in sublattice_complements(L):
+            C = list(bits(cmask))
             for x in C:
                 try:
                     scms = strict_canonical_meetands(L, C, x)
                 except NoCanonicalRep:
                     continue
-                for u1 in scms:
+                for u1 in sorted(scms):
                     for u2 in C:
                         if down[u1] >> u2 & 1:
                             continue
@@ -402,7 +403,159 @@ def unpruned_lemma54_instances(corpus):
                         mid = box & down[u1] & ~(1 << x)
                         t = next((t for t in bits(mid) if not box & ~(up[t] | down[t])), None)
                         if t is not None:
-                            yield L, "lemma5.4", C, {"x": x, "u1": u1, "u2": u2, "t": t}
+                            yield L, "lemma5.4", cmask, {"x": x, "u1": u1, "u2": u2, "t": t}
+
+
+# -- the frozenset claim predicates --------------------------------------------------
+# Each takes (host, C, w) with C a frozenset of element ids, as the witness
+# replay did before complements became masks inside ``latmax.checks``; the
+# mask predicates of ``checks.REPLAY`` are held to these.
+
+
+def _ref_interval_fails(L, C, w):
+    cset = frozenset(C)
+    return L.interval(L.meet_of(cset), L.join_of(cset)) != cset
+
+
+def _ref_convex_fails(L, C, w):
+    from latmax.lattice import is_convex_subset
+
+    return not is_convex_subset(L, C)
+
+
+def _ref_hyp2_fails(L, C, w):
+    from latmax.lattice import mask_of, minimal_elements
+
+    minima = minimal_elements(L, C)
+    cmask = mask_of(C)
+    return len(minima) != 1 or any(
+        L.interval_mask(minima[0], t) & ~cmask for t in minimal_elements(L.dual, C)
+    )
+
+
+def _ref_hyp4_fails(L, C, w):
+    from latmax.lattice import mask_of
+
+    cmask = mask_of(C)
+    return not any(
+        not (cmask >> m) & 1 and L.down_masks[m] & cmask == 0
+        for m in L.lower_covers[w["element"]]
+    )
+
+
+def _ref_q2_fails(L, C, w):
+    from latmax.lattice import minimal_elements
+
+    info = L.irreducibles
+    minima = minimal_elements(L, C)
+    return (
+        info.ji & C != set(minima)
+        or len(minima) != 1
+        or info.mi & C != set(minimal_elements(L.dual, C))
+    )
+
+
+def _ref_thm44_fails(L, C, w):
+    from latmax.lattice import minimal_elements
+
+    hit = L.coatoms & C
+    return bool(hit) and (
+        set(minimal_elements(L.dual, C)) != hit or len(hit) != 1 or _ref_interval_fails(L, C, w)
+    )
+
+
+def _ref_lemma42_fails(L, C, w):
+    # strict_canonical_joinands as it stood on frozensets
+    from latmax.lattice import canonical_join_rep, mask_of
+    from latmax.sublattice import NoCanonicalRep
+
+    cset, x = frozenset(C), w["element"]
+    if x not in cset:
+        raise ValueError(f"element {x} not in the complement set")
+    rep = canonical_join_rep(L, x)
+    if rep is None:
+        raise NoCanonicalRep(f"no canonical representation at {x}")
+    cmask = mask_of(cset)
+    return not frozenset(j for j in rep if L.interval_mask(j, x) & ~cmask == 0)
+
+
+def _ref_lemma54_fails(L, C, w):
+    from latmax.lattice import mask_of
+
+    return L.interval_mask(w["x"], w["u2"]) & ~mask_of(C) == 0
+
+
+def _ref_distributive_fails(L, C, w):
+    info = L.irreducibles
+    lo, hi = L.meet_of(C), L.join_of(C)
+    return not (L.interval(lo, hi) == C and info.ji & C == {lo} and info.mi & C == {hi})
+
+
+def _ref_rest_is_sublattice(G, C, w):
+    from latmax.lattice import bits, mask_of
+    from latmax.sublattice import is_sublattice
+
+    L = G.lattice
+    return is_sublattice(L, bits(L.full_mask() & ~mask_of(C)))
+
+
+def _ref_lemma64_2_fails(G, C, w):
+    return not _ref_rest_is_sublattice(G, C, w)
+
+
+def _ref_lemma64_1a_fails(G, C, w):
+    return any(G.chain_member[G.point_closure(w["j"])]) or _ref_lemma64_2_fails(G, C, w)
+
+
+def _ref_lemma64_1b_fails(G, C, w):
+    return not G.chain_member[G.point_closure(w["j"])][w["x_chain"] - 1] or _ref_lemma64_2_fails(G, C, w)
+
+
+def _ref_lemma64_3_maximal_fails(G, C, w):
+    from latmax.lattice import bits, mask_of
+    from latmax.sublattice import is_maximal_sublattice
+
+    L = G.lattice
+    return is_maximal_sublattice(L, bits(L.full_mask() & ~mask_of(C)))
+
+
+def _ref_observation_reproduces(L, C, w):
+    from latmax.report import COUNTEREXAMPLE
+    from latmax.sublattice import observation_suite
+
+    rerun = observation_suite(L, frozenset(w["sublattice"]))
+    return rerun.status == COUNTEREXAMPLE and rerun.witness["observation"] == w["observation"]
+
+
+def _ref_on_dual(fails):
+    return lambda L, C, w: fails(L.dual, C, w)
+
+
+# Witness tag -> frozenset predicate, one entry per tag of ``checks.REPLAY``.
+FROZENSET_REPLAY = {
+    "hyp1": _ref_interval_fails,
+    "hyp2": _ref_hyp2_fails,
+    "hyp2-dual": _ref_on_dual(_ref_hyp2_fails),
+    "hyp3": _ref_convex_fails,
+    "hyp4": _ref_hyp4_fails,
+    "hyp4-convexity": _ref_convex_fails,
+    "q2": _ref_q2_fails,
+    "thm4.4": _ref_thm44_fails,
+    "thm4.5": _ref_interval_fails,
+    "thm4.5-dual": _ref_on_dual(_ref_interval_fails),
+    "thm5.1/5.5": _ref_interval_fails,
+    "lemma4.2": _ref_lemma42_fails,
+    "lemma4.2-dual": _ref_on_dual(_ref_lemma42_fails),
+    "lemma5.4": _ref_lemma54_fails,
+    "6.4(1a)": _ref_lemma64_1a_fails,
+    "6.4(1b)": _ref_lemma64_1b_fails,
+    "6.4(2)": _ref_lemma64_2_fails,
+    "6.4(3)": _ref_rest_is_sublattice,
+    "6.4(3')": _ref_lemma64_3_maximal_fails,
+    "observation-suite": _ref_observation_reproduces,
+    "distributive-baseline": _ref_distributive_fails,
+    "bounded-baseline": _ref_interval_fails,
+}
 
 
 def loop_doubled_order(L, iv):

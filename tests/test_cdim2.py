@@ -318,6 +318,20 @@ def test_classify_rejects_non_complement():
         classify_complement(G, frozenset({G.lattice.bottom, G.lattice.top}))
 
 
+@pytest.mark.parametrize("C", [{99}, {1, 99}], ids=["alone", "beside-an-element"])
+def test_classify_names_an_element_id_past_the_lattice(C):
+    G = build_cg(3, [(1, 2, 3), (3, 1, 2)])
+    with pytest.raises(ValueError, match="element id 99 is not in 0..5"):
+        classify_complement(G, C)
+
+
+@pytest.mark.parametrize("c1_len, c2_len, bad", [(7, 0, 7), (0, -1, -1)])
+def test_materialize_names_a_prefix_length_past_the_chains(c1_len, c2_len, bad):
+    G = build_cg(3, [(1, 2, 3), (3, 1, 2)])
+    with pytest.raises(ValueError, match=f"prefix length {bad} is not in 0..3"):
+        materialize(G, Complement(1, SHAPE_CHAIN1, "Type1", c1_len, c2_len))
+
+
 def test_classify_tags_exactly_the_oracle_complements():
     # Every nonempty subset of the 33 two-chain geometries with m <= 4: an
     # oracle complement gets the tag the fast path lists, any other set

@@ -33,7 +33,7 @@ from latmax.corpus import (
     n5,
 )
 from latmax.geometry import build_cg
-from latmax.lattice import from_cover_text, is_sd
+from latmax.lattice import from_cover_text, is_sd, mask_of
 from latmax.report import CheckReport
 from latmax.sublattice import DEFAULT_ORACLE_BOUND, maximal_complements_oracle
 
@@ -138,9 +138,9 @@ def test_sublattice_complements_exhaustive_small():
     L = chain(2)
     got = set(sublattice_complements(L))
     # proper sublattices of the 3-chain: every nonempty proper subset that is
-    # closed; complements thereof
-    assert frozenset({1}) in got and frozenset({0, 1}) in got
-    assert frozenset() not in got
+    # closed; complements thereof, as masks
+    assert mask_of({1}) in got and mask_of({0, 1}) in got
+    assert mask_of(set()) not in got
 
 
 def test_sublattice_complements_equal_the_subset_loop(named_lattices):
@@ -185,12 +185,12 @@ def test_reverify_on_synthetic_counterexamples():
     L = chain(4)
     fake = CheckReport(
         "hyp3-convex", "synthetic", 1, "CounterexampleFound",
-        _witness(L, "hyp3", C={1, 3}),
+        _witness(L, "hyp3", mask_of({1, 3})),
     )
     assert reverify_witness(fake)  # {1,3} is indeed non-convex in the chain
     honest = CheckReport(
         "hyp3-convex", "synthetic", 1, "CounterexampleFound",
-        _witness(L, "hyp3", C={1, 2}),
+        _witness(L, "hyp3", mask_of({1, 2})),
     )
     assert not reverify_witness(honest)
 
@@ -221,8 +221,8 @@ def test_reverify_lemma_suite_witness_path():
     G = build_cg(3, [(1, 2, 3), (3, 2, 1)], verify=False)
     instances = list(_lemma64_instances([G]))
     assert instances
-    for host, tag, C, w in instances:
-        witness = _witness(host, tag, C, **w)
+    for host, tag, cmask, w in instances:
+        witness = _witness(host, tag, cmask, **w)
         assert witness["m"] == 3 and witness["chains"] == [[1, 2, 3], [3, 2, 1]]
         assert "lattice" not in witness
         fake = CheckReport("lemma-6.4-6.5", "synthetic", 1, "CounterexampleFound", witness)

@@ -14,11 +14,11 @@ import pytest
 import latmax
 from latmax import checks, cli
 from latmax.cdim2 import C1_TYPE2, Complements
-from latmax.corpus import boolean
+from latmax.corpus import boolean, sd_corpus
 from latmax.geometry import ConvexGeometry, build_cg, format_cg_text
-from latmax.lattice import InvariantViolation, to_cover_text
+from latmax.lattice import InvariantViolation, is_sd, to_cover_text
 from latmax.report import CheckReport
-from latmax.sublattice import maximal_complements_oracle
+from latmax.sublattice import maximal_complements_oracle, sublattice_masks
 
 PAPER_ARGS = ["cg-complements", "--perm", "3 6 7 10 1 8 9 5 2 4"]
 
@@ -169,6 +169,35 @@ def test_check_all_matches_its_golden_output(capsys):
     rc, out, _ = run_cli(capsys, "check", "all", "--max-m", "4", "--random", "8", "--seed", "0")
     assert rc == 0
     assert out == golden.read_text()
+
+
+def test_check_all_with_the_defaults_matches_its_golden_output(capsys):
+    # The default corpora: all cdim2 geometries with m <= 5, and N5 plus the
+    # doubled lattices of 120 draws with seed 0.
+    golden = Path(__file__).parent / "golden" / "check_all_defaults.txt"
+    rc, out, _ = run_cli(capsys, "check", "all")
+    assert rc == 0
+    assert out == golden.read_text()
+
+
+def test_check_all_computes_each_lattices_sublattice_complements_once(capsys, monkeypatch):
+    # lemma42 and lemma54 run on the same SD corpus and share each lattice's
+    # sublattice complements, so the 2^n truth table is built once per
+    # lattice with n <= EXHAUSTIVE_SUBLATTICE_LIMIT.
+    calls = []
+
+    def counting(L):
+        calls.append(L)
+        return sublattice_masks(L)
+
+    monkeypatch.setattr(checks, "sublattice_masks", counting)
+    rc, _, _ = run_cli(capsys, "check", "all", "--max-m", "3", "--random", "8", "--seed", "0")
+    assert rc == 0
+    lattices, _ = sd_corpus(seed=0, count=8)
+    assert all(is_sd(L) for L in lattices)
+    small = [L for L in lattices if L.n <= checks.EXHAUSTIVE_SUBLATTICE_LIMIT]
+    assert len(calls) == len(small) > 0
+    assert len({id(L) for L in calls}) == len(calls)
 
 
 def test_cli_takes_its_claims_from_the_claim_table():

@@ -18,3 +18,32 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+# The only functions of checks.py that may convert a complement to an
+# element set: the witness (element lists for JSON) and its replay.
+WITNESS_BOUNDARY = {"_witness", "reverify_witness"}
+
+
+def test_checks_build_no_frozenset_outside_the_witness_boundary():
+    # Inside latmax.checks a complement is an int mask; a frozenset(...) or
+    # set(...) call anywhere else would put a second subset representation
+    # back.  A set of masks, such as the deduplicated complements of
+    # sublattice_complements, is no element set and is allowed.
+    path = Path(latmax.__file__).parent / "checks.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in WITNESS_BOUNDARY
+        for node in ast.walk(fn)
+    }
+    found = [
+        f"checks.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in exempt
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("frozenset", "set")
+    ]
+    assert not found, found
