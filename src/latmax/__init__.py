@@ -12,6 +12,7 @@ from .cdim2 import (
     materialize,
     verify_complements,
 )
+from .checks import observation_suite
 from .geometry import (
     BadPermutation,
     ChainSpec,
@@ -58,7 +59,6 @@ from .sublattice import (
     is_sublattice,
     maximal_complements_oracle,
     maximal_sublattices,
-    observation_suite,
     strict_canonical_joinands,
     strict_canonical_meetands,
 )

@@ -14,7 +14,11 @@ the corpus to the verdict; element lists appear only in a witness
 (:func:`_witness`) and are read back by :func:`reverify_witness`.
 
 :data:`CLAIMS` is the one table of the claims ``latmax check`` runs: claim
-id -> (checker, corpus builder), in report order.
+id -> (checker, corpus builder), in report order.  The observation suite
+(:func:`observation_suite`) checks one complement against the general
+observations 3.1-3.8 instead of sweeping a corpus; its witnesses replay
+under the tag ``observation-suite``.  Every :class:`CheckReport` and every
+witness of the package is built in this module.
 """
 from __future__ import annotations
 
@@ -24,7 +28,9 @@ from .corpus import cdim2_corpus, sd_corpus
 from .geometry import ConvexGeometry, build_cg
 from .lattice import (
     Lattice,
+    _component_masks,
     _is_convex_mask,
+    _join_of,
     _least,
     _mask_in,
     _minimal_mask,
@@ -45,7 +51,6 @@ from .sublattice import (
     _strict_joinands,
     is_sublattice,
     maximal_complements_oracle,
-    observation_suite,
     sublattice_masks,
 )
 
@@ -65,6 +70,7 @@ __all__ = [
     "check_thm_44_gist",
     "check_thm_45_greatest",
     "check_thm_51_55",
+    "observation_suite",
     "reverify_witness",
     "sublattice_complements",
 ]
@@ -595,6 +601,112 @@ def bounded_interval_baseline(corpus, label="corpus"):
             histogram[k] = histogram.get(k, 0) + 1
 
     return _sweep("bounded-baseline", label, instances()), histogram
+
+
+# -- the observation suite --------------------------------------------------------
+
+
+def observation_suite(L: Lattice, M) -> CheckReport:
+    """Assert the general complement observations against a maximal sublattice M.
+
+    Checks, in order: containment in one indecomposable component; no doubly
+    irreducible element in a complement of size >= 2; maximal elements of the
+    complement meet-irreducible and minimal ones join-irreducible; bottom/top
+    membership under two atoms/coatoms; no split into incomparable halves;
+    the m0-dichotomy (and its dual); saturation at maximal elements of
+    M minus top (and dually); and the greatest/least-element subcover facts.
+    Reports the first violated observation, each on L before its dual half;
+    where several elements violate one half, the witness names the lowest
+    id.  A ValueError names an id of M outside 0..n-1.
+    """
+    mmask = _mask_in(L, M)
+    cmask = L.full_mask() & ~mmask
+
+    def report(observation: str, **detail) -> CheckReport:
+        # The suite tries the observations 3.1-3.8 in turn, so 3.k is the k-th.
+        witness = _witness(L, "observation-suite", cmask, observation=observation, **detail)
+        return CheckReport("observation-suite", f"n={L.n}", int(observation[2]), COUNTEREXAMPLE, witness)
+
+    # Each two-sided observation is checked on L and then, dually, on
+    # L.dual, where the minimal elements of C are L's maximal ones, the
+    # bottom is L's top and the atoms are L's coatoms; the dual half keeps
+    # its own name and detail keys.
+    minima, maxima = _minimal_mask(L, cmask), _minimal_mask(L.dual, cmask)
+    sides = ((L, minima, maxima), (L.dual, maxima, minima))
+
+    # 3.1 complement confined to one indecomposable component
+    if cmask and not any(cmask & ~comp == 0 for comp in _component_masks(L)):
+        return report("3.1-component")
+
+    # 3.2 no doubly irreducible element when |C| >= 2
+    info = L.irreducibles
+    dbl = mask_of(info.ji & info.mi) & cmask
+    if cmask.bit_count() >= 2 and dbl:
+        return report("3.2-doubly-irreducible", element=next(bits(dbl)))
+
+    # 3.3 maxima meet-irreducible, and dually minima join-irreducible
+    for K, _, highs in sides:
+        bad = next((a for a in bits(highs) if a not in K.irreducibles.mi), None)
+        if bad is not None:
+            return report("3.3-irreducible-extremes", element=bad)
+
+    # 3.4 bottom belongs to M given two atoms, and dually top given two coatoms
+    for (K, _, _), name in zip(sides, ("3.4-bottom", "3.4-top")):
+        if len(K.atoms) >= 2 and not mmask >> K.bottom & 1:
+            return report(name)
+
+    # 3.5 no partition into two mutually incomparable nonempty parts: the
+    # comparability graph on C, searched from its lowest id, is connected.
+    up, down = L.up_masks, L.down_masks
+    reached = frontier = cmask & -cmask
+    while frontier:
+        step = 0
+        for a in bits(frontier):
+            step |= up[a] | down[a]
+        frontier = step & cmask & ~reached
+        reached |= frontier
+    if reached != cmask:
+        return report("3.5-disconnected", part=list(bits(cmask & ~reached)))
+
+    # 3.6 with m0 the meet of m̄ over minimal elements: C inside [m0, 1] or
+    # disjoint from it, convex in the second case; dually m1, the join of m̲
+    # over maximal elements.  m̄(c) is the meet of M ∩ ↑c, undefined when M
+    # has no element above c or none below it, and then so is m0.
+    names = (("3.6-m0-dichotomy", "3.6-convexity", "m0"), ("3.6-dual-dichotomy", "3.6-dual-convexity", "m1"))
+    for (K, lows, _), (split, convexity, key) in zip(sides, names):
+        up_k, down_k = K.up_masks, K.down_masks
+        if lows and all(mmask & up_k[c] and mmask & down_k[c] for c in bits(lows)):
+            m0 = _join_of(K.dual, mask_of(_join_of(K.dual, mmask & up_k[c]) for c in bits(lows)))
+            inside = cmask & up_k[m0]
+            if inside and inside != cmask:
+                return report(split, **{key: m0})
+            if not inside and not _is_convex_mask(L, cmask):
+                return report(convexity, **{key: m0})
+
+    # 3.7 m* maximal in M∖{1}, c in (m*, 1): every m in M not below m* joins c to 1.
+    for (K, _, _), name in zip(sides, ("3.7-saturation", "3.7-dual-saturation")):
+        up_k, down_k, top = K.up_masks, K.down_masks, 1 << K.top
+        rest = mmask & ~top
+        for mstar in bits(rest):
+            if up_k[mstar] & rest != 1 << mstar:
+                continue
+            for c in bits(up_k[mstar] & ~(1 << mstar) & ~top):
+                m = next((m for m in bits(mmask & ~down_k[mstar]) if up_k[m] & up_k[c] != top), None)
+                if m is not None:
+                    return report(name, mstar=mstar, c=c, m=m)
+
+    # 3.8 greatest element a of C has m̲(a) ≺ a; dually a least element c
+    # has c ≺ m̄(c).  Nothing is asserted where the bound is undefined.
+    names = (("3.8-greatest-subcover", "a", "m_under"), ("3.8-least-cover", "c", "m_over"))
+    for (K, _, highs), (name, a_key, bound_key) in zip(sides, names):
+        if highs.bit_count() == 1:
+            a = next(bits(highs))
+            if mmask & K.up_masks[a] and mmask & K.down_masks[a]:
+                under = _join_of(K, mmask & K.down_masks[a])
+                if a not in K.covers[under]:
+                    return report(name, **{a_key: a, bound_key: under})
+
+    return CheckReport("observation-suite", f"n={L.n}", 8, HOLDS)
 
 
 # -- the claims of ``latmax check`` ---------------------------------------------------

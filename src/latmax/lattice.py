@@ -296,8 +296,10 @@ def _mask_in(L: Lattice, ids) -> int:
 def minimal_elements(L: Lattice, S) -> list:
     """The minimal elements of the set S, in S's iteration order.
 
-    ``minimal_elements(L.dual, S)`` gives the maximal ones.
+    ``minimal_elements(L.dual, S)`` gives the maximal ones.  S is read once,
+    so it may be a one-shot iterable.
     """
+    S = list(S)
     minima = _minimal_mask(L, mask_of(S))
     return [a for a in S if minima >> a & 1]
 
@@ -324,6 +326,13 @@ def _least(L: Lattice, mask: int):
     lower = reduce(operator.and_, map(L.down_masks.__getitem__, bits(mask)))
     least = lower & mask
     return least.bit_length() - 1 if least else None
+
+
+def _join_of(L: Lattice, mask: int) -> int:
+    """The join of the nonempty set mask: the least of its common upper
+    bounds, the AND of its up masks.  ``_join_of(L.dual, mask)`` gives
+    the meet."""
+    return _least(L, reduce(operator.and_, map(L.up_masks.__getitem__, bits(mask))))
 
 
 # -- construction ------------------------------------------------------------
@@ -565,6 +574,12 @@ def indecomposable_components(L: Lattice):
     cuts = [a for a in range(L.n) if L.up_masks[a] | L.down_masks[a] == full]
     cuts.sort(key=lambda a: L.down_masks[a].bit_count())
     return [Interval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
+
+
+def _component_masks(L: Lattice) -> list:
+    """The masks of the indecomposable components of L; the full mask for a
+    one-element lattice, which has none."""
+    return [L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)] or [L.full_mask()]
 
 
 def double_interval(L: Lattice, iv: Interval) -> Lattice:

@@ -9,8 +9,10 @@ whose meet or join lands in C forces one of x, y into C, which yields a
 binary branch-and-prune search.
 
 Element subsets are plain frozensets of element ids in the public API;
-closure, maximality and the oracle run on bitmasks (Python ints), and
-convert only at that boundary.
+closure, maximality, the oracle, the Frattini sublattice and the complement
+bounds m̄(c), m̲(c) run on bitmasks (Python ints), and convert only at that
+boundary.  The observation suite that checks complements against the
+general facts 3.1-3.8 is a checker, in :mod:`latmax.checks`.
 """
 from __future__ import annotations
 
@@ -21,16 +23,13 @@ from operator import and_
 from .lattice import (
     InvariantViolation,
     Lattice,
+    _component_masks,
+    _join_of,
     _mask_in,
     bits,
     canonical_join_rep,
-    indecomposable_components,
-    is_convex_subset,
     mask_of,
-    minimal_elements,
-    to_cover_text,
 )
-from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 
 __all__ = [
     "ComplementBounds",
@@ -46,7 +45,6 @@ __all__ = [
     "is_sublattice",
     "maximal_complements_oracle",
     "maximal_sublattices",
-    "observation_suite",
     "strict_canonical_joinands",
     "strict_canonical_meetands",
     "sublattice_masks",
@@ -269,9 +267,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     ends = (1 << L.bottom) | (1 << L.top)
     dbl_mask = mask_of(L.irreducibles.ji & L.irreducibles.mi)
     blocked = ends | dbl_mask
-    comp_masks = [
-        L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)
-    ] or [L.full_mask()]
+    comp_masks = _component_masks(L)
 
     def first_violation(cmask: int, z: int, i: int):
         """(z, i) of the first unresolved pair at or after the cursor (z, i), or None."""
@@ -345,12 +341,12 @@ def maximal_sublattices(L: Lattice, bound=None) -> list:
 
 
 def frattini(L: Lattice, bound=None) -> frozenset:
-    """Intersection of all maximal sublattices (the whole lattice if none)."""
-    subs = maximal_sublattices(L, bound)
-    out = frozenset(range(L.n))
-    for m in subs:
-        out &= m
-    return out
+    """Intersection of all maximal sublattices (the whole lattice if none):
+    the elements outside every complement."""
+    removed = 0
+    for C in maximal_complements_oracle(L, bound):
+        removed |= mask_of(C)
+    return frozenset(bits(L.full_mask() & ~removed))
 
 
 # -- strict canonical joinands/meetands -----------------------------------------
@@ -386,143 +382,19 @@ def strict_canonical_meetands(L: Lattice, C, x: int) -> frozenset:
     return strict_canonical_joinands(L.dual, C, x)
 
 
-# -- complement bounds and the observation suite ---------------------------------
+# -- complement bounds -------------------------------------------------------------
 
 
 def complement_bounds(L: Lattice, M, c: int) -> ComplementBounds:
-    melems = frozenset(M)
-    if c in melems:
+    """m̄(c) and m̲(c) of an element c outside the sublattice M.
+
+    UndefinedBound when M has no element above c or none below it.  A
+    ValueError names an id of c or M outside 0..n-1.
+    """
+    mmask = _mask_in(L, M)
+    if mmask & _mask_in(L, [c]):
         raise ValueError(f"{c} lies in the sublattice")
-    above = [m for m in melems if L.leq[c, m] and m != c]
-    below = [m for m in melems if L.leq[m, c] and m != c]
+    above, below = mmask & L.up_masks[c], mmask & L.down_masks[c]
     if not above or not below:
         raise UndefinedBound(f"no sublattice element strictly {'above' if not above else 'below'} {c}")
-    return ComplementBounds(c, L.meet_of(above), L.join_of(below))
-
-
-def observation_suite(L: Lattice, M) -> CheckReport:
-    """Assert the general complement observations against a maximal sublattice M.
-
-    Checks, in order: containment in one indecomposable component; no doubly
-    irreducible element in a complement of size >= 2; maximal elements of the
-    complement meet-irreducible and minimal ones join-irreducible; bottom/top
-    membership under two atoms/coatoms; no split into incomparable halves;
-    the m0-dichotomy (and its dual); saturation at maximal elements of
-    M minus top (and dually); and the greatest/least-element subcover facts.
-    Reports the first violated observation.  A ValueError names an id of M
-    outside 0..n-1.
-    """
-    melems = frozenset(bits(_mask_in(L, M)))
-    call = frozenset(range(L.n))
-    cset = call - melems
-    checked = 0
-
-    def report(obs: str, detail: dict) -> CheckReport:
-        witness = {
-            "claim": "observation-suite",
-            "observation": obs,
-            "lattice": to_cover_text(L),
-            "sublattice": sorted(melems),
-            "complement": sorted(cset),
-        }
-        witness.update(detail)
-        return CheckReport("observation-suite", f"n={L.n}", checked, COUNTEREXAMPLE, witness)
-
-    info = L.irreducibles
-    cmask = mask_of(cset)
-    minima = minimal_elements(L, cset)
-    maxima = minimal_elements(L.dual, cset)
-
-    # 3.1 complement confined to one indecomposable component
-    checked += 1
-    comps = indecomposable_components(L)
-    masks = [L.interval_mask(iv.lo, iv.hi) for iv in comps] or [L.full_mask()]
-    if cset and not any(cmask & ~m == 0 for m in masks):
-        return report("3.1-component", {})
-
-    # 3.2 no doubly irreducible element when |C| >= 2
-    checked += 1
-    if len(cset) >= 2:
-        dbl = info.ji & info.mi & cset
-        if dbl:
-            return report("3.2-doubly-irreducible", {"element": min(dbl)})
-
-    # 3.3 maxima meet-irreducible, minima join-irreducible
-    checked += 1
-    bad = [a for a in maxima if a not in info.mi] + [a for a in minima if a not in info.ji]
-    if bad:
-        return report("3.3-irreducible-extremes", {"element": bad[0]})
-
-    # 3.4 bottom/top belong to M given two atoms / two coatoms
-    checked += 1
-    if len(L.atoms) >= 2 and L.bottom not in melems:
-        return report("3.4-bottom", {})
-    if len(L.coatoms) >= 2 and L.top not in melems:
-        return report("3.4-top", {})
-
-    # 3.5 no partition into two mutually incomparable nonempty parts:
-    # the comparability graph on C must be connected.
-    checked += 1
-    if cset:
-        todo = set(cset)
-        seen = {todo.pop()}
-        frontier = list(seen)
-        while frontier:
-            a = frontier.pop()
-            linked = {b for b in todo if L.leq[a, b] or L.leq[b, a]}
-            todo -= linked
-            frontier.extend(linked)
-            seen |= linked
-        if todo:
-            return report("3.5-disconnected", {"part": sorted(todo)})
-
-    # 3.6-3.8 are each checked on L and then, dually, on L.dual, where the
-    # minimal elements of C are L's maximal ones; the dual halves keep
-    # their own names and detail keys.
-    sides = ((L, minima, maxima), (L.dual, maxima, minima))
-
-    # 3.6 with m0 the meet of m̄ over minimal elements: C inside [m0, 1] or
-    # disjoint from it, convex in the second case; dually m1, the join of m̲
-    # over maximal elements.
-    checked += 1
-    names = (("3.6-m0-dichotomy", "3.6-convexity", "m0"), ("3.6-dual-dichotomy", "3.6-dual-convexity", "m1"))
-    for (K, lows, _), (split, convexity, key) in zip(sides, names):
-        try:
-            m0 = K.meet_of([complement_bounds(K, melems, c).m_over for c in lows]) if lows else None
-        except UndefinedBound:
-            m0 = None
-        if m0 is not None:
-            inside = cmask & K.interval_mask(m0, K.top)
-            if inside and inside != cmask:
-                return report(split, {key: m0})
-            if not inside and not is_convex_subset(L, cset):
-                return report(convexity, {key: m0})
-
-    # 3.7 m* maximal in M∖{1}, c in (m*, 1): every m in M not below m* joins c to 1.
-    checked += 1
-    for (K, _, _), name in zip(sides, ("3.7-saturation", "3.7-dual-saturation")):
-        m_no_top = melems - {K.top}
-        for mstar in m_no_top:
-            if any(b != mstar and K.leq[mstar, b] for b in m_no_top):
-                continue
-            between = [c for c in range(K.n) if K.leq[mstar, c] and K.leq[c, K.top] and c not in (mstar, K.top)]
-            for c in between:
-                for m in melems:
-                    if not K.leq[m, mstar] and K.join[m, c] != K.top:
-                        return report(name, {"mstar": mstar, "c": c, "m": m})
-
-    # 3.8 greatest element a of C has m̲(a) ≺ a; dually a least element c
-    # has c ≺ m̄(c).
-    checked += 1
-    names = (("3.8-greatest-subcover", "a", "m_under"), ("3.8-least-cover", "c", "m_over"))
-    for (K, _, highs), (name, a_key, bound_key) in zip(sides, names):
-        if len(highs) == 1 and cset:
-            a = highs[0]
-            try:
-                under = complement_bounds(K, melems, a).m_under
-            except UndefinedBound:
-                continue
-            if a not in K.covers[under]:
-                return report(name, {a_key: a, bound_key: under})
-
-    return CheckReport("observation-suite", f"n={L.n}", checked, HOLDS)
+    return ComplementBounds(c, _join_of(L.dual, above), _join_of(L, below))

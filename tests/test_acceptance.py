@@ -24,6 +24,7 @@ from latmax.checks import (
     check_thm_44_gist,
     check_thm_45_greatest,
     check_thm_51_55,
+    observation_suite,
 )
 from latmax.corpus import (
     all_cdim2_geometries,
@@ -38,7 +39,6 @@ from latmax.corpus import (
 )
 from latmax.geometry import build_cg
 from latmax.lattice import is_sd, is_sd_join, is_sd_meet, kappa, kappa_bijection_check, kappa_sigma
-from latmax.sublattice import observation_suite
 
 PAPER_PERM = (3, 6, 7, 10, 1, 8, 9, 5, 2, 4)
 

@@ -67,6 +67,8 @@ def test_minimal_elements_and_maxima_via_dual():
     L = chain(4)
     assert minimal_elements(L, {1, 3}) == [1]
     assert minimal_elements(L.dual, {1, 3}) == [3]
+    # S is read once, so a one-shot iterable gives the same answer as a list.
+    assert minimal_elements(chain(2), (x for x in [1, 2])) == minimal_elements(chain(2), [1, 2]) == [1]
     B = boolean(2)
     assert sorted(minimal_elements(B, {1, 2})) == sorted(minimal_elements(B.dual, {1, 2}))
 

@@ -47,3 +47,16 @@ def test_checks_build_no_frozenset_outside_the_witness_boundary():
         and node.func.id in ("frozenset", "set")
     ]
     assert not found, found
+
+
+def test_only_checks_builds_a_check_report():
+    # Every CheckReport, and so every witness, is built in latmax.checks:
+    # one _witness and one REPLAY table serve every checker.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "checks.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "CheckReport"
+    ]
+    assert SOURCES and not found, found

@@ -1,14 +1,10 @@
 """The general observations on maximal-sublattice complements, as a suite."""
 from __future__ import annotations
 
-from latmax.checks import reverify_witness
+from latmax.checks import observation_suite, reverify_witness
 from latmax.corpus import boolean, chain, doubled_sequences
 from latmax.lattice import canonical_join_rep, canonical_meet_rep, from_cover_relations
-from latmax.sublattice import (
-    is_sublattice,
-    maximal_complements_oracle,
-    observation_suite,
-)
+from latmax.sublattice import is_sublattice, maximal_complements_oracle
 
 
 def _complement_pairs(L, bound=16):
@@ -56,6 +52,18 @@ def test_suite_flags_component_violation():
     rep = observation_suite(L, frozenset({0, 2, 4}))
     assert not rep.holds
     assert rep.witness["observation"] == "3.1-component"
+    assert reverify_witness(rep)
+
+
+def test_suite_names_the_lowest_violating_element():
+    # C = {7, 8} is an antichain of two join-reducible elements, each minimal
+    # in C: both violate 3.3, and the witness names the lower id.
+    covers = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 7), (4, 8), (5, 8), (5, 9)]
+    covers += [(6, 9), (6, 10), (7, 10), (8, 11), (9, 11), (9, 12), (10, 12), (11, 13), (12, 13)]
+    L = from_cover_relations(14, covers)
+    rep = observation_suite(L, set(range(14)) - {7, 8})
+    assert rep.witness["observation"] == "3.3-irreducible-extremes"
+    assert rep.witness["element"] == 7
     assert reverify_witness(rep)
 
 

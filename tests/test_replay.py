@@ -70,7 +70,7 @@ def _observation_witnesses():
     # On chain(4), M = {0, 2, 4} leaves C = {1, 3}, which breaks an
     # observation; M = {0, 1, 3, 4} is a maximal sublattice, so the same
     # claim is honest there.
-    from latmax.sublattice import observation_suite
+    from latmax.checks import observation_suite
 
     bad = observation_suite(chain(4), {0, 2, 4})
     assert bad.status == "CounterexampleFound"
@@ -118,7 +118,7 @@ class _RecordingTable(dict):
 
 def test_every_emitted_tag_has_a_replay_entry(monkeypatch):
     """Every tag a sweep tests has a REPLAY entry, and every entry but the
-    observation suite's (its witnesses come from sublattice.observation_suite)
+    observation suite's (its witnesses come from checks.observation_suite)
     is reached by some checker."""
     table = _RecordingTable(checks.REPLAY)
     monkeypatch.setattr(checks, "REPLAY", table)

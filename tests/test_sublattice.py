@@ -8,6 +8,7 @@ import pytest
 
 from helpers import brute_max_complements, closure_scheme_b, full_rescan_oracle, random_cover_lattice
 from latmax import sublattice
+from latmax.checks import observation_suite
 from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, glued, m3, n5, random_cdim_k
 from latmax.geometry import build_cg
 from latmax.lattice import (
@@ -30,7 +31,6 @@ from latmax.sublattice import (
     is_sublattice,
     maximal_complements_oracle,
     maximal_sublattices,
-    observation_suite,
     strict_canonical_joinands,
     strict_canonical_meetands,
 )
@@ -156,6 +156,14 @@ def test_complement_bounds_undefined():
         complement_bounds(L, {2}, 1)
     with pytest.raises(ValueError):
         complement_bounds(L, {0, 2}, 2)
+    # An id of c or M outside the lattice is named.
+    for M, c, message in [
+        ({0, 2}, -1, "-1 is negative"),
+        ({0, 2}, 7, "7 is not in 0..2"),
+        ({0, 99}, 1, "99 is not in 0..2"),
+    ]:
+        with pytest.raises(ValueError, match=f"element id {message}"):
+            complement_bounds(L, M, c)
 
 
 def test_complement_bounds_on_generated_geometries():
