@@ -17,7 +17,6 @@ from .geometry import (
     BadPermutation,
     ChainSpec,
     ConvexGeometry,
-    TopOnly,
     build_cg,
     format_cg_text,
     parse_cg_text,
@@ -58,7 +57,6 @@ from .sublattice import (
     is_maximal_sublattice,
     is_sublattice,
     maximal_complements_oracle,
-    maximal_sublattices,
     strict_canonical_joinands,
     strict_canonical_meetands,
 )

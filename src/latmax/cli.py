@@ -325,9 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _refuse_negative_options(args):
+    """An _InputError for a negative --max-m, --random or --oracle-bound."""
+    for option in ("max_m", "random", "oracle_bound"):
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            raise _InputError(f"--{option.replace('_', '-')} must be nonnegative, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_negative_options(args)
         return args.fn(args)
     except (BadPermutation, _InputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ __all__ = [
     "BadPermutation",
     "ChainSpec",
     "ConvexGeometry",
-    "TopOnly",
     "build_cg",
     "format_cg_text",
     "parse_cg_text",
@@ -39,10 +38,6 @@ __all__ = [
 
 class BadPermutation(ValueError):
     """A chain is not a permutation of {1..m}."""
-
-
-class TopOnly(LookupError):
-    """No proper meet-irreducible on the chain contains the point; only X does."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +142,8 @@ class ConvexGeometry:
     """Lattice of all intersections of chain prefixes, with chain indices.
 
     Exposes, for each chain i and ground point x, the least prefix C_i(x)
-    containing x, the least meet-irreducible M_i(x) on the chain containing
-    x, and the point closure (x), the smallest family member containing x.
+    containing x, and the point closure (x), the smallest family member
+    containing x.
     """
 
     def __init__(self, m: int, chains, verify: bool = True):
@@ -220,24 +215,6 @@ class ConvexGeometry:
         prefixes = (self.chain_prefix_of_point(i, x) for i in range(len(self.chains)))
         return self.lattice.meet_of(prefixes)
 
-    def least_mi_on_chain(self, i: int, x: int) -> int:
-        """M_i(x): least meet-irreducible prefix of chain i containing x.
-
-        Raises TopOnly when the only chain element containing x that could
-        qualify is the top X (which is never meet-irreducible).
-        """
-        mi = self.lattice.irreducibles.mi
-        for k in range(self.chains[i].pos[x], self.m + 1):
-            a = self.chain_elements[i][k]
-            if a in mi:
-                return a
-        raise TopOnly(f"no proper meet-irreducible on chain {i} contains {x}")
-
-    def cdim(self) -> int:
-        """Convex dimension: the maximum antichain of meet-irreducibles."""
-        mi = sorted(self.lattice.irreducibles.mi)
-        return _poset_width(self.lattice, mi)
-
     def has_trivial_intersection(self) -> bool:
         """Whether every pair of generating chains shares only ∅ and X."""
         sets = [set(ids) for ids in self.chain_elements]
@@ -290,30 +267,6 @@ class ConvexGeometry:
 def build_cg(m: int, chains, verify: bool = True) -> ConvexGeometry:
     """Build the geometry generated by the given chains (permutations of 1..m)."""
     return ConvexGeometry(m, chains, verify=verify)
-
-
-def _poset_width(L: Lattice, elems) -> int:
-    """Width of the subposet on elems via Dilworth (bipartite matching)."""
-    k = len(elems)
-    if k == 0:
-        return 0
-    adj = [
-        [b for b in range(k) if a != b and L.leq[elems[a], elems[b]]]
-        for a in range(k)
-    ]
-    match_r = [-1] * k
-
-    def augment(a, seen):
-        for b in adj[a]:
-            if not seen[b]:
-                seen[b] = True
-                if match_r[b] == -1 or augment(match_r[b], seen):
-                    match_r[b] = a
-                    return True
-        return False
-
-    matching = sum(augment(a, [False] * k) for a in range(k))
-    return k - matching
 
 
 # -- text format ---------------------------------------------------------------

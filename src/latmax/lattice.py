@@ -86,11 +86,14 @@ class Lattice:
 
     # The oracle's result, a tuple once computed; the masks of the proper
     # sublattices' complements the checks quantify over, a tuple once
-    # computed; and whether the lattice is SD-join, a bool once computed.
-    # Each dual view has its own.
+    # computed; whether the lattice is SD-join, a bool once computed; and
+    # the masks of the indecomposable components, a tuple once computed.
+    # A dual view takes its primal's covers and irreducibles, but keeps
+    # these four of its own.
     _oracle_complements = None
     _sublattice_complements = None
     _sd_join = None
+    _components = None
 
     def __init__(self, leq):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
@@ -143,20 +146,28 @@ class Lattice:
 
     @cached_property
     def dual(self) -> Lattice:
-        """The order dual: an O(1) view sharing this lattice's arrays.
+        """The order dual: a view sharing this lattice's arrays and covers.
 
-        Meet and join, down and up masks, bottom and top trade places and the
-        order is ``leq.T``; nothing is re-validated, and the view's own cached
-        properties fill in lazily.  The view keeps no reference back to this
-        lattice (a cycle would leave lattices to the cyclic garbage
-        collector), so ``L.dual.dual`` is a fresh view over L's arrays.
+        Meet and join, down and up masks, bottom and top, upper and lower
+        covers, and the join- and meet-irreducibles trade places; the order
+        is ``leq.T`` and the cover matrix its transpose.  Nothing is
+        re-validated or recomputed: reading this lattice's covers and
+        irreducibles here computes them once for both, and the view's other
+        cached properties fill in lazily from them.  The view keeps no
+        reference back to this lattice (a cycle would leave lattices to the
+        cyclic garbage collector), so ``L.dual.dual`` is a fresh view over
+        L's arrays and covers.
         """
+        info = self.irreducibles
         d = object.__new__(Lattice)
         d.n = self.n
         d.leq = self.leq.T
         d.meet, d.join = self.join, self.meet
         d.down_masks, d.up_masks = self.up_masks, self.down_masks
         d.bottom, d.top = self.top, self.bottom
+        d.cover_matrix = self.cover_matrix.T
+        d.covers, d.lower_covers = self.lower_covers, self.covers
+        d.irreducibles = IrreducibleInfo(info.mi, info.ji, info.upper_star, info.lower_star)
         return d
 
     # -- structure ---------------------------------------------------------
@@ -289,8 +300,14 @@ def _mask_in(L: Lattice, ids) -> int:
     """mask_of(ids); a ValueError names an id outside 0..n-1."""
     mask = mask_of(ids)
     if mask >> L.n:
-        raise ValueError(f"element id {mask.bit_length() - 1} is not in 0..{L.n - 1}")
+        _check_id(L, mask.bit_length() - 1)
     return mask
+
+
+def _check_id(L: Lattice, x: int):
+    """A ValueError naming x unless it is an element id 0..n-1 of L."""
+    if not 0 <= x < L.n:
+        raise ValueError(f"element id {x} is not in 0..{L.n - 1}")
 
 
 def minimal_elements(L: Lattice, S) -> list:
@@ -495,7 +512,8 @@ def canonical_join_rep(L: Lattice, x: int):
     ↓y, and it lies above j_y; for y ≠ y′, y lies in ↓x ∖ ↓y′, so j_{y′} <= y
     and the j_y form an irredundant antichain.  (⇒) X refines {y, z} for
     every z in ↓x ∖ ↓y; taking z in X shows that one element of X lies
-    outside ↓y, and it lies below every such z.
+    outside ↓y, and it lies below every such z.  A ValueError names an x
+    outside 0..n-1.
     """
     reps = L._canonical_reps
     if x not in reps:
@@ -509,6 +527,7 @@ def canonical_meet_rep(L: Lattice, x: int):
 
 
 def _canonical_rep_uncached(L: Lattice, x: int):
+    _check_id(L, x)
     down = L.down_masks
     joinands = {_least(L, down[x] & ~down[y]) for y in L.lower_covers[x]}
     if None in joinands:
@@ -576,10 +595,13 @@ def indecomposable_components(L: Lattice):
     return [Interval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
 
-def _component_masks(L: Lattice) -> list:
-    """The masks of the indecomposable components of L; the full mask for a
-    one-element lattice, which has none."""
-    return [L.interval_mask(iv.lo, iv.hi) for iv in indecomposable_components(L)] or [L.full_mask()]
+def _component_masks(L: Lattice) -> tuple:
+    """The masks of the indecomposable components of L, computed once per
+    lattice; the full mask for a one-element lattice, which has none."""
+    if L._components is None:
+        ivs = indecomposable_components(L)
+        L._components = tuple(L.interval_mask(iv.lo, iv.hi) for iv in ivs) or (L.full_mask(),)
+    return L._components
 
 
 def double_interval(L: Lattice, iv: Interval) -> Lattice:
@@ -589,8 +611,11 @@ def double_interval(L: Lattice, iv: Interval) -> Lattice:
     product order inside the doubled region; outside elements compare to a
     doubled pair exactly as they compared to x.  The result is rebuilt from
     its order matrix, which re-runs full lattice verification, so a slip in
-    the order definition cannot survive silently.
+    the order definition cannot survive silently.  A ValueError names an
+    endpoint outside 0..n-1.
     """
+    _check_id(L, iv.lo)
+    _check_id(L, iv.hi)
     if not L.leq[iv.lo, iv.hi]:
         raise ValueError(f"not an interval: {iv}")
     imask = L.interval_mask(iv.lo, iv.hi)

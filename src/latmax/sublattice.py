@@ -44,7 +44,6 @@ __all__ = [
     "is_maximal_sublattice",
     "is_sublattice",
     "maximal_complements_oracle",
-    "maximal_sublattices",
     "strict_canonical_joinands",
     "strict_canonical_meetands",
     "sublattice_masks",
@@ -333,11 +332,6 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     result = sorted((frozenset(bits(c)) for c in minimal), key=sorted)
     L._oracle_complements = tuple(result)
     return list(result)
-
-
-def maximal_sublattices(L: Lattice, bound=None) -> list:
-    everything = frozenset(range(L.n))
-    return [everything - c for c in maximal_complements_oracle(L, bound)]
 
 
 def frattini(L: Lattice, bound=None) -> frozenset:

@@ -770,3 +770,55 @@ def reference_complements_json(comps, chain1, chain2) -> str:
             }
         )
     return json.dumps(rows)
+
+
+# -- derived views only the tests read ------------------------------------------------
+
+
+class TopOnly(LookupError):
+    """No proper meet-irreducible on the chain contains the point; only X does."""
+
+
+def least_mi_on_chain(G, i, x):
+    """M_i(x): the least meet-irreducible prefix of chain i of G containing x.
+
+    Raises TopOnly when the only chain element containing x that could
+    qualify is the top X (which is never meet-irreducible).
+    """
+    mi = G.lattice.irreducibles.mi
+    for k in range(G.chains[i].pos[x], G.m + 1):
+        a = G.chain_elements[i][k]
+        if a in mi:
+            return a
+    raise TopOnly(f"no proper meet-irreducible on chain {i} contains {x}")
+
+
+def cdim(G):
+    """Convex dimension of G: the maximum antichain of meet-irreducibles."""
+    return _poset_width(G.lattice, sorted(G.lattice.irreducibles.mi))
+
+
+def _poset_width(L, elems):
+    """Width of the subposet on elems via Dilworth (bipartite matching)."""
+    k = len(elems)
+    adj = [[b for b in range(k) if a != b and L.leq[elems[a], elems[b]]] for a in range(k)]
+    match_r = [-1] * k
+
+    def augment(a, seen):
+        for b in adj[a]:
+            if not seen[b]:
+                seen[b] = True
+                if match_r[b] == -1 or augment(match_r[b], seen):
+                    match_r[b] = a
+                    return True
+        return False
+
+    return k - sum(augment(a, [False] * k) for a in range(k))
+
+
+def maximal_sublattices(L):
+    """The maximal sublattices of L: the whole carrier less each oracle complement."""
+    from latmax.sublattice import maximal_complements_oracle
+
+    everything = frozenset(range(L.n))
+    return [everything - c for c in maximal_complements_oracle(L)]

@@ -11,7 +11,7 @@ from helpers import (
     loop_kappa_bijection_check,
     random_moore_lattice,
 )
-from latmax.corpus import all_cdim2_geometries, boolean, chain
+from latmax.corpus import all_cdim2_geometries, boolean, chain, n5
 from latmax.lattice import (
     canonical_join_rep,
     canonical_meet_rep,
@@ -107,6 +107,16 @@ def test_kappa_absent_on_m3(named_lattices):
 def test_kappa_requires_join_irreducible(named_lattices):
     with pytest.raises(ValueError):
         kappa(named_lattices["b2"], 3)
+
+
+@pytest.mark.parametrize("rep, x", [(canonical_join_rep, -1), (canonical_join_rep, 7), (canonical_meet_rep, 5)])
+def test_canonical_rep_refuses_an_id_outside_the_lattice(rep, x):
+    L = n5()
+    with pytest.raises(ValueError, match=rf"^element id {x} is not in 0\.\.4$"):
+        rep(L, x)
+    # Nothing is cached for the refused id, and a valid id still works.
+    assert x not in L._canonical_reps and x not in L.dual._canonical_reps
+    assert rep(L, L.bottom if rep is canonical_join_rep else L.top) == frozenset()
 
 
 def test_kappa_direct_enumeration_agrees(small_corpus, moore_families):

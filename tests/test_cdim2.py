@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import block_decompose_and_run, scalar_fast_complements
+from helpers import block_decompose_and_run, least_mi_on_chain, scalar_fast_complements
 from latmax.cdim2 import (
     C1_TYPE2,
     SHAPE_CHAIN1,
@@ -467,7 +467,7 @@ def test_interval_maxima_are_least_mi_on_chain():
     for c in comps:
         chains = {"IntervalChain1": (0,), "IntervalChain2": (1,), "UnionBothChains": (0, 1)}
         for i in chains[c.shape]:
-            assert G.chain_prefix_of_point(i, c.j) == G.least_mi_on_chain(i, c.j)
+            assert G.chain_prefix_of_point(i, c.j) == least_mi_on_chain(G, i, c.j)
 
 
 def test_classification_on_decomposed_arbitrary_chains():

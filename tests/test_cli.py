@@ -527,3 +527,26 @@ def test_bench_rejects_bad_sizes(capsys, sizes):
     rc, out, err = run_cli(capsys, "bench", "--sizes", sizes)
     assert rc == 2 and not out
     assert err.startswith("parse error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "all", "--max-m", "-1"],
+        ["check", "all", "--random", "-3"],
+        ["oracle", "--perm", "2 1 3", "--oracle-bound", "-1"],
+        ["dot", "--perm", "2 1 3", "--oracle-bound", "-1"],
+        ["cg-complements", "--perm", "2 1 3", "--verify", "--oracle-bound", "-1"],
+    ],
+)
+def test_negative_counts_are_parse_errors(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and not out
+    assert err == f"parse error: {argv[-2]} must be nonnegative, got {argv[-1]}\n"
+
+
+def test_zero_counts_are_valid(capsys):
+    rc, out, _ = run_cli(capsys, "check", "hyp1", "--max-m", "0", "--random", "0")
+    assert rc == 0 and json.loads(out)["corpus"] == "n5 + 0 doubled lattices (seed=0)"
+    rc, _, err = run_cli(capsys, "oracle", "--perm", "2 1 3", "--oracle-bound", "0")
+    assert rc == 2 and err.startswith("oracle bound exceeded:")

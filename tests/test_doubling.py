@@ -73,3 +73,9 @@ def test_doubling_order_matches_the_loop_construction():
         for lo, hi in zip(*np.nonzero(L.leq)):
             iv = Interval(int(lo), int(hi))
             assert np.array_equal(double_interval(L, iv).leq, loop_doubled_order(L, iv))
+
+
+@pytest.mark.parametrize("lo, hi, bad", [(-1, -1, -1), (0, 9, 9), (5, 5, 5)])
+def test_doubling_refuses_an_id_outside_the_lattice(lo, hi, bad):
+    with pytest.raises(ValueError, match=rf"^element id {bad} is not in 0\.\.4$"):
+        double_interval(n5(), Interval(lo, hi))

@@ -1,18 +1,14 @@
 """The Lattice.dual view against a freshly validated transposed lattice."""
 from __future__ import annotations
 
-import ast
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences
-from latmax.lattice import Lattice, bits, mask_of, minimal_elements
+from latmax.lattice import Lattice, _component_masks, bits, mask_of, minimal_elements
 from latmax.sublattice import maximal_complements_oracle
-
-SRC = Path(__file__).resolve().parents[1] / "src" / "latmax"
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +32,20 @@ def test_dual_matches_transposed_lattice(dual_corpus):
 
 
 def test_dual_shares_arrays_and_double_dual_is_primal(dual_corpus):
-    for L in dual_corpus[:9]:
+    for L in dual_corpus:
         D = L.dual
         assert D is L.dual
         assert np.shares_memory(D.leq, L.leq) and D.meet is L.join and D.join is L.meet
+        # The cover structure is L's own, with the roles swapped.
+        assert D.covers is L.lower_covers and D.lower_covers is L.covers
+        assert D.irreducibles.ji is L.irreducibles.mi and D.irreducibles.mi is L.irreducibles.ji
+        assert D.irreducibles.lower_star is L.irreducibles.upper_star
+        assert np.shares_memory(D.cover_matrix, L.cover_matrix)
         DD = D.dual
         assert np.array_equal(DD.leq, L.leq) and DD.meet is L.meet
         assert (DD.bottom, DD.top, DD.down_masks) == (L.bottom, L.top, L.down_masks)
+        assert DD.covers is L.covers and DD.lower_covers is L.lower_covers
+        assert _component_masks(L) is _component_masks(L)
 
 
 def test_oracle_complements_are_self_dual(dual_corpus):
@@ -71,14 +74,3 @@ def test_minimal_elements_and_maxima_via_dual():
     assert minimal_elements(chain(2), (x for x in [1, 2])) == minimal_elements(chain(2), [1, 2]) == [1]
     B = boolean(2)
     assert sorted(minimal_elements(B, {1, 2})) == sorted(minimal_elements(B.dual, {1, 2}))
-
-
-def test_no_assert_statement_in_the_package():
-    # `python -O` strips assert statements, so no check may rest on one.
-    offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
-    ]
-    assert offenders == []

@@ -6,10 +6,10 @@ from itertools import permutations
 
 import pytest
 
-from helpers import intersection_closure
+from helpers import TopOnly, cdim, intersection_closure, least_mi_on_chain
 from latmax import geometry
 from latmax.corpus import random_cdim_k, random_permutation
-from latmax.geometry import BadPermutation, TopOnly, build_cg, format_cg_text, parse_cg_text
+from latmax.geometry import BadPermutation, build_cg, format_cg_text, parse_cg_text
 from latmax.lattice import InvariantViolation, indecomposable_components
 
 
@@ -24,7 +24,7 @@ def paper_geometry():
 def test_single_chain_gives_a_chain():
     G = build_cg(3, [(1, 2, 3)])
     assert [sorted(s) for s in G.family] == [[], [1], [1, 2], [1, 2, 3]]
-    assert G.cdim() == 1
+    assert cdim(G) == 1
 
 
 def test_bad_permutation_rejected():
@@ -58,7 +58,7 @@ def test_family_matches_independent_intersection_closure():
 
 def test_paper_geometry_shape(paper_geometry):
     G = paper_geometry
-    assert G.cdim() == 2
+    assert cdim(G) == 2
     assert G.has_trivial_intersection()
     # the closures referenced by the worked example
     assert G.element_set(G.point_closure(2)) == {1, 2}
@@ -84,9 +84,9 @@ def test_least_mi_on_single_chain():
     G = build_cg(3, [(1, 2, 3)])
     # on a chain every proper prefix is meet-irreducible
     for x in (1, 2):
-        assert G.least_mi_on_chain(0, x) == G.chain_prefix_of_point(0, x)
+        assert least_mi_on_chain(G, 0, x) == G.chain_prefix_of_point(0, x)
     with pytest.raises(TopOnly):
-        G.least_mi_on_chain(0, 3)
+        least_mi_on_chain(G, 0, 3)
 
 
 def test_point_closure_first_points():
@@ -115,16 +115,16 @@ def test_point_closure_injective_and_intersection_formula():
 def test_cdim_blocks():
     # k mutually reversed chains on distinct blocks force an antichain of k
     G = build_cg(4, [(1, 2, 3, 4), (2, 1, 4, 3)])
-    assert G.cdim() == 2
+    assert cdim(G) == 2
     G1 = build_cg(4, [(1, 2, 3, 4), (1, 2, 3, 4)])
-    assert G1.cdim() == 1
+    assert cdim(G1) == 1
     # k cyclic rotations of (1..k) generate the full powerset: cdim = k
     for k in (3, 4):
         base = list(range(1, k + 1))
         rotations = [tuple(base[i:] + base[:i]) for i in range(k)]
         Gk = build_cg(k, rotations)
         assert Gk.lattice.n == 2**k
-        assert Gk.cdim() == k
+        assert cdim(Gk) == k
 
 
 def test_trivial_intersection_examples():
@@ -147,7 +147,7 @@ def test_cg_text_round_trip():
 
 def _mi_or_none(G, i, x):
     try:
-        return G.least_mi_on_chain(i, x)
+        return least_mi_on_chain(G, i, x)
     except TopOnly:
         return None
 
@@ -211,7 +211,7 @@ def test_lemma_63_random_larger():
 def test_random_cdim_k_builds_verified():
     G = random_cdim_k(6, 3, seed=9)
     assert G.m == 6 and len(G.chains) == 3
-    assert G.cdim() <= 3
+    assert cdim(G) <= 3
 
 
 def _doubled_points(mask):

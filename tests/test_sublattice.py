@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import brute_max_complements, closure_scheme_b, full_rescan_oracle, random_cover_lattice
+from helpers import (
+    brute_max_complements,
+    closure_scheme_b,
+    full_rescan_oracle,
+    maximal_sublattices,
+    random_cover_lattice,
+)
 from latmax import sublattice
 from latmax.checks import observation_suite
 from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, glued, m3, n5, random_cdim_k
@@ -30,7 +36,6 @@ from latmax.sublattice import (
     is_maximal_sublattice,
     is_sublattice,
     maximal_complements_oracle,
-    maximal_sublattices,
     strict_canonical_joinands,
     strict_canonical_meetands,
 )
