@@ -45,7 +45,6 @@ from .lattice import (
 )
 from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 from .sublattice import (
-    NoCanonicalRep,
     _generated_mask,
     _is_maximal_mask,
     _strict_joinands,
@@ -542,11 +541,8 @@ def _lemma54_instances(corpus):
         comparable = [u | d for u, d in zip(up, down)]
         for cmask in sublattice_complements(L):
             for x in bits(cmask):
-                try:
-                    # the strict canonical meetands of x
-                    scms = _strict_joinands(dual, cmask, x)
-                except NoCanonicalRep:
-                    continue
+                # the strict canonical meetands of x, which exist as L is SD
+                scms = _strict_joinands(dual, cmask, x)
                 above = cmask & up[x]
                 for u1 in bits(scms):
                     between = above & down[u1] & ~(1 << x)  # C ∩ (x, u1]

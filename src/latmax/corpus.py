@@ -4,8 +4,6 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
-import numpy as np
-
 from .geometry import ConvexGeometry, build_cg
 from .lattice import Interval, Lattice, bits, double_interval, from_cover_relations
 from .sublattice import DEFAULT_ORACLE_BOUND
@@ -65,30 +63,19 @@ def glued(parts) -> Lattice:
     parts = list(parts)
     if not parts:
         raise ValueError("glued sum needs at least one part")
-    ids = []
-    next_id = 0
-    for i, p in enumerate(parts):
+    covers, next_id, top = [], 0, None
+    for p in parts:
+        # A later part's bottom takes the previous part's top id.
         amap = {}
         for a in range(p.n):
-            if i > 0 and a == p.bottom:
-                amap[a] = ids[i - 1][parts[i - 1].top]
+            if a == p.bottom and top is not None:
+                amap[a] = top
             else:
                 amap[a] = next_id
                 next_id += 1
-        ids.append(amap)
-    leq = np.zeros((next_id, next_id), dtype=bool)
-    for i, p in enumerate(parts):
-        for a in range(p.n):
-            for b in range(p.n):
-                if p.leq[a, b]:
-                    leq[ids[i][a], ids[i][b]] = True
-    # Everything in an earlier part lies below everything in a later part.
-    for i in range(len(parts)):
-        for k in range(i + 1, len(parts)):
-            for a in range(parts[i].n):
-                for b in range(parts[k].n):
-                    leq[ids[i][a], ids[k][b]] = True
-    return Lattice(leq)
+        covers += [(amap[a], amap[b]) for a in range(p.n) for b in p.covers[a]]
+        top = amap[p.top]
+    return from_cover_relations(next_id, covers)
 
 
 # -- geometries ------------------------------------------------------------------
@@ -115,10 +102,10 @@ def random_permutation(m: int, rng: random.Random):
     return tuple(perm)
 
 
-def random_cdim_k(m: int, k: int, seed: int, verify: bool = True) -> ConvexGeometry:
+def random_cdim_k(m: int, k: int, seed: int) -> ConvexGeometry:
     rng = random.Random(seed)
     chains = [tuple(range(1, m + 1))] + [random_permutation(m, rng) for _ in range(k - 1)]
-    return build_cg(m, chains, verify=verify)
+    return build_cg(m, chains)
 
 
 # -- doubling corpus ---------------------------------------------------------------

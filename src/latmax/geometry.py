@@ -19,6 +19,7 @@ import numpy as np
 from .lattice import (
     InvariantViolation,
     Lattice,
+    _check_id,
     _int_field,
     _rows,
     is_lower_semimodular,
@@ -183,15 +184,25 @@ class ConvexGeometry:
     # -- indices -------------------------------------------------------------
 
     def element_set(self, a: int) -> frozenset:
+        """The points of element a; a ValueError names an id outside 0..n-1."""
+        _check_id(self.lattice, a)
         return self.family[a]
+
+    def _pos(self, i: int, x: int) -> int:
+        """The 1-based position of point x on chain i; a ValueError names a
+        point outside 1..m."""
+        try:
+            return self.chains[i].pos[x]
+        except KeyError:
+            raise ValueError(f"point {x} is not in 1..{self.m}") from None
 
     def chain_prefix_of_point(self, i: int, x: int) -> int:
         """C_i(x): the least prefix of chain i containing ground point x."""
-        return self.chain_elements[i][self.chains[i].pos[x]]
+        return self.chain_elements[i][self._pos(i, x)]
 
     def chain_prefix(self, i: int, a: int) -> int:
         """C_i(a): the least prefix of chain i containing family element a."""
-        pts = self.family[a]
+        pts = self.element_set(a)
         if not pts:
             return self.chain_elements[i][0]
         return self.chain_elements[i][max(self.chains[i].pos[x] for x in pts)]
@@ -200,7 +211,7 @@ class ConvexGeometry:
         """(x, inside) on chain i of a two-chain geometry: x is the point added
         right after C_i(j), None when C_i(j) is X, and inside says whether x
         lies in the other chain's prefix C_i'(j)."""
-        k = self.chains[i].pos[j]
+        k = self._pos(i, j)
         if k == self.m:
             return None, False
         x = self.chains[i].perm[k]
@@ -217,13 +228,8 @@ class ConvexGeometry:
 
     def has_trivial_intersection(self) -> bool:
         """Whether every pair of generating chains shares only ∅ and X."""
-        sets = [set(ids) for ids in self.chain_elements]
-        ends = {self.lattice.bottom, self.lattice.top}
-        for i in range(len(sets)):
-            for k in range(i + 1, len(sets)):
-                if (sets[i] & sets[k]) - ends:
-                    return False
-        return True
+        ends = (self.lattice.bottom, self.lattice.top)
+        return all(sum(on) < 2 for a, on in enumerate(self.chain_member) if a not in ends)
 
     # -- verification ----------------------------------------------------------
 

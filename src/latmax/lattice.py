@@ -230,6 +230,10 @@ class Lattice:
     # -- subsets -----------------------------------------------------------
 
     def interval_mask(self, lo: int, hi: int) -> int:
+        """The mask of [lo, hi]; a ValueError names an id outside 0..n-1."""
+        if not (0 <= lo < self.n and 0 <= hi < self.n):
+            _check_id(self, lo)
+            _check_id(self, hi)
         return self.up_masks[lo] & self.down_masks[hi]
 
     def interval(self, lo: int, hi: int) -> frozenset:
@@ -239,10 +243,10 @@ class Lattice:
         return (1 << self.n) - 1
 
     def meet_of(self, elems) -> int:
-        return int(reduce(lambda x, y: self.meet[x, y], elems))
+        return _join_of(self.dual, _mask_in(self, elems))
 
     def join_of(self, elems) -> int:
-        return int(reduce(lambda x, y: self.join[x, y], elems))
+        return _join_of(self, _mask_in(self, elems))
 
     def __repr__(self):
         return f"Lattice(n={self.n})"
@@ -428,9 +432,9 @@ def _int_field(token: str, lineno: int, line: str, field: str) -> int:
         raise ValueError(f"line {lineno} ({_clip(line)}): expected {field}, got {_clip(token)}") from None
 
 
-def _clip(text: str, width: int = 40) -> str:
-    """repr of text, cut after width characters so a message stays short."""
-    return repr(text) if len(text) <= width else repr(text[:width]) + "..."
+def _clip(text: str) -> str:
+    """repr of text, cut after 40 characters so a message stays short."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
 
 
 # -- predicates ---------------------------------------------------------------

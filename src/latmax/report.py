@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 HOLDS = "Holds"
 COUNTEREXAMPLE = "CounterexampleFound"
@@ -21,24 +21,8 @@ class CheckReport:
         return self.status == HOLDS
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "claim": self.claim,
-                "corpus": self.corpus,
-                "instances_checked": self.instances_checked,
-                "status": self.status,
-                "witness": self.witness,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CheckReport":
-        d = json.loads(line)
-        return cls(
-            claim=d["claim"],
-            corpus=d["corpus"],
-            instances_checked=d["instances_checked"],
-            status=d["status"],
-            witness=d.get("witness"),
-        )
+        return cls(**json.loads(line))

@@ -259,13 +259,14 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 pre[meet_x[y]].append(pair)
                 pre[join_x[y]].append(pair)
 
-    # No seed and no element added to C is bottom, top or doubly
-    # irreducible: a C grown from a seed holds that seed, so adding any
-    # element gives it two or more, and such a complement holds no doubly
-    # irreducible element.  The doubly irreducible singletons are added last.
+    # No seed is bottom or top, and no element added to C is bottom, top or
+    # doubly irreducible: a C grown from a seed holds that seed, so adding
+    # any element gives it two or more, and such a complement holds no
+    # doubly irreducible element.  A doubly irreducible seed d is neither the
+    # meet nor the join of an incomparable pair, so pre[d] is empty and its
+    # search ends at once with the singleton {d}.
     ends = (1 << L.bottom) | (1 << L.top)
-    dbl_mask = mask_of(L.irreducibles.ji & L.irreducibles.mi)
-    blocked = ends | dbl_mask
+    blocked = ends | mask_of(L.irreducibles.ji & L.irreducibles.mi)
     comp_masks = _component_masks(L)
 
     def first_violation(cmask: int, z: int, i: int):
@@ -292,7 +293,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
         return not any(r != grown and r & ~grown == 0 for r in local)
 
     for seed in range(n):
-        if (blocked >> seed) & 1:
+        if (ends >> seed) & 1:
             continue
         # (C, forbidden elements, cursor target, cursor pair index); every C
         # of this seed has the seed as its least element.  So a set found
@@ -315,10 +316,6 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 if not (forb >> e) & 1 and admissible(cmask, e):
                     stack.append((cmask | (1 << e), child_forb, *((e, 0) if e < z else (z, i + 1))))
         found += local
-
-    # Doubly irreducible interior elements are removable singletons.
-    for d in bits(dbl_mask & ~ends):
-        found.append(1 << d)
 
     found.sort(key=lambda m: m.bit_count())
     minimal: list[int] = []

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,27 @@ def test_canonical_rep_refuses_an_id_outside_the_lattice(rep, x):
     # Nothing is cached for the refused id, and a valid id still works.
     assert x not in L._canonical_reps and x not in L.dual._canonical_reps
     assert rep(L, L.bottom if rep is canonical_join_rep else L.top) == frozenset()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda L: L.interval(-1, -1), "element id -1 is not in 0..4"),
+        (lambda L: L.interval(0, 9), "element id 9 is not in 0..4"),
+        (lambda L: L.interval_mask(9, 4), "element id 9 is not in 0..4"),
+        (lambda L: L.meet_of([-1, 0]), "element id -1 is negative"),
+        (lambda L: L.join_of([0, -1]), "element id -1 is negative"),
+        (lambda L: L.join_of([0, 5]), "element id 5 is not in 0..4"),
+    ],
+    ids=["interval-negative", "interval-past-top", "interval-mask", "meet-of", "join-of-negative", "join-of-past-top"],
+)
+def test_accessors_name_an_id_outside_the_lattice(call, message):
+    # numpy would read a negative id from the end, so these used to answer
+    # for the top (interval(-1, -1) was {4}, meet_of([-1, 0]) was 0).
+    L = n5()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(L)
+    assert L.interval(1, 4) == {1, 4} and L.meet_of([1, 2]) == 0 and L.join_of([1, 3]) == 4
 
 
 def test_kappa_direct_enumeration_agrees(small_corpus, moore_families):

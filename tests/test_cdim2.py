@@ -332,6 +332,23 @@ def test_materialize_names_a_prefix_length_past_the_chains(c1_len, c2_len, bad):
         materialize(G, Complement(1, SHAPE_CHAIN1, "Type1", c1_len, c2_len))
 
 
+THREE_CHAINS = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "chains, call, message",
+    [
+        (THREE_CHAINS, lambda G: materialize(G, Complement(1, SHAPE_CHAIN1, "Type1", 1, 1)), "materialization needs a two-chain geometry"),
+        (THREE_CHAINS, lambda G: classify_complement(G, [1]), "classification needs a two-chain geometry"),
+        ([(1, 2, 3), (3, 1, 2)], lambda G: classify_complement(G, []), "empty complement"),
+    ],
+    ids=["materialize-three-chains", "classify-three-chains", "classify-empty"],
+)
+def test_materialize_and_classify_name_their_input_fault(chains, call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(build_cg(3, chains))
+
+
 def test_classify_tags_exactly_the_oracle_complements():
     # Every nonempty subset of the 33 two-chain geometries with m <= 4: an
     # oracle complement gets the tag the fast path lists, any other set
@@ -539,6 +556,38 @@ def test_vectorized_equals_scalar_at_a_million():
     comps, ops = fast_complements(m, perm)
     assert comps == scalar_fast_complements(m, perm)
     assert ops.set_ops == 3 * m and ops.comparisons == 2 * (m - 1) + 5 * m
+
+
+def _check_block_sum(m1, m2, seed, glue):
+    """fast_complements on the block sum phi1 ⊕ (phi2 + m1) lists phi1's
+    columns, then (m1, C1_TYPE2, m1, m1) exactly when phi1 ends with m1 and
+    phi2 starts with 1 (the glue element is then doubly irreducible), then
+    phi2's columns with j and both prefix lengths shifted by m1."""
+    rng = np.random.default_rng(seed)
+    phi1, phi2 = rng.permutation(m1) + 1, rng.permutation(m2) + 1
+    if glue:
+        phi1 = np.append(phi1[phi1 != m1], m1)
+        phi2 = np.append(1, phi2[phi2 != 1])
+    whole, _ = fast_complements(m1 + m2, np.concatenate([phi1, phi2 + m1]))
+    first, _ = fast_complements(m1, phi1)
+    second, _ = fast_complements(m2, phi2)
+    middle = [[m1], [C1_TYPE2], [m1], [m1]] if glue else [[]] * 4
+    for column, a, mid, b, shift in zip(
+        whole._columns(), first._columns(), middle, second._columns(), (m1, 0, m1, m1)
+    ):
+        assert np.array_equal(column, np.concatenate([a, mid, b + shift]))
+    assert len(whole) == len(first) + glue + len(second)
+
+
+@pytest.mark.parametrize("glue", [False, True], ids=["random-halves", "glued-halves"])
+def test_block_sum_lists_both_blocks(glue):
+    _check_block_sum(60_000, 40_000, seed=81, glue=glue)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("glue", [False, True], ids=["random-halves", "glued-halves"])
+def test_block_sum_lists_both_blocks_at_a_million(glue):
+    _check_block_sum(500_000, 500_000, seed=82, glue=glue)
 
 
 def test_output_columns_keep_their_dtypes():

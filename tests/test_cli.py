@@ -333,6 +333,9 @@ def test_oracle_accepts_multichain_geometry_file(tmp_path, capsys):
         (["--file", "4\n0 1\n0 2\n1 3\n2 3\n"], "cg-complements needs a geometry input"),
         (["--file", "3 3\n1 2 3\n2 3 1\n3 1 2\n"], "cg-complements needs exactly two chains"),
         (["check", "nonsense"], "unknown claim(s): ['nonsense']"),
+        (["--file", ""], "empty cover-list input"),
+        (["--file", "2\n0 5\n"], "cover pair (0, 5) out of range for n=2"),
+        (["--file", "3 2\n1 2 3\n"], "expected 2 chain lines, got 1"),
     ],
 )
 def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):

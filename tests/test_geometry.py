@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -80,6 +81,27 @@ def test_chain_prefix_boundaries(paper_geometry):
     assert G.element_set(G.chain_prefix_of_point(1, 5)) == {1, 3, 5, 6, 7, 8, 9, 10}
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda G: G.element_set(-1), "element id -1 is not in 0..5"),
+        (lambda G: G.element_set(6), "element id 6 is not in 0..5"),
+        (lambda G: G.chain_prefix(0, -1), "element id -1 is not in 0..5"),
+        (lambda G: G.point_closure(0), "point 0 is not in 1..3"),
+        (lambda G: G.chain_prefix_of_point(0, -1), "point -1 is not in 1..3"),
+        (lambda G: G.successor(0, 9), "point 9 is not in 1..3"),
+    ],
+    ids=["element-set-negative", "element-set-past-top", "chain-prefix", "point-closure", "prefix-of-point", "successor"],
+)
+def test_accessors_name_a_bad_id_or_point(call, message):
+    # element_set(-1) used to return the top's points and chain_prefix(0, -1)
+    # the top's id; the point accessors raised a bare KeyError.
+    G = build_cg(3, [(1, 2, 3), (3, 1, 2)])
+    assert G.lattice.n == 6
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(G)
+
+
 def test_least_mi_on_single_chain():
     G = build_cg(3, [(1, 2, 3)])
     # on a chain every proper prefix is meet-irreducible
@@ -134,6 +156,14 @@ def test_trivial_intersection_examples():
     G = build_cg(4, [(1, 2, 3, 4), (2, 1, 4, 3)])
     cuts = {iv.lo for iv in indecomposable_components(G.lattice)}
     assert G.set_index[frozenset({1, 2})] in cuts
+
+
+@pytest.mark.parametrize(
+    "text, message", [("", "empty geometry input"), ("3\n1 2 3\n", "first line must be `m k`")]
+)
+def test_malformed_geometry_text_is_named(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_cg_text(text)
 
 
 def test_cg_text_round_trip():

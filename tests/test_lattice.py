@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from helpers import (
     random_cover_lattice,
     random_moore_lattice,
 )
-from latmax.corpus import chain, chain_products, doubled_sequences, glued, random_cdim_k
+from latmax.corpus import chain, chain_products, doubled_sequences, glued, n5, random_cdim_k
 from latmax.lattice import (
     CyclicInput,
     Interval,
     Lattice,
     NotALattice,
+    double_interval,
     from_cover_relations,
     from_cover_text,
     indecomposable_components,
@@ -79,6 +81,21 @@ def test_bowtie_has_no_unique_glb():
 def test_cyclic_input_rejected():
     with pytest.raises(CyclicInput):
         from_cover_relations(3, [(0, 1), (1, 2), (2, 0)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Lattice(np.ones((2, 3), dtype=bool)), "order matrix must be square, got (2, 3)"),
+        (lambda: Lattice(np.zeros((0, 0), dtype=bool)), "empty carrier has no bottom/top"),
+        (lambda: double_interval(n5(), Interval(1, 2)), "not an interval: Interval(lo=1, hi=2)"),
+        (lambda: glued([]), "glued sum needs at least one part"),
+    ],
+    ids=["non-square", "empty", "not-an-interval", "empty-glued-sum"],
+)
+def test_malformed_lattice_input_is_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_tables_match_naive_glb_lub(small_corpus):

@@ -1,9 +1,11 @@
 """The general observations on maximal-sublattice complements, as a suite."""
 from __future__ import annotations
 
+import pytest
+
 from latmax.checks import observation_suite, reverify_witness
 from latmax.corpus import boolean, chain, doubled_sequences
-from latmax.lattice import canonical_join_rep, canonical_meet_rep, from_cover_relations
+from latmax.lattice import canonical_join_rep, canonical_meet_rep, from_cover_relations, from_cover_text
 from latmax.sublattice import is_sublattice, maximal_complements_oracle
 
 
@@ -64,6 +66,32 @@ def test_suite_names_the_lowest_violating_element():
     rep = observation_suite(L, set(range(14)) - {7, 8})
     assert rep.witness["observation"] == "3.3-irreducible-extremes"
     assert rep.witness["element"] == 7
+    assert reverify_witness(rep)
+
+
+# One (cover list, M) per violation branch past 3.1 and 3.3 that a search
+# reached: every oracle complement, its one-element flips and random subsets
+# of small named, two-chain and doubled lattices.  The search reached
+# neither 3.4 nor the two 3.6 convexity branches.
+B3 = "8\n0 1\n0 2\n0 4\n1 3\n1 5\n2 3\n2 6\n3 7\n4 5\n4 6\n5 7\n6 7\n"
+VIOLATIONS = [
+    ("3.2-doubly-irreducible", "3\n0 1\n1 2\n", [0]),
+    ("3.5-disconnected", B3, [0, 2, 5, 7]),
+    ("3.6-m0-dichotomy", "7\n0 1\n0 2\n1 3\n2 3\n2 4\n3 5\n4 5\n5 6\n", [0, 1, 4, 6]),
+    ("3.6-dual-dichotomy", "7\n0 1\n1 2\n1 3\n2 4\n3 4\n3 5\n4 6\n5 6\n", [0, 2, 5, 6]),
+    ("3.7-saturation", "6\n0 1\n1 2\n1 3\n2 4\n3 4\n4 5\n", [0, 2, 3, 5]),
+    ("3.7-dual-saturation", "7\n0 1\n1 2\n1 3\n2 4\n3 4\n4 5\n5 6\n", [0, 2, 3, 5, 6]),
+    ("3.8-greatest-subcover", B3, [0, 4, 5, 6, 7]),
+    ("3.8-least-cover", "7\n0 1\n0 2\n0 3\n1 4\n2 4\n2 5\n3 5\n4 6\n5 6\n", [0, 1, 3, 6]),
+]
+
+
+@pytest.mark.parametrize("observation, text, M", VIOLATIONS, ids=[v[0] for v in VIOLATIONS])
+def test_suite_flags_each_reached_violation(observation, text, M):
+    rep = observation_suite(from_cover_text(text), M)
+    assert rep.status == "CounterexampleFound"
+    assert rep.witness["observation"] == observation
+    assert rep.instances_checked == int(observation[2])
     assert reverify_witness(rep)
 
 
