@@ -12,7 +12,7 @@ from .cdim2 import (
     materialize,
     verify_complements,
 )
-from .checks import observation_suite
+from .checks import CheckReport, observation_suite
 from .geometry import (
     BadPermutation,
     ChainSpec,
@@ -44,7 +44,6 @@ from .lattice import (
     kappa_sigma,
     to_cover_text,
 )
-from .report import CheckReport
 from .sublattice import (
     ComplementBounds,
     EmptyGenerator,

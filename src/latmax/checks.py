@@ -22,7 +22,9 @@ witness of the package is built in this module.
 """
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import asdict, dataclass, field
 
 from .corpus import cdim2_corpus, sd_corpus
 from .geometry import ConvexGeometry, build_cg
@@ -43,7 +45,6 @@ from .lattice import (
     mask_of,
     to_cover_text,
 )
-from .report import COUNTEREXAMPLE, HOLDS, CheckReport
 from .sublattice import (
     _generated_mask,
     _is_maximal_mask,
@@ -55,6 +56,7 @@ from .sublattice import (
 
 __all__ = [
     "CLAIMS",
+    "CheckReport",
     "REPLAY",
     "bounded_interval_baseline",
     "check_distributive_baseline",
@@ -73,6 +75,32 @@ __all__ = [
     "reverify_witness",
     "sublattice_complements",
 ]
+
+HOLDS = "Holds"
+COUNTEREXAMPLE = "CounterexampleFound"
+
+
+@dataclass
+class CheckReport:
+    """The outcome of one checker or observation run, serializable as a JSON line."""
+
+    claim: str
+    corpus: str
+    instances_checked: int
+    status: str
+    witness: dict | None = field(default=None)
+
+    @property
+    def holds(self) -> bool:
+        return self.status == HOLDS
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+    @classmethod
+    def from_json(cls, line: str) -> CheckReport:
+        return cls(**json.loads(line))
+
 
 EXHAUSTIVE_SUBLATTICE_LIMIT = 10
 # Random generated sublattices drawn per lattice past that limit.
@@ -488,22 +516,20 @@ def sublattice_complements(L: Lattice) -> list:
     once per lattice, so the claims of one ``check all`` share it.
     """
     if L._sublattice_complements is None:
-        L._sublattice_complements = tuple(_sublattice_complements(L))
+        full = L.full_mask()
+        if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
+            found = [full & ~mask for mask in sublattice_masks(L)]
+        else:
+            seen = {mask_of(C) for C in maximal_complements_oracle(L)}
+            rng = random.Random(0)
+            for _ in range(SUBLATTICE_SAMPLES):
+                size = rng.randint(1, max(1, L.n // 2))
+                sub = _generated_mask(L, mask_of(rng.sample(range(L.n), size)))
+                if sub != full:
+                    seen.add(full & ~sub)
+            found = sorted(seen, key=lambda cmask: (cmask.bit_count(), list(bits(cmask))))
+        L._sublattice_complements = tuple(found)
     return list(L._sublattice_complements)
-
-
-def _sublattice_complements(L: Lattice) -> list:
-    full = L.full_mask()
-    if L.n <= EXHAUSTIVE_SUBLATTICE_LIMIT:
-        return [full & ~mask for mask in sublattice_masks(L)]
-    seen = {mask_of(C) for C in maximal_complements_oracle(L)}
-    rng = random.Random(0)
-    for _ in range(SUBLATTICE_SAMPLES):
-        size = rng.randint(1, max(1, L.n // 2))
-        sub = _generated_mask(L, mask_of(rng.sample(range(L.n), size)))
-        if sub != full:
-            seen.add(full & ~sub)
-    return sorted(seen, key=lambda cmask: (cmask.bit_count(), list(bits(cmask))))
 
 
 def check_lemma_42(corpus, label="corpus") -> CheckReport:

@@ -134,12 +134,13 @@ def cmd_cg_complements(args) -> int:
 def cmd_oracle(args) -> int:
     _, L, names = _load_lattice(args)
     comps = maximal_complements_oracle(L, bound=args.oracle_bound)
+    fr = frattini(L, bound=args.oracle_bound)
     if args.json:
         print(
             json.dumps(
                 {
                     "complements": [[names[a] for a in sorted(c)] for c in comps],
-                    "frattini": [names[a] for a in sorted(frattini(L, bound=args.oracle_bound))],
+                    "frattini": [names[a] for a in sorted(fr)],
                 }
             )
         )
@@ -147,7 +148,6 @@ def cmd_oracle(args) -> int:
     print(f"# {len(comps)} complements of maximal sublattices")
     for c in comps:
         print(" ".join(names[a] for a in sorted(c)))
-    fr = frattini(L, bound=args.oracle_bound)
     print("# frattini sublattice")
     print(" ".join(names[a] for a in sorted(fr)))
     return EXIT_OK
@@ -271,7 +271,7 @@ def render_dot(L: Lattice, labels, fill) -> str:
             attrs.append("penwidth=2.5")
         lines.append(f"  n{a} [" + ", ".join(attrs) + "];")
     heights = L.heights
-    for h in range(int(max(heights)) + 1 if L.n else 0):
+    for h in range(int(max(heights)) + 1):
         rank = [f"n{a}" for a in range(L.n) if heights[a] == h]
         if rank:
             lines.append("  { rank=same; " + "; ".join(rank) + "; }")

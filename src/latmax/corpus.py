@@ -123,7 +123,7 @@ def _doubling_bases():
     ]
 
 
-def doubled_sequences(depth: int, seed: int, count: int = 200):
+def doubled_sequences(depth: int, seed: int, count: int):
     """Deterministic bounded lattices: random interval doublings of small
     distributive bases (1..depth doublings each, of intervals with at most
     MAX_DOUBLED_INTERVAL elements)."""

@@ -20,6 +20,7 @@ from .lattice import (
     InvariantViolation,
     Lattice,
     _check_id,
+    _index_in,
     _int_field,
     _rows,
     is_lower_semimodular,
@@ -190,18 +191,18 @@ class ConvexGeometry:
 
     def _pos(self, i: int, x: int) -> int:
         """The 1-based position of point x on chain i; a ValueError names a
-        point outside 1..m."""
-        try:
-            return self.chains[i].pos[x]
-        except KeyError:
-            raise ValueError(f"point {x} is not in 1..{self.m}") from None
+        chain index outside 0..k-1 or a point outside 1..m."""
+        chain = self.chains[_index_in(i, 0, len(self.chains) - 1, "chain index")]
+        return chain.pos[_index_in(x, 1, self.m, "point")]
 
     def chain_prefix_of_point(self, i: int, x: int) -> int:
         """C_i(x): the least prefix of chain i containing ground point x."""
-        return self.chain_elements[i][self._pos(i, x)]
+        k = self._pos(i, x)
+        return self.chain_elements[i][k]
 
     def chain_prefix(self, i: int, a: int) -> int:
         """C_i(a): the least prefix of chain i containing family element a."""
+        i = _index_in(i, 0, len(self.chains) - 1, "chain index")
         pts = self.element_set(a)
         if not pts:
             return self.chain_elements[i][0]

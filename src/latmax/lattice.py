@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
@@ -102,8 +103,22 @@ class Lattice:
             raise ValueError(f"order matrix must be square, got {leq.shape}")
         if n == 0:
             raise NotALattice("empty carrier has no bottom/top")
-        self._check_partial_order(leq)
+        if not leq.diagonal().all():
+            raise ValueError("order relation is not reflexive")
+        if (leq & leq.T).sum() > n:
+            raise ValueError("order relation is not antisymmetric")
+        # sizes[a, b] counts the c with a <= c <= b, through a BLAS float32
+        # matmul (numpy sends no boolean one to BLAS), exact while n < 2^24.
+        # The order is transitive iff a <= b wherever the count is positive,
+        # and then a ≺ b iff [a, b] = {a, b}, which gives the cover matrix.
+        f = leq.astype(np.float32)
+        sizes = f @ f
+        if (~leq & (sizes > 0)).any():
+            raise ValueError("order relation is not transitive")
+        self.cover_matrix = leq & (sizes == 2)
+        del f, sizes
         leq.flags.writeable = False
+        self.cover_matrix.flags.writeable = False
         self.n = n
         self.leq = leq
 
@@ -134,15 +149,6 @@ class Lattice:
         self.top = reduce(lambda x, y: join[x][y], range(n))
         self.meet = _frozen_table(meet)
         self.join = _frozen_table(join)
-
-    @staticmethod
-    def _check_partial_order(leq):
-        if not leq.diagonal().all():
-            raise ValueError("order relation is not reflexive")
-        if (leq & leq.T).sum() > len(leq):
-            raise ValueError("order relation is not antisymmetric")
-        if ((~leq) & _bool_product(leq, leq)).any():
-            raise ValueError("order relation is not transitive")
 
     @cached_property
     def dual(self) -> Lattice:
@@ -176,14 +182,6 @@ class Lattice:
     def _canonical_reps(self) -> dict:
         """x -> canonical join representation of x, filled by canonical_join_rep."""
         return {}
-
-    @cached_property
-    def cover_matrix(self):
-        """Boolean matrix of the covering relation (transitive reduction)."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        red = strict & ~_bool_product(strict, strict)
-        red.flags.writeable = False
-        return red
 
     @cached_property
     def covers(self):
@@ -230,10 +228,9 @@ class Lattice:
     # -- subsets -----------------------------------------------------------
 
     def interval_mask(self, lo: int, hi: int) -> int:
-        """The mask of [lo, hi]; a ValueError names an id outside 0..n-1."""
-        if not (0 <= lo < self.n and 0 <= hi < self.n):
-            _check_id(self, lo)
-            _check_id(self, hi)
+        """The mask of [lo, hi]; a ValueError names an id that is no element id."""
+        if not (type(lo) is int and type(hi) is int and 0 <= lo < self.n and 0 <= hi < self.n):
+            lo, hi = _check_id(self, lo), _check_id(self, hi)
         return self.up_masks[lo] & self.down_masks[hi]
 
     def interval(self, lo: int, hi: int) -> frozenset:
@@ -261,16 +258,6 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _bool_product(a, b):
-    """The boolean matrix product of a and b, through a BLAS float32 matmul.
-
-    numpy does not send a boolean matmul to BLAS.  Each entry of the float
-    product counts the k with a[i, k] and b[k, j], and float32 counts those
-    exactly while n < 2^24.
-    """
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 def _frozen_table(rows):
@@ -301,27 +288,39 @@ def mask_of(ids) -> int:
 
 
 def _mask_in(L: Lattice, ids) -> int:
-    """mask_of(ids); a ValueError names an id outside 0..n-1."""
-    mask = mask_of(ids)
-    if mask >> L.n:
-        _check_id(L, mask.bit_length() - 1)
+    """mask_of(ids); a ValueError names the first id that is no element id."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << _check_id(L, i)
     return mask
 
 
-def _check_id(L: Lattice, x: int):
-    """A ValueError naming x unless it is an element id 0..n-1 of L."""
-    if not 0 <= x < L.n:
-        raise ValueError(f"element id {x} is not in 0..{L.n - 1}")
+def _check_id(L: Lattice, x) -> int:
+    """x as an int when it is an element id 0..n-1 of L, else a ValueError naming it."""
+    return _index_in(x, 0, L.n - 1, "element id")
+
+
+def _index_in(x, lo: int, hi: int, what: str) -> int:
+    """x as an int when it is an integer in lo..hi, else a ValueError naming
+    it as what; a bool, or anything operator.index refuses, is none."""
+    try:
+        i = operator.index(x)
+    except TypeError:
+        i = lo - 1
+    if isinstance(x, bool) or not lo <= i <= hi:
+        raise ValueError(f"{what} {x} is not in {lo}..{hi}")
+    return i
 
 
 def minimal_elements(L: Lattice, S) -> list:
     """The minimal elements of the set S, in S's iteration order.
 
     ``minimal_elements(L.dual, S)`` gives the maximal ones.  S is read once,
-    so it may be a one-shot iterable.
+    so it may be a one-shot iterable; a ValueError names an id that is no
+    element id.
     """
     S = list(S)
-    minima = _minimal_mask(L, mask_of(S))
+    minima = _minimal_mask(L, _mask_in(L, S))
     return [a for a in S if minima >> a & 1]
 
 
@@ -370,24 +369,18 @@ def from_cover_relations(n: int, covers) -> Lattice:
     if n < 0:
         raise ValueError(f"element count must be nonnegative, got {n}")
     succ = [[] for _ in range(n)]
-    indeg = [0] * n
     for lo, hi in covers:
         if not (0 <= lo < n and 0 <= hi < n):
             raise ValueError(f"cover pair {(lo, hi)} out of range for n={n}")
         succ[lo].append(hi)
-        indeg[hi] += 1
-    # Kahn toposort for cycle detection.
-    order = [a for a in range(n) if indeg[a] == 0]
-    deg = list(indeg)
-    for a in order:
-        for b in succ[a]:
-            deg[b] -= 1
-            if deg[b] == 0:
-                order.append(b)
-    if len(order) != n:
-        raise CyclicInput("cover relation contains a cycle")
+    # The sorter takes succ[a] as a's predecessors, so each element comes
+    # after every element above it.
+    try:
+        order = list(TopologicalSorter(dict(enumerate(succ))).static_order())
+    except CycleError:
+        raise CyclicInput("cover relation contains a cycle") from None
     leq = np.eye(n, dtype=bool)
-    for a in reversed(order):
+    for a in order:
         for b in succ[a]:
             leq[a] |= leq[b]
     return Lattice(leq)
@@ -520,7 +513,8 @@ def canonical_join_rep(L: Lattice, x: int):
     outside 0..n-1.
     """
     reps = L._canonical_reps
-    if x not in reps:
+    # A bool or a float equal to a cached id would find that id's entry.
+    if type(x) is not int or x not in reps:
         reps[x] = _canonical_rep_uncached(L, x)
     return reps[x]
 

@@ -520,7 +520,7 @@ def _ref_lemma64_3_maximal_fails(G, C, w):
 
 
 def _ref_observation_reproduces(L, C, w):
-    from latmax.report import COUNTEREXAMPLE
+    from latmax.checks import COUNTEREXAMPLE
     from latmax.checks import observation_suite
 
     rerun = observation_suite(L, frozenset(w["sublattice"]))

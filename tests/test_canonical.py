@@ -22,6 +22,7 @@ from latmax.lattice import (
     kappa,
     kappa_bijection_check,
     kappa_sigma,
+    minimal_elements,
 )
 
 
@@ -126,15 +127,34 @@ def test_canonical_rep_refuses_an_id_outside_the_lattice(rep, x):
         (lambda L: L.interval(-1, -1), "element id -1 is not in 0..4"),
         (lambda L: L.interval(0, 9), "element id 9 is not in 0..4"),
         (lambda L: L.interval_mask(9, 4), "element id 9 is not in 0..4"),
-        (lambda L: L.meet_of([-1, 0]), "element id -1 is negative"),
-        (lambda L: L.join_of([0, -1]), "element id -1 is negative"),
+        (lambda L: L.meet_of([-1, 0]), "element id -1 is not in 0..4"),
+        (lambda L: L.join_of([0, -1]), "element id -1 is not in 0..4"),
         (lambda L: L.join_of([0, 5]), "element id 5 is not in 0..4"),
+        (lambda L: L.interval(True, 4), "element id True is not in 0..4"),
+        (lambda L: L.interval(1.0, 4), "element id 1.0 is not in 0..4"),
+        (lambda L: L.join_of([0, False]), "element id False is not in 0..4"),
+        (lambda L: minimal_elements(L, [0, 7]), "element id 7 is not in 0..4"),
+        (lambda L: (canonical_join_rep(L, 1), canonical_join_rep(L, True)), "element id True is not in 0..4"),
     ],
-    ids=["interval-negative", "interval-past-top", "interval-mask", "meet-of", "join-of-negative", "join-of-past-top"],
+    ids=[
+        "interval-negative",
+        "interval-past-top",
+        "interval-mask",
+        "meet-of",
+        "join-of-negative",
+        "join-of-past-top",
+        "interval-bool",
+        "interval-float",
+        "join-of-bool",
+        "minimal-elements",
+        "cached-canonical-rep-bool",
+    ],
 )
 def test_accessors_name_an_id_outside_the_lattice(call, message):
     # numpy would read a negative id from the end, so these used to answer
-    # for the top (interval(-1, -1) was {4}, meet_of([-1, 0]) was 0).
+    # for the top (interval(-1, -1) was {4}, meet_of([-1, 0]) was 0); a bool
+    # passed as 0 or 1 (interval(True, 4) was {1, 4}), and interval(1.0, 4)
+    # raised a bare TypeError.
     L = n5()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(L)

@@ -34,7 +34,7 @@ from latmax.corpus import (
 )
 from latmax.geometry import build_cg
 from latmax.lattice import from_cover_text, is_sd, mask_of
-from latmax.report import CheckReport
+from latmax.checks import CheckReport
 from latmax.sublattice import DEFAULT_ORACLE_BOUND, maximal_complements_oracle
 
 # A 14-element bounded lattice (three doublings from a distributive base)

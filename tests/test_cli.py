@@ -17,7 +17,7 @@ from latmax.cdim2 import C1_TYPE2, Complements
 from latmax.corpus import boolean, sd_corpus
 from latmax.geometry import ConvexGeometry, build_cg, format_cg_text
 from latmax.lattice import InvariantViolation, is_sd, to_cover_text
-from latmax.report import CheckReport
+from latmax.checks import CheckReport
 from latmax.sublattice import maximal_complements_oracle, sublattice_masks
 
 PAPER_ARGS = ["cg-complements", "--perm", "3 6 7 10 1 8 9 5 2 4"]
@@ -493,11 +493,21 @@ def test_module_entry_point_reports_a_parse_error():
     assert proc.stderr.splitlines() == ["parse error: not a permutation of 1..2: point 1 repeats"]
 
 
-def test_python_O_prints_the_same_output():
-    # `python -O` strips assert statements; tests/test_dual.py checks that
-    # the package has none, and this checks that the output agrees.
+def test_python_O_prints_the_same_output(tmp_path):
+    # `python -O` strips assert statements; tests/test_lint.py checks that
+    # the package has none, and this checks that the output agrees.  The
+    # oracle's self-check and the order checks of Lattice run in both the
+    # oracle on a cover list and the DOT rendering of a geometry.
     env = dict(os.environ, PYTHONPATH=str(Path(latmax.__file__).parents[1]))
-    for argv in (["check", "all", "--max-m", "3", "--random", "3"], [*PAPER_ARGS, "--verify"]):
+    covers, geometry = tmp_path / "n5.txt", tmp_path / "cg.txt"
+    covers.write_text("5\n0 1\n1 4\n0 2\n2 3\n3 4\n")
+    geometry.write_text("4 2\n1 2 3 4\n2 4 1 3\n")
+    for argv in (
+        ["check", "all", "--max-m", "3", "--random", "3"],
+        [*PAPER_ARGS, "--verify"],
+        ["oracle", "--json", "--file", str(covers)],
+        ["dot", "--file", str(geometry)],
+    ):
         plain, optimized = (
             subprocess.run(
                 [sys.executable, *flags, "-m", "latmax.cli", *argv],

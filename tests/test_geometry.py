@@ -90,12 +90,34 @@ def test_chain_prefix_boundaries(paper_geometry):
         (lambda G: G.point_closure(0), "point 0 is not in 1..3"),
         (lambda G: G.chain_prefix_of_point(0, -1), "point -1 is not in 1..3"),
         (lambda G: G.successor(0, 9), "point 9 is not in 1..3"),
+        (lambda G: G.chain_prefix_of_point(-1, 1), "chain index -1 is not in 0..1"),
+        (lambda G: G.chain_prefix_of_point(2, 1), "chain index 2 is not in 0..1"),
+        (lambda G: G.successor(-1, 1), "chain index -1 is not in 0..1"),
+        (lambda G: G.chain_prefix(2, 0), "chain index 2 is not in 0..1"),
+        (lambda G: G.point_closure(True), "point True is not in 1..3"),
+        (lambda G: G.successor(0, 2.0), "point 2.0 is not in 1..3"),
     ],
-    ids=["element-set-negative", "element-set-past-top", "chain-prefix", "point-closure", "prefix-of-point", "successor"],
+    ids=[
+        "element-set-negative",
+        "element-set-past-top",
+        "chain-prefix",
+        "point-closure",
+        "prefix-of-point",
+        "successor",
+        "prefix-of-point-negative-chain",
+        "prefix-of-point-past-last-chain",
+        "successor-negative-chain",
+        "chain-prefix-past-last-chain",
+        "point-closure-bool",
+        "successor-float",
+    ],
 )
 def test_accessors_name_a_bad_id_or_point(call, message):
     # element_set(-1) used to return the top's points and chain_prefix(0, -1)
-    # the top's id; the point accessors raised a bare KeyError.
+    # the top's id; the point accessors raised a bare KeyError.  A chain index
+    # of -1 answered for the last chain and one past it raised a bare
+    # IndexError; point_closure(True) answered for point 1 and
+    # successor(0, 2.0) returned (3, True).
     G = build_cg(3, [(1, 2, 3), (3, 1, 2)])
     assert G.lattice.n == 6
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

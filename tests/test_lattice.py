@@ -50,6 +50,9 @@ def test_boolean_square_tables():
     L = from_cover_relations(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     assert L.meet[1, 2] == 0
     assert L.join[1, 2] == 3
+    # A repeated cover pair builds the same lattice.
+    again = from_cover_relations(4, [(0, 1), (0, 2), (1, 3), (0, 1), (2, 3)])
+    assert np.array_equal(again.leq, L.leq) and again.covers == L.covers
 
 
 def test_m3_is_a_lattice_but_not_sd_join(named_lattices):
@@ -81,6 +84,8 @@ def test_bowtie_has_no_unique_glb():
 def test_cyclic_input_rejected():
     with pytest.raises(CyclicInput):
         from_cover_relations(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(CyclicInput, match="^cover relation contains a cycle$"):
+        from_cover_relations(2, [(0, 1), (0, 0)])
 
 
 @pytest.mark.parametrize(
@@ -311,6 +316,9 @@ def _chain_missing(n, a, b):
         (_chain_missing(60, 5, 50), "not transitive"),
         (np.ones((2, 2), dtype=bool), "not antisymmetric"),
         (np.array([[0, 1], [0, 1]], dtype=bool), "not reflexive"),
+        # Two axioms fail; the checks run reflexive, antisymmetric, transitive.
+        (np.array([[1, 1, 0], [0, 0, 1], [0, 0, 1]], dtype=bool), "not reflexive"),
+        (np.array([[1, 1, 0], [1, 1, 1], [0, 0, 1]], dtype=bool), "not antisymmetric"),
     ],
 )
 def test_order_axioms_are_checked(leq, message):
@@ -325,7 +333,7 @@ def test_convexity_equals_the_pair_loop_on_every_subset(small_corpus):
             assert is_convex_subset(L, S) == pair_loop_is_convex_subset(L, S), (name, S)
 
 
-@pytest.mark.parametrize("ids, message", [([0, 7], "7 is not in 0..3"), ([2, -1], "-1 is negative")])
+@pytest.mark.parametrize("ids, message", [([0, 7], "7 is not in 0..3"), ([2, -1], "-1 is not in 0..3")])
 def test_convexity_names_an_id_outside_the_lattice(ids, message):
     with pytest.raises(ValueError, match=f"element id {message}"):
         is_convex_subset(chain(3), ids)

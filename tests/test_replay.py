@@ -12,7 +12,7 @@ from latmax.checks import REPLAY, _witness, reverify_witness
 from latmax.corpus import all_cdim2_geometries, boolean, cdim2_corpus, chain, doubled_sequences, n5, sd_corpus
 from latmax.geometry import ConvexGeometry
 from latmax.lattice import bits, mask_of
-from latmax.report import CheckReport
+from latmax.checks import CheckReport
 from latmax.sublattice import maximal_complements_oracle
 
 # On chain(4) (0 < 1 < 2 < 3 < 4), C = {1, 3} is neither convex nor an

@@ -163,7 +163,7 @@ def test_complement_bounds_undefined():
         complement_bounds(L, {0, 2}, 2)
     # An id of c or M outside the lattice is named.
     for M, c, message in [
-        ({0, 2}, -1, "-1 is negative"),
+        ({0, 2}, -1, "-1 is not in 0..2"),
         ({0, 2}, 7, "7 is not in 0..2"),
         ({0, 99}, 1, "99 is not in 0..2"),
     ]:
@@ -308,7 +308,7 @@ def test_is_sublattice_matches_pairwise_check_past_n10():
 
 
 @pytest.mark.parametrize("predicate", [is_sublattice, is_maximal_sublattice, generate_sublattice, observation_suite])
-@pytest.mark.parametrize("ids, message", [({0, 1, 3, 99}, "99 is not in 0..3"), ([0, -1, 3], "-1 is negative")])
+@pytest.mark.parametrize("ids, message", [({0, 1, 3, 99}, "99 is not in 0..3"), ([0, -1, 3], "-1 is not in 0..3")])
 def test_sublattice_predicates_name_an_id_outside_the_lattice(predicate, ids, message):
     with pytest.raises(ValueError, match=f"element id {message}"):
         predicate(boolean(2), ids)
