@@ -8,6 +8,9 @@ so :func:`reverify_witness` replays a witness, which names its host (a
 lattice by its cover list, a geometry by m and its chains) plus the
 violating data, with the very call that found it.  A dual claim is its
 primal predicate run on ``L.dual``, under the primal tag plus ``-dual``.
+Lemmas 4.2 and 5.4, with about 100 k and 10 k instances per ``check all``,
+screen a whole complement at once instead, and run their ``REPLAY``
+predicate only on the first failing instance, in the sweep's order.
 
 Inside this module a complement is the int mask of its element ids, from
 the corpus to the verdict; element lists appear only in a witness
@@ -29,10 +32,12 @@ from dataclasses import asdict, dataclass, field
 from .corpus import cdim2_corpus, sd_corpus
 from .geometry import ConvexGeometry, build_cg
 from .lattice import (
+    InvariantViolation,
     Lattice,
     _component_masks,
     _is_convex_mask,
     _join_of,
+    _joinand_intervals,
     _least,
     _mask_in,
     _minimal_mask,
@@ -532,6 +537,29 @@ def sublattice_complements(L: Lattice) -> list:
     return list(L._sublattice_complements)
 
 
+def _confirmed(claim: str, label: str, checked: int, L: Lattice, tag: str, fails, cmask: int, w) -> CheckReport:
+    """The report of the first instance a screen flags, once ``fails`` (the
+    ``REPLAY[tag]`` predicate) confirms it on L; checked counts it."""
+    if not fails(L, cmask, w):
+        raise InvariantViolation(f"{tag} screen flags {w} on {list(bits(cmask))}, which its replay does not confirm")
+    return CheckReport(claim, label, checked, COUNTEREXAMPLE, _witness(L, tag, cmask, **w))
+
+
+def _lemma42_failing(table, cmask: int, body: int) -> int:
+    """The mask of the x in cmask & body none of whose intervals (j, [j, x])
+    in table lies inside cmask: the x with no strict canonical joinand.
+    Every x of an SD-join lattice has a canonical representation, so the
+    table of a side has an entry for each."""
+    failing = 0
+    for x in bits(cmask & body):
+        for _, interval in table[x]:
+            if interval & cmask == interval:
+                break
+        else:
+            failing |= 1 << x
+    return failing
+
+
 def check_lemma_42(corpus, label="corpus") -> CheckReport:
     """SD-join: every element of every sublattice complement has a strict
     canonical joinand; dually with meetands on SD-meet lattices.
@@ -539,58 +567,92 @@ def check_lemma_42(corpus, label="corpus") -> CheckReport:
     The bottom (dually, top) is excluded: its canonical representation is
     the empty set, so the claim is vacuous there (and bottom/top never lie
     in a complement of a maximal sublattice anyway).
+
+    The instances are (C, x, side) for x in C, in that order.  Each side
+    screens a whole complement against the joinand intervals of
+    :func:`~latmax.lattice._joinand_intervals` and counts its instances by
+    popcount; only the first failing instance goes through its ``REPLAY``
+    predicate.
     """
-
-    def instances():
-        for L in _lattices(corpus):
-            sides = _sides(L, "lemma4.2")
-            for cmask in sublattice_complements(L) if sides else ():
-                for x in bits(cmask):
-                    for K, tag in sides:
-                        if x != K.bottom:
-                            yield L, tag, cmask, {"element": x}
-
-    return _sweep("lemma42-scj", label, instances())
-
-
-def _lemma54_instances(corpus):
-    """The instances (L, "lemma5.4", cmask, w) of :func:`check_lemma_54`.
-
-    A t exists only when u2 lies above some t in C ∩ (x, u1], so u2 ranges
-    over C ∩ ``reach``, where reach is the union of the up sets of those t
-    less the down set of u1.
-    """
+    claim, checked = "lemma42-scj", 0
     for L in _lattices(corpus):
-        if not is_sd(L):
-            continue
-        up, down, dual = L.up_masks, L.down_masks, L.dual
-        comparable = [u | d for u, d in zip(up, down)]
-        for cmask in sublattice_complements(L):
+        sides = [
+            (tag, REPLAY[tag], _joinand_intervals(K), K.full_mask() & ~(1 << K.bottom))
+            for K, tag in _sides(L, "lemma4.2")
+        ]
+        for cmask in sublattice_complements(L) if sides else ():
+            failing = [_lemma42_failing(table, cmask, body) for _, _, table, body in sides]
+            if not any(failing):
+                checked += sum((cmask & body).bit_count() for *_, body in sides)
+                continue
+            # Walk this complement's instances in order up to the first flagged one.
             for x in bits(cmask):
-                # the strict canonical meetands of x, which exist as L is SD
-                scms = _strict_joinands(dual, cmask, x)
-                above = cmask & up[x]
-                for u1 in bits(scms):
-                    between = above & down[u1] & ~(1 << x)  # C ∩ (x, u1]
-                    reach = 0
-                    for t in bits(between):
-                        reach |= up[t]
-                    for u2 in bits(cmask & reach & ~down[u1]):
-                        box = above & down[u2]
-                        # t in C strictly above x, below u1 and u2, and
-                        # comparable to every element of the box
-                        mid = between & down[u2]
-                        t = next((t for t in bits(mid) if not box & ~comparable[t]), None)
-                        if t is not None:
-                            yield L, "lemma5.4", cmask, {"x": x, "u1": u1, "u2": u2, "t": t}
+                for (tag, fails, _, body), flagged in zip(sides, failing):
+                    checked += body >> x & 1
+                    if flagged >> x & 1:
+                        return _confirmed(claim, label, checked, L, tag, fails, cmask, {"element": x})
+    return CheckReport(claim, label, checked, HOLDS)
+
+
+def _lemma54_bridges(L: Lattice) -> list:
+    """Per element x, (u1, [x, u1], (x, u1], targets) for each canonical
+    meetand u1 of x, where targets are the elements above some t in
+    (x, u1] and not below u1: the only u2 such a t can lie below."""
+    up, down = L.up_masks, L.down_masks
+    bridges = []
+    for x, pairs in enumerate(_joinand_intervals(L.dual)):
+        row = []
+        for u1, interval in pairs:
+            between = interval & ~(1 << x)
+            reach = 0
+            for t in bits(between):
+                reach |= up[t]
+            row.append((u1, interval, between, reach & ~down[u1]))
+        bridges.append(row)
+    return bridges
 
 
 def check_lemma_54(corpus, label="corpus") -> CheckReport:
     """SD lattices: in a sublattice complement C, if u1 is a strict canonical
     meetand of x, t in C is comparable to all of C ∩ [x, u2], x < t <= u1, u2
     and u2 ≰ u1, then [x, u2] meets the sublattice.  A witness names the
-    least such t."""
-    return _sweep("lemma54-bridge", label, _lemma54_instances(corpus))
+    least such t.
+
+    The instances are (C, x, u1, u2) in that order, one per (x, u1, u2)
+    with such a t.  A strict u1 has [x, u1] inside C, so (x, u1] lies in C
+    and t ranges over it; u2 ranges over the C-elements of its targets in
+    :func:`_lemma54_bridges`.  The sweep tests [x, u2] ⊆ C inline, and only
+    the first failing instance goes through the ``REPLAY`` predicate.
+
+    The premises force the conclusion on any set C: u1 is the greatest
+    element of ↑x ∖ ↑c for an upper cover c of x, and c ≰ t, so c, were it
+    in [x, u2] ⊆ C, would be incomparable to t; hence c ≰ u2 and u2 <= u1.
+    Only a fault in the canonical meetands can make this sweep fail.
+    """
+    claim, tag, checked = "lemma54-bridge", "lemma5.4", 0
+    for L in _lattices(corpus):
+        if not is_sd(L):
+            continue
+        fails, bridges = REPLAY[tag], _lemma54_bridges(L)
+        up, down = L.up_masks, L.down_masks
+        comparable = [u | d for u, d in zip(up, down)]
+        for cmask in sublattice_complements(L):
+            for x in bits(cmask):
+                for u1, interval, between, targets in bridges[x]:
+                    if interval & cmask != interval:  # u1 is no strict meetand
+                        continue
+                    for u2 in bits(cmask & targets):
+                        span = up[x] & down[u2]
+                        box = cmask & span
+                        # the least t in (x, u1], below u2 and comparable to the box
+                        for t in bits(between & down[u2]):
+                            if not box & ~comparable[t]:
+                                checked += 1
+                                if box == span:
+                                    w = {"x": x, "u1": u1, "u2": u2, "t": t}
+                                    return _confirmed(claim, label, checked, L, tag, fails, cmask, w)
+                                break
+    return CheckReport(claim, label, checked, HOLDS)
 
 
 # -- baseline sweeps -------------------------------------------------------------

@@ -211,7 +211,10 @@ class ConvexGeometry:
     def successor(self, i: int, j: int):
         """(x, inside) on chain i of a two-chain geometry: x is the point added
         right after C_i(j), None when C_i(j) is X, and inside says whether x
-        lies in the other chain's prefix C_i'(j)."""
+        lies in the other chain's prefix C_i'(j).  A ValueError refuses a
+        geometry on any other number of chains."""
+        if len(self.chains) != 2:
+            raise ValueError(f"successor needs a two-chain geometry, this one has {len(self.chains)} chains")
         k = self._pos(i, j)
         if k == self.m:
             return None, False

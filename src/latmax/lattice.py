@@ -87,14 +87,16 @@ class Lattice:
 
     # The oracle's result, a tuple once computed; the masks of the proper
     # sublattices' complements the checks quantify over, a tuple once
-    # computed; whether the lattice is SD-join, a bool once computed; and
-    # the masks of the indecomposable components, a tuple once computed.
-    # A dual view takes its primal's covers and irreducibles, but keeps
-    # these four of its own.
+    # computed; whether the lattice is SD-join, a bool once computed; the
+    # masks of the indecomposable components, a tuple once computed; and
+    # the intervals [j, x] of the canonical joinands j of each x, a tuple
+    # once computed.  A dual view takes its primal's covers and
+    # irreducibles, but keeps these five of its own.
     _oracle_complements = None
     _sublattice_complements = None
     _sd_join = None
     _components = None
+    _joinand_intervals = None
 
     def __init__(self, leq):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
@@ -524,6 +526,21 @@ def canonical_meet_rep(L: Lattice, x: int):
     return canonical_join_rep(L.dual, x)
 
 
+def _joinand_intervals(L: Lattice) -> tuple:
+    """Per element x, the pairs (j, mask of [j, x]) over the canonical
+    joinands j of x in ascending order, or None where x has no canonical
+    join representation; computed once per lattice.  On ``L.dual`` the pairs
+    are the canonical meetands u of x with the mask of [x, u] in L."""
+    if L._joinand_intervals is None:
+        up, down = L.up_masks, L.down_masks
+        reps = (canonical_join_rep(L, x) for x in range(L.n))
+        L._joinand_intervals = tuple(
+            None if rep is None else tuple((j, up[j] & down[x]) for j in sorted(rep))
+            for x, rep in enumerate(reps)
+        )
+    return L._joinand_intervals
+
+
 def _canonical_rep_uncached(L: Lattice, x: int):
     _check_id(L, x)
     down = L.down_masks
@@ -545,7 +562,7 @@ def kappa(L: Lattice, j: int):
     of ``L.dual``.  When the result exists it is always meet-irreducible:
     every upper cover of it must be above j, hence equals the join with j.
     """
-    info = L.irreducibles
+    info, j = L.irreducibles, _check_id(L, j)
     if j not in info.ji:
         raise ValueError(f"element {j} is not join-irreducible")
     up = L.up_masks
@@ -557,6 +574,7 @@ def kappa(L: Lattice, j: int):
 
 def kappa_sigma(L: Lattice, m: int):
     """Least element of K^σ(m) = {v : v <= m^*, v ≰ m} if unique, else None."""
+    m = _check_id(L, m)
     if m not in L.irreducibles.mi:
         raise ValueError(f"element {m} is not meet-irreducible")
     return kappa(L.dual, m)

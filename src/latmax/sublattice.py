@@ -23,11 +23,12 @@ from operator import and_
 from .lattice import (
     InvariantViolation,
     Lattice,
+    _check_id,
     _component_masks,
     _join_of,
+    _joinand_intervals,
     _mask_in,
     bits,
-    canonical_join_rep,
     mask_of,
 )
 
@@ -354,17 +355,17 @@ def strict_canonical_joinands(L: Lattice, C, x: int) -> frozenset:
 def _strict_joinands(L: Lattice, cmask: int, x: int) -> int:
     """strict_canonical_joinands on the mask of C, as a mask.
 
-    [j, x] stays inside C iff no element of ↓x outside C lies above j.
+    Reads the intervals [j, x] from the table that the lemma 4.2 and 5.4
+    screens of ``latmax.checks`` read, so both apply one rule.
     """
     if x < 0 or not cmask >> x & 1:
         raise ValueError(f"element {x} not in the complement set")
-    rep = canonical_join_rep(L, x)
-    if rep is None:
+    pairs = _joinand_intervals(L)[_check_id(L, x)]
+    if pairs is None:
         raise NoCanonicalRep(f"no canonical representation at {x}")
-    up, leaving = L.up_masks, L.down_masks[x] & ~cmask
     strict = 0
-    for j in rep:
-        if not up[j] & leaving:
+    for j, interval in pairs:
+        if interval & cmask == interval:
             strict |= 1 << j
     return strict
 

@@ -378,6 +378,67 @@ def pair_loop_is_convex_subset(L, S):
     return True
 
 
+def per_instance_lemma_42(corpus, label="corpus"):
+    """``checks.check_lemma_42`` as one ``_sweep`` over its instances
+    (L, tag, cmask, {"element": x}), each tested through ``REPLAY``."""
+    from latmax import checks
+    from latmax.lattice import bits
+
+    def instances():
+        for L in checks._lattices(corpus):
+            sides = checks._sides(L, "lemma4.2")
+            for cmask in checks.sublattice_complements(L) if sides else ():
+                for x in bits(cmask):
+                    for K, tag in sides:
+                        if x != K.bottom:
+                            yield L, tag, cmask, {"element": x}
+
+    return checks._sweep("lemma42-scj", label, instances())
+
+
+def per_instance_lemma54_instances(corpus):
+    """The instances (L, "lemma5.4", cmask, w) of ``checks.check_lemma_54``.
+
+    A t exists only when u2 lies above some t in C ∩ (x, u1], so u2 ranges
+    over C ∩ ``reach``, where reach is the union of the up sets of those t
+    less the down set of u1.
+    """
+    from latmax import checks
+    from latmax.lattice import bits, is_sd
+    from latmax.sublattice import _strict_joinands
+
+    for L in checks._lattices(corpus):
+        if not is_sd(L):
+            continue
+        up, down, dual = L.up_masks, L.down_masks, L.dual
+        comparable = [u | d for u, d in zip(up, down)]
+        for cmask in checks.sublattice_complements(L):
+            for x in bits(cmask):
+                # the strict canonical meetands of x, which exist as L is SD
+                scms = _strict_joinands(dual, cmask, x)
+                above = cmask & up[x]
+                for u1 in bits(scms):
+                    between = above & down[u1] & ~(1 << x)  # C ∩ (x, u1]
+                    reach = 0
+                    for t in bits(between):
+                        reach |= up[t]
+                    for u2 in bits(cmask & reach & ~down[u1]):
+                        box = above & down[u2]
+                        # t in C strictly above x, below u1 and u2, and
+                        # comparable to every element of the box
+                        mid = between & down[u2]
+                        t = next((t for t in bits(mid) if not box & ~comparable[t]), None)
+                        if t is not None:
+                            yield L, "lemma5.4", cmask, {"x": x, "u1": u1, "u2": u2, "t": t}
+
+
+def per_instance_lemma_54(corpus, label="corpus"):
+    """``checks.check_lemma_54`` as one ``_sweep`` over its instances."""
+    from latmax import checks
+
+    return checks._sweep("lemma54-bridge", label, per_instance_lemma54_instances(corpus))
+
+
 def unpruned_lemma54_instances(corpus):
     """The lemma 5.4 instances (L, tag, cmask, w), trying every u2 in C."""
     from latmax.checks import _lattices, sublattice_complements

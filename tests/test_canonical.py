@@ -135,6 +135,10 @@ def test_canonical_rep_refuses_an_id_outside_the_lattice(rep, x):
         (lambda L: L.join_of([0, False]), "element id False is not in 0..4"),
         (lambda L: minimal_elements(L, [0, 7]), "element id 7 is not in 0..4"),
         (lambda L: (canonical_join_rep(L, 1), canonical_join_rep(L, True)), "element id True is not in 0..4"),
+        (lambda L: kappa(L, True), "element id True is not in 0..4"),
+        (lambda L: kappa(L, 9), "element id 9 is not in 0..4"),
+        (lambda L: kappa_sigma(L, True), "element id True is not in 0..4"),
+        (lambda L: kappa_sigma(L, -1), "element id -1 is not in 0..4"),
     ],
     ids=[
         "interval-negative",
@@ -148,13 +152,18 @@ def test_canonical_rep_refuses_an_id_outside_the_lattice(rep, x):
         "join-of-bool",
         "minimal-elements",
         "cached-canonical-rep-bool",
+        "kappa-bool",
+        "kappa-past-top",
+        "kappa-sigma-bool",
+        "kappa-sigma-negative",
     ],
 )
 def test_accessors_name_an_id_outside_the_lattice(call, message):
     # numpy would read a negative id from the end, so these used to answer
     # for the top (interval(-1, -1) was {4}, meet_of([-1, 0]) was 0); a bool
     # passed as 0 or 1 (interval(True, 4) was {1, 4}), and interval(1.0, 4)
-    # raised a bare TypeError.
+    # raised a bare TypeError.  kappa(L, True) answered kappa(L, 1), and
+    # kappa_sigma(L, True) likewise for 1.
     L = n5()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(L)

@@ -1,12 +1,20 @@
 """Hypothesis/theorem checkers, baselines, and witness replay."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from helpers import subset_loop_sublattice_complements, unpruned_lemma54_instances
+from helpers import (
+    per_instance_lemma54_instances,
+    per_instance_lemma_42,
+    per_instance_lemma_54,
+    subset_loop_sublattice_complements,
+    unpruned_lemma54_instances,
+)
+from latmax import checks
 from latmax.checks import (
     EXHAUSTIVE_SUBLATTICE_LIMIT,
-    _lemma54_instances,
     bounded_interval_baseline,
     check_distributive_baseline,
     check_hyp1_sd_interval,
@@ -31,9 +39,10 @@ from latmax.corpus import (
     glued,
     m3,
     n5,
+    sd_corpus,
 )
 from latmax.geometry import build_cg
-from latmax.lattice import from_cover_text, is_sd, mask_of
+from latmax.lattice import InvariantViolation, _joinand_intervals, bits, from_cover_text, is_sd, mask_of
 from latmax.checks import CheckReport
 from latmax.sublattice import DEFAULT_ORACLE_BOUND, maximal_complements_oracle
 
@@ -97,8 +106,12 @@ def test_thm_checkers_hold_on_small_cdim2(cdim2_through_m6):
         assert rep.holds
 
 
+def _mixed_sd_corpus():
+    return [n5(), m3(), boolean(2), chain(3)] + doubled_sequences(depth=2, seed=2, count=20)
+
+
 def test_sd_checkers_hold_on_mixed_corpus():
-    corpus = [n5(), m3(), boolean(2), chain(3)] + doubled_sequences(depth=2, seed=2, count=20)
+    corpus = _mixed_sd_corpus()
     for fn in (check_hyp1_sd_interval, check_thm_51_55, check_lemma_42, check_lemma_54):
         rep = fn(corpus, label="sd-mixed")
         assert rep.holds, rep.to_json()
@@ -160,9 +173,116 @@ def test_lemma54_instances_equal_the_unpruned_loop(seed):
     # the CLI's SD corpus for `check lemma54 --seed <seed>`
     doubles = doubled_sequences(depth=3, seed=seed, count=120)
     corpus = [n5()] + [L for L in doubles if L.n <= DEFAULT_ORACLE_BOUND]
-    got = list(_lemma54_instances(corpus))
+    got = list(per_instance_lemma54_instances(corpus))
     assert len(got) > 1000
     assert got == list(unpruned_lemma54_instances(corpus))
+
+
+# The lemma 4.2 and 5.4 screens, each against the per-instance sweep it
+# replaced: the whole report, status, count and witness, must agree.
+SCREENS = ((check_lemma_42, per_instance_lemma_42), (check_lemma_54, per_instance_lemma_54))
+SCREEN_CORPORA = {
+    "sd-seed0": lambda: sd_corpus(seed=0, count=120)[0],
+    "sd-seed7": lambda: sd_corpus(seed=7, count=120)[0],
+    "sd-mixed": _mixed_sd_corpus,
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SCREEN_CORPORA))
+def test_screens_equal_the_per_instance_sweeps(corpus):
+    lattices = SCREEN_CORPORA[corpus]()
+    for screen, reference in SCREENS:
+        rep = screen(lattices, label=corpus)
+        assert rep.holds and rep.instances_checked > 0
+        assert rep == reference(lattices, label=corpus)
+
+
+def _plant_masks(monkeypatch, rng):
+    """Make checks.sublattice_complements mix random nonempty masks, which
+    need not complement a sublattice, into about one lattice in seven; a
+    lattice keeps its list for the rest of the test."""
+    exact, planted = checks.sublattice_complements, {}
+
+    def mixed(L):
+        if id(L) not in planted:
+            masks = exact(L)
+            if rng.random() < 0.15:
+                for _ in range(rng.randint(1, 2)):
+                    masks.insert(rng.randint(0, len(masks)), rng.randrange(1, L.full_mask() + 1))
+            planted[id(L)] = (L, masks)  # holding L keeps its id from being reused
+        return list(planted[id(L)][1])
+
+    monkeypatch.setattr(checks, "sublattice_complements", mixed)
+
+
+def _plant_meetand(L, x, u1):
+    """Add u1 > x as a false canonical meetand of x to the joinand table of
+    L.dual, which the screens and the per-instance sweeps both read.
+
+    Lemma 5.4 holds for every set C once u1 is a true canonical meetand, so
+    only a false one lets its sweeps fail.  An extra meetand can only keep a
+    lemma 4.2 instance from failing, so a lemma 4.2 witness stays genuine.
+    """
+    table = list(_joinand_intervals(L.dual))
+    if all(u != u1 for u, _ in table[x]):
+        table[x] = tuple(sorted([*table[x], (u1, L.interval_mask(x, u1))]))
+    L.dual._joinand_intervals = tuple(table)
+
+
+# Planted runs, and the smallest number of them in which each lemma must
+# find a counterexample.
+PLANTED_RUNS, PLANTED_FAILURES = 80, 20
+
+
+def test_screens_equal_the_per_instance_sweeps_on_planted_failures(monkeypatch):
+    # The planted masks and meetands make both lemmas fail, so the
+    # counterexample path and its count are compared as well.
+    rng = random.Random(24)
+    pool = sd_corpus(seed=3, count=60)[0] + _mixed_sd_corpus()
+    for L in pool:
+        if is_sd(L) and rng.random() < 0.5:
+            x = rng.choice([x for x in range(L.n) if x != L.top])
+            _plant_meetand(L, x, rng.choice(list(bits(L.up_masks[x] & ~(1 << x)))))
+    _plant_masks(monkeypatch, rng)
+    found = [0, 0]
+    for _ in range(PLANTED_RUNS):
+        lattices = rng.sample(pool, 6)
+        for i, (screen, reference) in enumerate(SCREENS):
+            rep = screen(lattices, label="planted")
+            assert rep == reference(lattices, label="planted")
+            if not rep.holds:
+                found[i] += 1
+                assert reverify_witness(rep) is True
+    assert min(found) >= PLANTED_FAILURES, found
+
+
+def _chain_with_a_false_meetand():
+    # 2 as a meetand of 0 in chain(4) makes (x, u1, u2, t) = (0, 2, 3, 1) an
+    # instance, and [0, 3] lies inside all of chain(4).
+    L = chain(4)
+    _plant_meetand(L, 0, 2)
+    return L
+
+
+# (screen, tag, lattice, a mask on which the lemma fails, the witness's
+# entries past the complement); the top of B2 has no strict canonical
+# joinand in {3}.
+PLANTED_FAILURE = [
+    (check_lemma_42, "lemma4.2", boolean(2), 0b1000, {"element": 3}),
+    (check_lemma_54, "lemma5.4", _chain_with_a_false_meetand(), 0b11111, {"x": 0, "u1": 2, "u2": 3, "t": 1}),
+]
+
+
+@pytest.mark.parametrize("screen, tag, L, cmask, extra", PLANTED_FAILURE, ids=["lemma42", "lemma54"])
+def test_a_screen_refuses_a_failure_its_replay_denies(monkeypatch, screen, tag, L, cmask, extra):
+    monkeypatch.setattr(checks, "sublattice_complements", lambda K: [cmask])
+    rep = screen([L])
+    assert (rep.status, rep.instances_checked) == ("CounterexampleFound", 1)
+    assert rep.witness == checks._witness(L, tag, cmask, **extra)
+    assert reverify_witness(rep)
+    monkeypatch.setattr(checks, "REPLAY", {**checks.REPLAY, tag: lambda L, cmask, w: False})
+    with pytest.raises(InvariantViolation, match="does not confirm"):
+        screen([L])
 
 
 def test_star_import_brings_the_baselines():

@@ -124,6 +124,16 @@ def test_accessors_name_a_bad_id_or_point(call, message):
         call(G)
 
 
+def test_successor_refuses_a_geometry_without_two_chains():
+    # On three chains successor(2, 1) used to compare against chain -1, the
+    # last one, and answer (None, False).
+    G = build_cg(3, [(1, 2, 3), (3, 1, 2), (2, 3, 1)])
+    for i in (0, 2):
+        with pytest.raises(ValueError, match="^successor needs a two-chain geometry, this one has 3 chains$"):
+            G.successor(i, 1)
+    assert build_cg(3, [(1, 2, 3), (3, 1, 2)]).successor(0, 1) == (2, False)
+
+
 def test_least_mi_on_single_chain():
     G = build_cg(3, [(1, 2, 3)])
     # on a chain every proper prefix is meet-irreducible
