@@ -594,12 +594,14 @@ def check_lemma_42(corpus, label="corpus") -> CheckReport:
     return CheckReport(claim, label, checked, HOLDS)
 
 
-def _lemma54_bridges(L: Lattice) -> list:
-    """Per element x, (u1, [x, u1], (x, u1], targets) for each canonical
-    meetand u1 of x, where targets are the elements above some t in
-    (x, u1] and not below u1: the only u2 such a t can lie below."""
+def _lemma54_bridges(L: Lattice) -> tuple:
+    """(bridges, bridged): per element x, (u1, [x, u1], (x, u1], targets)
+    for each canonical meetand u1 of x whose targets are not empty, where
+    targets are the elements above some t in (x, u1] and not below u1: the
+    only u2 such a t can lie below.  ``bridged`` is the mask of the x that
+    keep a bridge; no other x can count an instance."""
     up, down = L.up_masks, L.down_masks
-    bridges = []
+    bridges, bridged = [], 0
     for x, pairs in enumerate(_joinand_intervals(L.dual)):
         row = []
         for u1, interval in pairs:
@@ -607,9 +609,13 @@ def _lemma54_bridges(L: Lattice) -> list:
             reach = 0
             for t in bits(between):
                 reach |= up[t]
-            row.append((u1, interval, between, reach & ~down[u1]))
+            targets = reach & ~down[u1]
+            if targets:
+                row.append((u1, interval, between, targets))
         bridges.append(row)
-    return bridges
+        if row:
+            bridged |= 1 << x
+    return bridges, bridged
 
 
 def check_lemma_54(corpus, label="corpus") -> CheckReport:
@@ -621,8 +627,9 @@ def check_lemma_54(corpus, label="corpus") -> CheckReport:
     The instances are (C, x, u1, u2) in that order, one per (x, u1, u2)
     with such a t.  A strict u1 has [x, u1] inside C, so (x, u1] lies in C
     and t ranges over it; u2 ranges over the C-elements of its targets in
-    :func:`_lemma54_bridges`.  The sweep tests [x, u2] ⊆ C inline, and only
-    the first failing instance goes through the ``REPLAY`` predicate.
+    :func:`_lemma54_bridges`, and only the x of C that keep a bridge are
+    walked.  The sweep tests [x, u2] ⊆ C inline, and only the first
+    failing instance goes through the ``REPLAY`` predicate.
 
     The premises force the conclusion on any set C: u1 is the greatest
     element of ↑x ∖ ↑c for an upper cover c of x, and c ≰ t, so c, were it
@@ -633,11 +640,11 @@ def check_lemma_54(corpus, label="corpus") -> CheckReport:
     for L in _lattices(corpus):
         if not is_sd(L):
             continue
-        fails, bridges = REPLAY[tag], _lemma54_bridges(L)
+        fails, (bridges, bridged) = REPLAY[tag], _lemma54_bridges(L)
         up, down = L.up_masks, L.down_masks
         comparable = [u | d for u, d in zip(up, down)]
         for cmask in sublattice_complements(L):
-            for x in bits(cmask):
+            for x in bits(cmask & bridged):
                 for u1, interval, between, targets in bridges[x]:
                     if interval & cmask != interval:  # u1 is no strict meetand
                         continue

@@ -85,14 +85,16 @@ class Lattice:
     ``a ∧ b`` is exactly ``down(a) & down(b)``.
     """
 
-    # The oracle's result, a tuple once computed; the masks of the proper
-    # sublattices' complements the checks quantify over, a tuple once
-    # computed; whether the lattice is SD-join, a bool once computed; the
-    # masks of the indecomposable components, a tuple once computed; and
-    # the intervals [j, x] of the canonical joinands j of each x, a tuple
-    # once computed.  A dual view takes its primal's covers and
-    # irreducibles, but keeps these five of its own.
+    # The oracle's result, a tuple once computed, and the OracleStats of the
+    # search that computed it; the masks of the proper sublattices'
+    # complements the checks quantify over, a tuple once computed; whether
+    # the lattice is SD-join, a bool once computed; the masks of the
+    # indecomposable components, a tuple once computed; and the intervals
+    # [j, x] of the canonical joinands j of each x, a tuple once computed.
+    # A dual view takes its primal's covers and irreducibles, but keeps
+    # these six of its own.
     _oracle_complements = None
+    _oracle_stats = None
     _sublattice_complements = None
     _sd_join = None
     _components = None

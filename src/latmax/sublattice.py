@@ -5,8 +5,9 @@ The central object is the brute-force oracle: the complements of maximal
 avoiding bottom and top whose removal leaves a set closed under meet and
 join.  The oracle enumerates those minimal removable sets by forced-element
 propagation: starting from a single seed element, any pair x, y outside C
-whose meet or join lands in C forces one of x, y into C, which yields a
-binary branch-and-prune search.
+whose meet or join lands in C forces one of x, y into C.  A pair with one
+admissible element is a forced move; the rest is a binary branch-and-prune
+search.
 
 Element subsets are plain frozensets of element ids in the public API;
 closure, maximality, the oracle, the Frattini sublattice and the complement
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .lattice import (
     InvariantViolation,
@@ -38,6 +39,7 @@ __all__ = [
     "EmptyGenerator",
     "NoCanonicalRep",
     "OracleBoundExceeded",
+    "OracleStats",
     "UndefinedBound",
     "complement_bounds",
     "frattini",
@@ -60,6 +62,28 @@ class EmptyGenerator(ValueError):
 
 class OracleBoundExceeded(RuntimeError):
     """The lattice is larger than the bound passed to the oracle."""
+
+
+@dataclass(frozen=True)
+class OracleStats:
+    """The search statistics of one maximal_complements_oracle run.
+
+    ``nodes`` counts the search nodes: each seed's root, both children of
+    each branch, and the child of each forced move.  ``dead_ends`` counts
+    the paths ended by a violated pair with no admissible element.  Each
+    element refused at a forced move or a dead end counts once, under the
+    first rule that refuses it: ``forbidden`` on this path, ``barred``
+    (bottom, top, doubly irreducible or below the seed), or ``component``
+    (outside every component that holds C).
+    """
+
+    nodes: int
+    forced: int
+    branches: int
+    dead_ends: int
+    forbidden: int
+    barred: int
+    component: int
 
 
 class UndefinedBound(ValueError):
@@ -212,7 +236,9 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     """All complements of maximal (0,1)-sublattices, as sorted frozensets.
 
     With a bound, a lattice of more than bound elements raises
-    OracleBoundExceeded; with none, the oracle runs at any size.
+    OracleBoundExceeded; with none, the oracle runs at any size.  The
+    search statistics of the run are kept on the lattice as an
+    :class:`OracleStats`, ``L._oracle_stats``.
 
     Maximal sublattices of lattices with at least two atoms and two coatoms
     always contain bottom and top; the oracle adopts that normal form
@@ -220,26 +246,49 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     singletons (the degenerate complements {bottom}/{top} that exist when
     bottom is meet-irreducible or top is join-irreducible are not listed).
 
-    Search: for each seed c (restricted to sets whose minimum element is c),
-    grow C by resolving the first violated closure constraint; a violation
-    x∧y ∈ C or x∨y ∈ C with x, y outside C branches into "x joins C" and
-    "y joins C, x never will".  Pruned by: complements live inside one
-    indecomposable component, and no complement with two or more elements
-    contains a doubly irreducible element.  Every surviving set is verified
-    against is_maximal_sublattice.
+    Search: for each seed c, grow sets C whose minimum element is c.  A
+    pair x, y outside C whose meet or join lies in C is violated, and every
+    removable set holding C holds x or y.  An element is admissible when it
+    is not forbidden on this path, not bottom, top or doubly irreducible,
+    not below the seed, and C stays inside one indecomposable component
+    with it.  A violated pair with one admissible element is a forced move:
+    that element joins C, in place.  A violated pair with none ends the
+    path.  Forced moves are taken to a fixpoint before any branching; then
+    the first violation x∧y ∈ C or x∨y ∈ C, whose x and y are both
+    admissible, branches into "x joins C", searched first and in place, and
+    "y joins C, x never will", which waits on a stack.  Every minimal set
+    found is checked against is_maximal_sublattice.
 
-    The first violation is the first unresolved pair (x, y outside C) in
-    the order: targets z of C lowest first, then the preimage pairs of z in
-    table order.  The scan is resumable: each stack entry carries a cursor
-    (z, i) before which every pair is resolved.  C only grows along a search
-    path, so a resolved pair stays resolved; a child resumes right after its
-    parent's violating pair, or at (e, 0) when the element e it added lies
-    below z, since e's own pairs are then the first unscanned ones.  The
-    scan so returns exactly the violation a full rescan returns, and the
-    search tree is unchanged.  The lowest-target-first order is kept on
-    purpose: a variant that scanned the newest element's pairs first picked
-    other violations, grew a far larger tree and did not finish a two-chain
-    geometry with m = 16 in 500 s.
+    The search stays complete: a minimal removable set C* that holds C and
+    no forbidden element holds x or y of every violated pair, and each of
+    its elements is admissible (a complement of two or more elements holds
+    no doubly irreducible element and lies in one component).  So C* holds
+    the element a forced move adds, and no such C* exists past a pair with
+    no admissible element.  Forced moves so shrink the search tree, not
+    the result.  No set found is a subset of a later C, so none is tested:
+    a set from an earlier seed holds that seed, which is below the current
+    one; a set from this seed lies under the first child of the branch
+    where its path and C's part, so it holds that branch's x, and C, under
+    the second child, never does.
+
+    The first violation is the first unresolved pair in the order: targets
+    z of C lowest first, then the preimage pairs of z in table order.  The
+    scan is resumable: each node carries a cursor (z, i) before which every
+    pair is resolved.  C only grows along a search path, so a resolved pair
+    stays resolved; a child resumes right after its parent's branch pair,
+    or at (e, 0) when the element e it added lies below z, since e's own
+    pairs are then the first unscanned ones.  A forced pair may lie past
+    the first violation; its element f leaves the cursor where it is, or
+    moves it to (f, 0) when f lies below the cursor's target.  Forced moves
+    never rescan the table: only a pair whose target just joined C, or
+    which holds an element that just stopped being admissible (the x a
+    second child forbids, or the elements of a component C has left), can
+    have become violated with at most one admissible element, and forced
+    moves reach the same fixpoint in any order.  The lowest-target-first
+    order is kept for branching on purpose: a variant that scanned the
+    newest element's pairs first picked other violations, grew a far
+    larger tree and did not finish a two-chain geometry with m = 16 in
+    500 s.
     """
     if bound is not None and L.n > bound:
         raise OracleBoundExceeded(f"n={L.n} exceeds oracle bound {bound}")
@@ -250,8 +299,10 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     leq, meet, join = L.leq.tolist(), L.meet.tolist(), L.join.tolist()
     # Preimage pairs per target, incomparable pairs only (comparable pairs
     # can never violate closure), each as the mask of its two elements: a
-    # pair is unresolved when its mask misses C.
+    # pair is unresolved when its mask misses C.  ``others[x]`` lists the
+    # elements incomparable to x.
     pre = [[] for _ in range(n)]
+    others = [[] for _ in range(n)]
     for x in range(n):
         leq_x, meet_x, join_x = leq[x], meet[x], join[x]
         for y in range(x + 1, n):
@@ -259,16 +310,17 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 pair = 1 << x | 1 << y
                 pre[meet_x[y]].append(pair)
                 pre[join_x[y]].append(pair)
+                others[x].append(y)
+                others[y].append(x)
 
-    # No seed is bottom or top, and no element added to C is bottom, top or
-    # doubly irreducible: a C grown from a seed holds that seed, so adding
-    # any element gives it two or more, and such a complement holds no
-    # doubly irreducible element.  A doubly irreducible seed d is neither the
-    # meet nor the join of an incomparable pair, so pre[d] is empty and its
-    # search ends at once with the singleton {d}.
-    ends = (1 << L.bottom) | (1 << L.top)
-    blocked = ends | mask_of(L.irreducibles.ji & L.irreducibles.mi)
-    comp_masks = _component_masks(L)
+    def violated_with(cmask: int, d: int) -> list:
+        """The unresolved pairs holding d whose meet or join lies in C."""
+        meet_d, join_d = meet[d], join[d]
+        return [
+            1 << d | 1 << o
+            for o in others[d]
+            if not (cmask >> o) & 1 and (cmask >> meet_d[o] | cmask >> join_d[o]) & 1
+        ]
 
     def first_violation(cmask: int, z: int, i: int):
         """(z, i) of the first unresolved pair at or after the cursor (z, i), or None."""
@@ -283,51 +335,105 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
             i = 0
         return None
 
+    # No seed is bottom or top, and no element added to C is bottom, top or
+    # doubly irreducible: a C grown from a seed holds that seed, so adding
+    # any element gives it two or more, and such a complement holds no
+    # doubly irreducible element.  A doubly irreducible seed d is neither the
+    # meet nor the join of an incomparable pair, so pre[d] is empty and its
+    # search ends at once with the singleton {d}.
+    ends = (1 << L.bottom) | (1 << L.top)
+    blocked = ends | mask_of(L.irreducibles.ji & L.irreducibles.mi)
+    comp_masks = _component_masks(L)
+    several, full = len(comp_masks) > 1, L.full_mask()
+
+    def fitting(cmask: int) -> int:
+        """The union of the components that hold C: the elements C may take."""
+        return reduce(or_, (cm for cm in comp_masks if not cmask & ~cm), 0)
+
+    nodes = forced = branches = dead_ends = n_barred = n_forbidden = n_component = 0
     found: list[int] = []
-
-    def admissible(cmask: int, e: int) -> bool:
-        if (blocked >> e) & 1 or e < seed:
-            return False
-        grown = cmask | (1 << e)
-        if not any(grown & ~cm == 0 for cm in comp_masks):
-            return False
-        return not any(r != grown and r & ~grown == 0 for r in local)
-
     for seed in range(n):
         if (ends >> seed) & 1:
             continue
-        # (C, forbidden elements, cursor target, cursor pair index); every C
-        # of this seed has the seed as its least element.  So a set found
-        # from an earlier seed, which holds that smaller seed, is never a
-        # subset of C: the subset test scans only ``local``, this seed's sets.
-        local: list[int] = []
-        stack = [(1 << seed, 0, seed, 0)]
+        # Every C of this seed has the seed as its least element.
+        barred = blocked | ((1 << seed) - 1)
+        # (C, forbidden elements, cursor target, cursor pair index, the
+        # element that just joined C, the element just forbidden or -1)
+        stack = [(1 << seed, 0, seed, 0, seed, -1)]
         while stack:
-            cmask, forb, z, i = stack.pop()
-            viol = first_violation(cmask, z, i)
-            if viol is None:
-                local.append(cmask)
-                continue
-            z, i = viol
-            pair = pre[z][i]
-            x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
-            # "y joins C, x never will" goes on the stack first, so "x joins
-            # C" is searched first.
-            for e, child_forb in ((y, forb | (1 << x)), (x, forb)):
-                if not (forb >> e) & 1 and admissible(cmask, e):
-                    stack.append((cmask | (1 << e), child_forb, *((e, 0) if e < z else (z, i + 1))))
-        found += local
+            cmask, forb, z, i, e, x = stack.pop()
+            while True:
+                nodes += 1
+                fits = fitting(cmask) if several else full
+                dead = barred | forb | ~fits
+                # Forced moves to a fixpoint.  Only a pair whose target just
+                # joined C, or which holds an element that just stopped being
+                # admissible, can have become violated with at most one
+                # admissible element.
+                work = [pre[e], violated_with(cmask, x)] if x >= 0 else [pre[e]]
+                low, ended = n, False  # low: the least element a forced move adds
+                while work and not ended:
+                    for pair in work.pop():
+                        if cmask & pair:
+                            continue
+                        live = pair & ~dead
+                        if live & (live - 1):
+                            continue
+                        refused = pair & dead
+                        while refused:
+                            d = refused & -refused
+                            refused ^= d
+                            if forb & d:
+                                n_forbidden += 1
+                            elif barred & d:
+                                n_barred += 1
+                            else:
+                                n_component += 1
+                        if not live:
+                            ended = True
+                            break
+                        forced += 1
+                        nodes += 1
+                        cmask |= live
+                        f = live.bit_length() - 1
+                        if f < low:
+                            low = f
+                        work.append(pre[f])
+                        if several and (gone := fits & ~fitting(cmask)):
+                            # C has left a component: its other elements die.
+                            fits ^= gone
+                            dead |= gone
+                            work += [violated_with(cmask, g) for g in bits(gone)]
+                if ended:
+                    dead_ends += 1
+                    break
+                if low < z:
+                    z, i = low, 0
+                viol = first_violation(cmask, z, i)
+                if viol is None:
+                    found.append(cmask)
+                    break
+                branches += 1
+                z, i = viol
+                pair = pre[z][i]
+                x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
+                # "y joins C, x never will" waits on the stack; "x joins C"
+                # is searched first, in place.
+                stack.append((cmask | (1 << y), forb | (1 << x), *((y, 0) if y < z else (z, i + 1)), y, x))
+                cmask |= 1 << x
+                z, i = (x, 0) if x < z else (z, i + 1)
+                e, x = x, -1
 
     found.sort(key=lambda m: m.bit_count())
     minimal: list[int] = []
     for cand in found:
         if not any(r & ~cand == 0 for r in minimal):
             minimal.append(cand)
-    full = L.full_mask()
     for c in minimal:
         if not _is_maximal_mask(L, full & ~c):
             raise InvariantViolation(f"oracle complement {list(bits(c))} leaves no maximal sublattice")
     result = sorted((frozenset(bits(c)) for c in minimal), key=sorted)
+    L._oracle_stats = OracleStats(nodes, forced, branches, dead_ends, n_forbidden, n_barred, n_component)
     L._oracle_complements = tuple(result)
     return list(result)
 

@@ -650,15 +650,18 @@ def loop_doubled_order(L, iv):
     return leq
 
 
-# -- the oracle before its resumable scan -------------------------------------------
+# -- an independent reference for the oracle ------------------------------------------
 
 
 def full_rescan_oracle(L):
-    """``maximal_complements_oracle`` with a full rescan at every search node.
+    """The plain first-violation search for the minimal removable sets.
 
-    The search, pruning and result order are the library's; only the
-    violation scan differs: it restarts at C's lowest target every time
-    instead of resuming from a cursor.  No cache, no bound, no self-check.
+    Each search node rescans from C's lowest target for the first violated
+    pair and branches on it: "x joins C", and "y joins C, x never will".  It
+    takes no forced move and keeps no cursor, and it refuses an element that
+    would make C a proper superset of any set found so far.  Its seed order,
+    blocked elements, component rule and result order are the library's
+    rules, written out again.  No cache, no bound, no self-check.
     """
     from latmax.lattice import bits, indecomposable_components, mask_of
 

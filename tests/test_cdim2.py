@@ -250,8 +250,8 @@ def test_oracle_equivalence_m9_random():
 
 
 def test_oracle_equivalence_seeded_m8_to_25():
-    # One random geometry per m, up to n = 173 elements; the oracle's
-    # resumable scan keeps this to a few seconds.
+    # One random geometry per m, up to n = 173 elements; the oracle's forced
+    # moves and resumable scan keep this to a second or two.
     rng = random.Random(2025)
     for m in range(8, 26):
         perm = random_permutation(m, rng)
@@ -267,6 +267,19 @@ def test_oracle_equivalence_exhaustive_m8():
     for perm in permutations(identity):
         G = build_cg(8, [identity, perm])
         comps, _ = fast_complements(8, perm)
+        assert verify_complements(G, comps).ok, perm
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [30, 40, 50, 60])
+def test_oracle_equivalence_seeded_m30_to_60(m):
+    # Three geometries per m, up to n = 1,065 elements: the fast path against
+    # the oracle where the oracle still reaches.
+    rng = random.Random(1000 + m)
+    for _ in range(3):
+        perm = random_permutation(m, rng)
+        G = build_cg(m, [tuple(range(1, m + 1)), perm])
+        comps, _ = fast_complements(m, perm)
         assert verify_complements(G, comps).ok, perm
 
 

@@ -60,3 +60,17 @@ def test_only_checks_builds_a_check_report():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "CheckReport"
     ]
     assert SOURCES and not found, found
+
+
+def test_sublattice_imports_no_numpy():
+    # Closure, maximality and the oracle run on int masks; an array import
+    # would let array round trips back into the search.
+    path = Path(latmax.__file__).parent / "sublattice.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"sublattice.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+    ]
+    assert not found, found

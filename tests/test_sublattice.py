@@ -15,7 +15,17 @@ from helpers import (
 )
 from latmax import sublattice
 from latmax.checks import observation_suite
-from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences, glued, m3, n5, random_cdim_k
+from latmax.corpus import (
+    all_cdim2_geometries,
+    boolean,
+    chain,
+    chain_products,
+    doubled_sequences,
+    glued,
+    m3,
+    n5,
+    random_cdim_k,
+)
 from latmax.geometry import build_cg
 from latmax.lattice import (
     InvariantViolation,
@@ -29,6 +39,7 @@ from latmax.sublattice import (
     EmptyGenerator,
     NoCanonicalRep,
     OracleBoundExceeded,
+    OracleStats,
     UndefinedBound,
     complement_bounds,
     frattini,
@@ -340,17 +351,32 @@ def test_sublattice_predicates_accept_numpy_elements():
     assert is_maximal_sublattice(L, np.array([0, 1, 3]))
 
 
+def _b3_glued_with_cut_first():
+    """B3 ⊕ B3 renumbered so that its cut element is id 0, below the
+    bottom's id: a numbering that is no linear extension."""
+    L = glued([boolean(3), boolean(3)])
+    cut = 7  # the top of the first B3, the bottom of the second
+    order = [cut, *(a for a in range(L.n) if a != cut)]
+    return Lattice(L.leq[np.ix_(order, order)])
+
+
 def _reference_corpus(cdim2_through_m6):
     yield from (G.lattice for G in cdim2_through_m6)
     for seed in (0, 7):
         yield from doubled_sequences(depth=3, seed=seed, count=120)
     for chains, _, _ in K_CHAIN_COUNTEREXAMPLES:
         yield build_cg(6, chains).lattice
+    for k in (3, 4):
+        for m in (5, 6, 7):
+            yield from (random_cdim_k(m, k, seed=s).lattice for s in range(6))
+    # Here "below the seed" and the component rule meet.
+    yield _b3_glued_with_cut_first()
 
 
 def test_oracle_equals_the_full_rescan_reference(cdim2_through_m6):
-    # The resumable scan must pick the very violation a full rescan picks,
-    # so the two searches return the same complements in the same order.
+    # The reference branches on the first violation at every node and takes
+    # no forced move, so the two searches pick different violations and grow
+    # different trees; the complements, and their order, must be equal.
     for L in _reference_corpus(cdim2_through_m6):
         assert maximal_complements_oracle(L, bound=L.n) == full_rescan_oracle(L), to_cover_text(L)
 
@@ -358,17 +384,40 @@ def test_oracle_equals_the_full_rescan_reference(cdim2_through_m6):
 def test_oracle_component_prune_under_a_numbering_that_is_no_linear_extension():
     # Every corpus numbers its elements along a linear extension, so the
     # seed-order rule already keeps C inside one component.  Here the cut
-    # element of B3 ⊕ B3 is id 0, below the bottom's id, and the component
-    # rule prunes the search (18 times, by a line trace).
-    L = glued([boolean(3), boolean(3)])
-    cut = 7  # the top of the first B3, the bottom of the second
-    order = [cut, *(a for a in range(L.n) if a != cut)]
-    L = Lattice(L.leq[np.ix_(order, order)])
+    # element of B3 ⊕ B3 is id 0, and the component rule refuses elements.
+    L = _b3_glued_with_cut_first()
     assert L.n == 15 and L.bottom == 1 and L.top == 14
     assert [iv.lo for iv in indecomposable_components(L)] == [1, 0]
     got = maximal_complements_oracle(L)
     assert got == brute_max_complements(L)
     assert got == full_rescan_oracle(L)
+    assert L._oracle_stats.component == 24
+
+
+@pytest.mark.parametrize(
+    "build, stats",
+    [
+        (
+            lambda: chain_products([3, 2, 2]),
+            OracleStats(nodes=29, forced=7, branches=6, dead_ends=6, forbidden=7, barred=12, component=0),
+        ),
+        # A forced element below the cursor's target moves the cursor here.
+        (
+            lambda: build_cg(5, [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]).lattice,
+            OracleStats(nodes=45, forced=7, branches=12, dead_ends=13, forbidden=6, barred=27, component=0),
+        ),
+    ],
+    ids=["prod322", "two-chain-m5-reversed"],
+)
+def test_oracle_search_statistics_are_pinned(build, stats):
+    # A change to the search order or to a pruning rule shows here.
+    L = build()
+    assert L._oracle_stats is None
+    maximal_complements_oracle(L)
+    assert L._oracle_stats == stats
+    # A cached answer leaves the record of the search that made it.
+    maximal_complements_oracle(L)
+    assert L._oracle_stats == stats
 
 
 def test_oracle_self_check_failure_raises(monkeypatch):
