@@ -7,6 +7,7 @@ found.  ``main`` is the one place that turns an error into exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -333,8 +334,14 @@ def _refuse_negative_options(args):
             raise _InputError(f"--{option.replace('_', '-')} must be nonnegative, got {value}")
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _refuse_negative_options(args)
         return args.fn(args)

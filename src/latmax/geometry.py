@@ -2,10 +2,19 @@
 
 A geometry on ground set {1..m} is generated by k linear orders (chains),
 each given as a permutation.  The family is the closure of all chain
-prefixes under intersection, built directly as the intersections of one
-prefix per chain; ordered by inclusion it is a lattice
-(the lattice view reuses :class:`latmax.lattice.Lattice` verbatim, with the
-inclusion order as ``leq``).  Ground points are 1-based throughout.
+prefixes under intersection, that is the intersections of one prefix per
+chain; ordered by inclusion it is a lattice (the lattice view is a
+:class:`latmax.lattice.Lattice`).  Ground points are 1-based throughout.
+
+The family is built in chain coordinates, the view behind convex dimension
+(P. H. Edelman and R. E. Jamison, "The theory of convex geometries",
+*Geom. Dedicata* 19, 1985).  A member S is its tight vector t(S), where
+t_i(S) is the largest position on chain i of a point of S, and inclusion is
+the product order of tight vectors.  The (m+1)^k tight grid holds, at each
+cell s, the tight vector of C_1(s_1) ∩ ... ∩ C_k(s_k); the members are its
+fixed cells, ids run by size and then by sorted points, and meet and join
+are grid reads at the componentwise min and max.  The lattice certifies
+the tables it is handed against the order.
 """
 from __future__ import annotations
 
@@ -13,6 +22,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -25,7 +35,6 @@ from .lattice import (
     _rows,
     is_lower_semimodular,
     is_sd_join,
-    mask_of,
 )
 
 __all__ = [
@@ -36,6 +45,11 @@ __all__ = [
     "format_cg_text",
     "parse_cg_text",
 ]
+
+
+# The most entries a tight grid may hold: k(m+1)^k int64s for k chains on m
+# points, 128 MiB at this bound.
+MAX_GRID_ENTRIES = 1 << 24
 
 
 class BadPermutation(ValueError):
@@ -56,7 +70,9 @@ class ChainSpec:
         return len(self.perm)
 
     def validate(self, m: int):
-        _permutation(m, self.perm)
+        """(perm, positions) as int64 arrays, after checking the chain is a
+        permutation of 1..m; positions[p - 1] is the position of point p."""
+        return _permutation(m, self.perm)
 
     @cached_property
     def pos(self) -> dict:
@@ -143,6 +159,18 @@ def _as_chain(chain) -> ChainSpec:
 class ConvexGeometry:
     """Lattice of all intersections of chain prefixes, with chain indices.
 
+    Built in chain coordinates.  A member S is its tight vector t(S): t_i(S)
+    is the largest position on chain i of a point of S (0 when S is empty),
+    and S holds exactly the points whose position on every chain i is at
+    most t_i(S).  Inclusion is the product order of tight vectors.  The
+    tight grid has one cell s per vector of positions, (m+1)^k cells in
+    all; cell s holds the tight vector of C_1(s_1) ∩ ... ∩ C_k(s_k).  The
+    members are the fixed cells, where the tight vector is the cell itself;
+    S ∩ S' is the member at cell min(t(S), t(S')), and the least member
+    containing S ∪ S' the one at cell max(t(S), t(S')).  Member ids run by
+    size, then by sorted points, and the meet and join tables go to
+    :class:`latmax.lattice.Lattice`, which certifies them.
+
     Exposes, for each chain i and ground point x, the least prefix C_i(x)
     containing x, and the point closure (x), the smallest family member
     containing x.
@@ -153,36 +181,92 @@ class ConvexGeometry:
         self.chains = tuple(_as_chain(c) for c in chains)
         if not self.chains:
             raise BadPermutation("at least one generating chain is required")
-        for c in self.chains:
-            c.validate(m)
+        # pos[i, p - 1] is the 1-based position of point p on chain i.
+        pos = np.array([c.validate(m)[1] for c in self.chains])
+        k = len(self.chains)
+        cells = (m + 1) ** k
+        if k * cells > MAX_GRID_ENTRIES:
+            raise ValueError(
+                f"{k} chains on {m} points need a tight grid of k(m+1)^k = {k * cells} entries, "
+                f"more than {MAX_GRID_ENTRIES}"
+            )
+        # Each point's positions, scattered at its cell and carried up every
+        # axis by running maxima: cell s gets the largest position on each
+        # chain over the points at or below s.  Cells are numbered row-major.
+        strides = (m + 1) ** np.arange(k - 1, -1, -1)
+        tight = np.zeros((k, cells), dtype=np.int64)
+        tight[:, strides @ pos] = pos
+        grid = tight.reshape((k,) + (m + 1,) * k)
+        for axis in range(1, k + 1):
+            np.maximum.accumulate(grid, axis=axis, out=grid)
+        # cell[c] is the cell of c's tight vector; the members are the fixed cells.
+        cell = strides @ tight
+        fixed = (cell == np.arange(cells)).nonzero()[0]
+        coords = tight[:, fixed]
+        points = pos[0] <= coords[0][:, None]
+        for p, t in zip(pos[1:], coords[1:]):
+            points &= p <= t[:, None]
+        # Among sets of one size, the one holding the least point of their
+        # difference comes first in sorted-point order: the rows of ~points,
+        # packed with point 1 as the leading bit, sorted as numbers.
+        packed = np.packbits(~points, axis=1)
+        order = np.lexsort((*packed.T[::-1], points.sum(axis=1)))
+        points, coords = points[order], coords[:, order]
+        n = len(order)
 
-        # Every member is an intersection of one prefix per chain: prefixes of
-        # one chain are nested, so more than one of them adds nothing.
-        family = {frozenset(range(1, m + 1))}
-        for c in self.chains:
-            prefixes = [c.prefix(k) for k in range(m + 1)]
-            family = {a & p for a in family for p in prefixes}
-        self.family = tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
-        self.set_index = {s: i for i, s in enumerate(self.family)}
+        # ids[s] is the id of the member at the tight vector of cell s.
+        at = np.zeros(cells, dtype=np.int32)
+        at[fixed[order]] = np.arange(n, dtype=np.int32)
+        ids = at[cell].reshape(grid.shape[1:])
+        del tight, grid, cell, at
+        meet = ids[tuple(np.minimum.outer(t, t) for t in coords)]
+        join = ids[tuple(np.maximum.outer(t, t) for t in coords)]
+        leq = np.less_equal.outer(coords[0], coords[0])
+        for t in coords[1:]:
+            leq &= np.less_equal.outer(t, t)
+        self.lattice = Lattice(leq, tables=(meet, join))
 
-        n = len(self.family)
-        # Point p is bit p - 1.
-        masks = [mask_of(p - 1 for p in s) for s in self.family]
-        self.lattice = Lattice([[a & ~b == 0 for b in masks] for a in masks])
-        self._point_masks = masks
-
-        # chain_elements[i][k] = id of the k-point prefix of chain i.
+        self._points = points
+        self._coords = coords
+        self._positions = pos
+        self._ids = ids
+        # chain_elements[i][q] = id of the q-point prefix of chain i: the cell
+        # at q on axis i and at m on every other axis.
         self.chain_elements = tuple(
-            tuple(self.set_index[c.prefix(k)] for k in range(m + 1)) for c in self.chains
-        )
-        chain_sets = [set(ids) for ids in self.chain_elements]
-        self.chain_member = tuple(
-            tuple(a in ids for ids in chain_sets) for a in range(n)
+            tuple(ids[(m,) * i + (slice(None),) + (m,) * (k - 1 - i)].tolist()) for i in range(k)
         )
         if verify:
             self._verify()
 
     # -- indices -------------------------------------------------------------
+
+    @cached_property
+    def family(self) -> tuple:
+        """The members as frozensets of points, in id order."""
+        ground = range(1, self.m + 1)
+        return tuple(frozenset(compress(ground, row)) for row in self._points.tolist())
+
+    @cached_property
+    def set_index(self) -> dict:
+        """Member (a frozenset of points) -> its id."""
+        return {s: i for i, s in enumerate(self.family)}
+
+    @cached_property
+    def chain_member(self) -> tuple:
+        """chain_member[a][i]: whether element a lies on chain i, that is
+        whether a is C_i(a)."""
+        on = self._chain_prefixes() == np.arange(self.lattice.n)
+        return tuple(map(tuple, on.T.tolist()))
+
+    def _chain_prefixes(self):
+        """Row i holds C_i(a), the prefix of chain i of length t_i(a), for
+        every element a."""
+        return np.array([np.asarray(ids)[t] for ids, t in zip(self.chain_elements, self._coords)])
+
+    @cached_property
+    def _closures(self) -> tuple:
+        """The id of (x) for x = 1..m: the member at the cell of x's positions."""
+        return tuple(self._ids[tuple(self._positions)].tolist())
 
     def element_set(self, a: int) -> frozenset:
         """The points of element a; a ValueError names an id outside 0..n-1."""
@@ -201,12 +285,10 @@ class ConvexGeometry:
         return self.chain_elements[i][k]
 
     def chain_prefix(self, i: int, a: int) -> int:
-        """C_i(a): the least prefix of chain i containing family element a."""
+        """C_i(a): the least prefix of chain i containing family element a,
+        the prefix of length t_i(a)."""
         i = _index_in(i, 0, len(self.chains) - 1, "chain index")
-        pts = self.element_set(a)
-        if not pts:
-            return self.chain_elements[i][0]
-        return self.chain_elements[i][max(self.chains[i].pos[x] for x in pts)]
+        return self.chain_elements[i][self._coords[i, _check_id(self.lattice, a)]]
 
     def successor(self, i: int, j: int):
         """(x, inside) on chain i of a two-chain geometry: x is the point added
@@ -225,10 +307,10 @@ class ConvexGeometry:
     def point_closure(self, x: int) -> int:
         """(x): the smallest family member containing x; join-irreducible.
 
-        It is the meet, that is the intersection, of the prefixes C_i(x).
+        It is the meet, that is the intersection, of the prefixes C_i(x): the
+        member at the cell of x's positions.
         """
-        prefixes = (self.chain_prefix_of_point(i, x) for i in range(len(self.chains)))
-        return self.lattice.meet_of(prefixes)
+        return self._closures[_index_in(x, 1, self.m, "point") - 1]
 
     def has_trivial_intersection(self) -> bool:
         """Whether every pair of generating chains shares only ∅ and X."""
@@ -238,40 +320,59 @@ class ConvexGeometry:
     # -- verification ----------------------------------------------------------
 
     def _verify(self):
+        """Check the lattice against the point sets of its members.
+
+        inter[a, b] = |a ∩ b| comes from one float32 product of the point
+        matrix (exact while m < 2^24).  Each check names the first fault in
+        row-major order.
+        """
         L = self.lattice
-        n = L.n
-        masks = self._point_masks
-        # meet is intersection; join is the least family member over the union.
-        for a, meet_a, join_a in zip(range(n), L.meet.tolist(), L.join.tolist()):
-            mask_a = masks[a]
-            for b in range(a, n):
-                if masks[meet_a[b]] != mask_a & masks[b]:
-                    raise InvariantViolation(f"meet of {a} and {b} is not their intersection")
-                if (mask_a | masks[b]) & ~masks[join_a[b]]:
-                    raise InvariantViolation(f"join of {a} and {b} does not contain their union")
+        points = self._points
+        f = points.astype(np.float32)
+        inter = f @ f.T
+        size = inter.diagonal()
+        ids = np.arange(L.n)
+        # meet is intersection: z = a ∧ b lies in a and in b, with |a ∩ b|
+        # points.  join contains the union: a and b lie in w = a ∨ b.
+        z = size[L.meet]
+        meet_bad = (inter[L.meet, ids[:, None]] != z) | (inter[L.meet, ids] != z) | (z != inter)
+        join_bad = (inter[L.join, ids[:, None]] != size[:, None]) | (inter[L.join, ids] != size)
+        a, b = _first(np.triu(meet_bad | join_bad))
+        if a is not None:
+            if meet_bad[a, b]:
+                raise InvariantViolation(f"meet of {a} and {b} is not their intersection")
+            raise InvariantViolation(f"join of {a} and {b} does not contain their union")
         if not is_sd_join(L):
             raise InvariantViolation("geometry lattice must satisfy SD-join")
         if not is_lower_semimodular(L):
             raise InvariantViolation("geometry lattice must be lower semimodular")
         # Every cover adds exactly one ground point.
-        for a in range(n):
-            for b in L.covers[a]:
-                if (masks[b] & ~masks[a]).bit_count() != 1:
-                    raise InvariantViolation(f"cover {a} < {b} does not add exactly one point")
+        a, b = _first(L.cover_matrix & (size - inter != 1))
+        if a is not None:
+            raise InvariantViolation(f"cover {a} < {b} does not add exactly one point")
         # Every meet-irreducible lies on a generating chain.
         on_chain = set().union(*map(set, self.chain_elements))
         if not L.irreducibles.mi <= on_chain:
             raise InvariantViolation("a meet-irreducible lies on no generating chain")
-        # a equals the meet of its chain prefixes.
-        for a in range(n):
-            acc = masks[L.top]
-            for i in range(len(self.chains)):
-                acc &= masks[self.chain_prefix(i, a)]
-            if acc != masks[a]:
-                raise InvariantViolation(f"element {a} is not the meet of its chain prefixes")
+        # a equals the meet of its chain prefixes C_i(a).
+        acc = points[L.top]
+        for prefix in self._chain_prefixes():
+            acc = acc & points[prefix]
+        (a,) = _first((acc != points).any(axis=1))
+        if a is not None:
+            raise InvariantViolation(f"element {a} is not the meet of its chain prefixes")
 
     def __repr__(self):
         return f"ConvexGeometry(m={self.m}, chains={len(self.chains)}, n={self.lattice.n})"
+
+
+def _first(mask):
+    """The index of the first True entry of mask in row-major order, as ints,
+    or a tuple of Nones when it has none."""
+    flat = mask.argmax()
+    if not mask.flat[flat]:
+        return (None,) * mask.ndim
+    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
 def build_cg(m: int, chains, verify: bool = True) -> ConvexGeometry:

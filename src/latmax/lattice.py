@@ -83,6 +83,15 @@ class Lattice:
     glb/lub for every pair (raising :class:`NotALattice` otherwise), using
     the down-set/up-set bitmask dictionary: in a lattice the down set of
     ``a ∧ b`` is exactly ``down(a) & down(b)``.
+
+    ``tables=(meet, join)`` supplies the tables instead, for an order whose
+    meet and join are known, and they are certified rather than computed:
+    meet[a, b] passes when it lies below a and b and |↓meet[a, b]| is
+    |↓a ∩ ↓b|, counted by one float32 product leqᵀ·leq, which makes it the
+    glb; join is the dual.  The first pair that fails raises the same
+    :class:`NotALattice` message as the computed path, and an entry outside
+    0..n-1 a ValueError.  The tables are kept as read-only int32 arrays
+    (an int32 array is taken over, not copied).
     """
 
     # The oracle's result, a tuple once computed, and the OracleStats of the
@@ -100,7 +109,7 @@ class Lattice:
     _components = None
     _joinand_intervals = None
 
-    def __init__(self, leq):
+    def __init__(self, leq, *, tables=None):
         leq = np.ascontiguousarray(np.asarray(leq, dtype=bool))
         n = leq.shape[0]
         if leq.shape != (n, n):
@@ -109,7 +118,7 @@ class Lattice:
             raise NotALattice("empty carrier has no bottom/top")
         if not leq.diagonal().all():
             raise ValueError("order relation is not reflexive")
-        if (leq & leq.T).sum() > n:
+        if np.count_nonzero(leq & leq.T) > n:
             raise ValueError("order relation is not antisymmetric")
         # sizes[a, b] counts the c with a <= c <= b, through a BLAS float32
         # matmul (numpy sends no boolean one to BLAS), exact while n < 2^24.
@@ -120,7 +129,7 @@ class Lattice:
         if (~leq & (sizes > 0)).any():
             raise ValueError("order relation is not transitive")
         self.cover_matrix = leq & (sizes == 2)
-        del f, sizes
+        del sizes
         leq.flags.writeable = False
         self.cover_matrix.flags.writeable = False
         self.n = n
@@ -132,27 +141,10 @@ class Lattice:
         self.down_masks = down
         self.up_masks = up
 
-        down_id = {down[a]: a for a in range(n)}
-        up_id = {up[a]: a for a in range(n)}
-        # Filled as lists of rows and converted once: numpy scalar stores
-        # would cost more than the lookups.
-        meet = [[a] * n for a in range(n)]
-        join = [[a] * n for a in range(n)]
-        for a in range(n):
-            meet_a, join_a, down_a, up_a = meet[a], join[a], down[a], up[a]
-            for b in range(a + 1, n):
-                z = down_id.get(down_a & down[b])
-                if z is None:
-                    raise NotALattice(f"no unique glb for {(a, b)}", pair=(a, b))
-                meet_a[b] = meet[b][a] = z
-                w = up_id.get(up_a & up[b])
-                if w is None:
-                    raise NotALattice(f"no unique lub for {(a, b)}", pair=(a, b))
-                join_a[b] = join[b][a] = w
-        self.bottom = reduce(lambda x, y: meet[x][y], range(n))
-        self.top = reduce(lambda x, y: join[x][y], range(n))
-        self.meet = _frozen_table(meet)
-        self.join = _frozen_table(join)
+        if tables is None:
+            self.meet, self.join, self.bottom, self.top = _tables(down, up)
+        else:
+            self.meet, self.join, self.bottom, self.top = _certified_tables(leq, f, *tables)
 
     @cached_property
     def dual(self) -> Lattice:
@@ -271,10 +263,92 @@ def _frozen_table(rows):
     return table
 
 
+def _tables(down, up):
+    """(meet, join, bottom, top) from the down and up masks: in a lattice
+    the masks of ``a ∧ b`` and ``a ∨ b`` are ``down[a] & down[b]`` and
+    ``up[a] & up[b]``.  The first pair a < b, in row-major order, with no
+    such element raises :class:`NotALattice`, glb before lub."""
+    n = len(down)
+    down_id = {down[a]: a for a in range(n)}
+    up_id = {up[a]: a for a in range(n)}
+    # Filled as lists of rows and converted once: numpy scalar stores
+    # would cost more than the lookups.
+    meet = [[a] * n for a in range(n)]
+    join = [[a] * n for a in range(n)]
+    for a in range(n):
+        meet_a, join_a, down_a, up_a = meet[a], join[a], down[a], up[a]
+        for b in range(a + 1, n):
+            z = down_id.get(down_a & down[b])
+            if z is None:
+                raise NotALattice(f"no unique glb for {(a, b)}", pair=(a, b))
+            meet_a[b] = meet[b][a] = z
+            w = up_id.get(up_a & up[b])
+            if w is None:
+                raise NotALattice(f"no unique lub for {(a, b)}", pair=(a, b))
+            join_a[b] = join[b][a] = w
+    bottom = reduce(lambda x, y: meet[x][y], range(n))
+    top = reduce(lambda x, y: join[x][y], range(n))
+    return _frozen_table(meet), _frozen_table(join), bottom, top
+
+
+def _certified_tables(leq, f, meet, join):
+    """(meet, join, bottom, top) from supplied meet and join tables, kept as
+    read-only int32 arrays once they are certified against the order.
+
+    z = meet[a, b] is the glb of a and b when z = meet[b, a], z <= a (so,
+    read at (b, a), z <= b) and |↓z| = |↓a ∩ ↓b|: then ↓z = ↓a ∩ ↓b.  The
+    counts |↓a ∩ ↓b| are the float32 product leqᵀ·leq of the order matrix f
+    (exact while n < 2^24), whose diagonal holds |↓z|; join is the dual,
+    through leq·leqᵀ.  The first pair a <= b, in row-major order, that
+    fails either table raises :class:`NotALattice`, glb before lub; an
+    entry that is no element id raises a ValueError.  The bottom is the one
+    element with |↓z| = 1, and the top the one with |↑w| = 1.
+    """
+    n = len(leq)
+    meet, join = _id_table(meet, n, "meet"), _id_table(join, n, "join")
+    ids = np.arange(n)[:, None]
+    down, up = f.T @ f, f @ f.T
+    down_size, up_size = down.diagonal(), up.diagonal()
+    glb = (meet == meet.T) & leq[meet, ids] & (down_size[meet] == down)
+    lub = (join == join.T) & leq[ids, join] & (up_size[join] == up)
+    if not (glb & lub).all():
+        # A pair fails when either of its two entries does; the first
+        # failure of the symmetric result in row-major order has a <= b.
+        glb &= glb.T
+        lub &= lub.T
+        bad = ~(glb & lub)
+        a, b = (int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+        which = "lub" if glb[a, b] else "glb"
+        raise NotALattice(f"no unique {which} for {(a, b)}", pair=(a, b))
+    meet.flags.writeable = False
+    join.flags.writeable = False
+    return meet, join, int(down_size.argmin()), int(up_size.argmin())
+
+
+def _id_table(table, n: int, what: str):
+    """table as an int32 n × n array of element ids; a ValueError names a
+    wrong shape or type, or the first entry outside 0..n-1."""
+    table = np.asarray(table)
+    if table.shape != (n, n):
+        raise ValueError(f"{what} table must have shape {(n, n)}, got {table.shape}")
+    if table.dtype.kind not in "iu":
+        raise ValueError(f"{what} table must hold element ids, got {table.dtype}")
+    # A negative entry wraps round to a huge unsigned one.
+    if table.astype(np.uint64, copy=False).max() >= n:
+        outside = (table < 0) | (table >= n)
+        a, b = (int(i) for i in np.unravel_index(outside.argmax(), outside.shape))
+        raise ValueError(f"{what} table entry {table[a, b]} at {(a, b)} is not in 0..{n - 1}")
+    return table.astype(np.int32, copy=False)
+
+
 def _row_masks(matrix) -> list:
     """The rows of a boolean matrix as bitmasks: bit j of row i is matrix[i, j]."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row, "little") for row in packed]
+    # packbits reads a contiguous copy of a transposed view several times
+    # faster than the view, and slices of one bytes object convert faster
+    # than numpy rows.
+    packed = np.packbits(np.ascontiguousarray(matrix), axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
 def mask_of(ids) -> int:

@@ -886,3 +886,41 @@ def maximal_sublattices(L):
 
     everything = frozenset(range(L.n))
     return [everything - c for c in maximal_complements_oracle(L)]
+
+
+# -- chain geometries by set intersection ----------------------------------------
+
+
+def reference_geometry(m, chains):
+    """A chain geometry built from point sets, without chain coordinates.
+
+    The family is every intersection of one prefix per chain, as frozensets
+    sorted by size and then by sorted points; the order is inclusion, as an
+    n × n list of bools, and the lattice computes its own meet and join
+    tables by its down-set dictionary.  The chains are taken as valid
+    permutations of 1..m.  Returns a namespace with ``family``,
+    ``set_index``, ``lattice``, ``chain_elements`` and ``chain_member``.
+    """
+    from types import SimpleNamespace
+
+    from latmax.lattice import Lattice, mask_of
+
+    chains = [tuple(c) for c in chains]
+    family = {frozenset(range(1, m + 1))}
+    for c in chains:
+        prefixes = [frozenset(c[:k]) for k in range(m + 1)]
+        family = {a & p for a in family for p in prefixes}
+    family = tuple(sorted(family, key=lambda s: (len(s), sorted(s))))
+    set_index = {s: i for i, s in enumerate(family)}
+    masks = [mask_of(p - 1 for p in s) for s in family]
+    lattice = Lattice([[a & ~b == 0 for b in masks] for a in masks])
+    chain_elements = tuple(tuple(set_index[frozenset(c[:k])] for k in range(m + 1)) for c in chains)
+    chain_sets = [set(ids) for ids in chain_elements]
+    chain_member = tuple(tuple(a in ids for ids in chain_sets) for a in range(len(family)))
+    return SimpleNamespace(
+        family=family,
+        set_index=set_index,
+        lattice=lattice,
+        chain_elements=chain_elements,
+        chain_member=chain_member,
+    )

@@ -284,10 +284,22 @@ def test_oracle_equivalence_seeded_m30_to_60(m):
 
 
 @pytest.mark.slow
+def test_fast_complements_are_complete_at_m80():
+    # Completeness at n = 1,471: the oracle finds exactly the fast path's
+    # complements, and each is tagged with its case.
+    perm = random_permutation(80, random.Random(7080))
+    G = build_cg(80, [tuple(range(1, 81)), perm])
+    comps, _ = fast_complements(80, perm)
+    assert verify_complements(G, comps).ok
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("m", [40, 60, 80, 120])
 def test_fast_complements_are_maximal_past_the_oracle(m):
-    # Soundness where the oracle does not reach (n = 427 to 3,523): the rest
-    # of every materialized descriptor is a maximal sublattice.
+    # Soundness at n = 427 to 3,523: the rest of every materialized
+    # descriptor is a maximal sublattice.  The oracle reaches m = 80 too (the
+    # completeness check above); at m = 120 its memory is the wall, so this
+    # is the only check there.
     perm = random_permutation(m, random.Random(7000 + m))
     G = build_cg(m, [tuple(range(1, m + 1)), perm])
     everything = frozenset(range(G.lattice.n))

@@ -563,3 +563,40 @@ def test_zero_counts_are_valid(capsys):
     assert rc == 0 and json.loads(out)["corpus"] == "n5 + 0 doubled lattices (seed=0)"
     rc, _, err = run_cli(capsys, "oracle", "--perm", "2 1 3", "--oracle-bound", "0")
     assert rc == 2 and err.startswith("oracle bound exceeded:")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # Consecutive calls, one of them refused by argparse and one by the
+    # permutation check, print and return what a fresh parser gives them.
+    calls = [
+        ["cg-complements", "--perm", "3 1 2"],
+        ["check"],
+        ["oracle", "--json", "--perm", "2 1 3"],
+        ["oracle", "--perm", "1 1"],
+        ["cg-complements", "--json", "--perm", "2 3 1"],
+        ["check", "hyp3", "--max-m", "2", "--random", "1"],
+        ["dot", "--perm", "2 1"],
+    ]
+
+    def run(fresh):
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+            out = capsys.readouterr()
+            seen.append((rc, out.out, out.err))
+        return seen
+
+    build, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    shared = run(fresh=False)
+    assert len(built) == 1
+    assert run(fresh=True) == shared
+    assert [rc for rc, _, _ in shared] == [0, 2, 0, 2, 0, 0, 0]
+    assert "the following arguments are required: claim" in shared[1][2]
+    assert shared[3][2].startswith("parse error: ")

@@ -1,13 +1,20 @@
 """Chain-generated geometries: family construction, chain indices, lemma 6.3."""
 from __future__ import annotations
 
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from helpers import TopOnly, cdim, intersection_closure, least_mi_on_chain
+from helpers import TopOnly, cdim, intersection_closure, least_mi_on_chain, reference_geometry
+import latmax
 from latmax import geometry
 from latmax.corpus import random_cdim_k, random_permutation
 from latmax.geometry import BadPermutation, build_cg, format_cg_text, parse_cg_text
@@ -35,6 +42,14 @@ def test_bad_permutation_rejected():
         build_cg(3, [])
 
 
+def test_a_grid_past_its_limit_is_refused():
+    # Eight chains on 6 points would need 8 * 7^8 grid entries; the check
+    # comes before any of them is allocated.
+    message = "8 chains on 6 points need a tight grid of k(m+1)^k = 46118408 entries, more than 16777216"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_cg(6, [tuple(range(1, 7))] * 8)
+
+
 def _family_inputs():
     """(m, chains): two fixed pairs, every two-chain geometry with m <= 5, and
     seeded random geometries with 1-4 chains and m <= 8."""
@@ -55,6 +70,73 @@ def test_family_matches_independent_intersection_closure():
         G = build_cg(m, chains)
         prefixes = {frozenset(c[:k]) for c in chains for k in range(m + 1)}
         assert set(G.family) == intersection_closure(prefixes), (m, chains)
+
+
+def _differential_inputs():
+    """(m, chains): every two-chain geometry with m <= 6, 300 seeded random
+    geometries with 1-4 chains and m <= 7, and 20 seeded two-chain ones with
+    m = 9-16, whose points no longer fit one byte of the id sort key."""
+    for m in range(1, 7):
+        identity = tuple(range(1, m + 1))
+        for perm in permutations(identity):
+            yield m, [identity, perm]
+    rng = random.Random(2026)
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        yield m, [random_permutation(m, rng) for _ in range(rng.randint(1, 4))]
+    for _ in range(20):
+        m = rng.randint(9, 16)
+        yield m, [tuple(range(1, m + 1)), random_permutation(m, rng)]
+
+
+def assert_matches_the_set_build(m, chains):
+    """The chain-coordinate build equals the point-set build, id for id."""
+    G, want = build_cg(m, chains), reference_geometry(m, chains)
+    assert G.family == want.family
+    for table in ("leq", "meet", "join"):
+        got, expected = getattr(G.lattice, table), getattr(want.lattice, table)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), table
+        assert not got.flags.writeable, table
+    assert G.chain_elements == want.chain_elements
+    assert G.chain_member == want.chain_member
+    assert (G.lattice.bottom, G.lattice.top) == (want.lattice.bottom, want.lattice.top)
+
+
+def test_coordinate_build_matches_the_set_build():
+    for m, chains in _differential_inputs():
+        assert_matches_the_set_build(m, chains)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [40, 80, 120])
+def test_coordinate_build_matches_the_set_build_at_the_dense_reach(m):
+    perm = random_permutation(m, random.Random(7000 + m))
+    assert_matches_the_set_build(m, [tuple(range(1, m + 1)), perm])
+
+
+def test_point_closure_is_the_meet_of_its_chain_prefixes():
+    for m, chains in _differential_inputs():
+        G = build_cg(m, chains, verify=False)
+        for x in range(1, m + 1):
+            prefixes = [G.chain_prefix_of_point(i, x) for i in range(len(chains))]
+            assert G.point_closure(x) == G.lattice.meet_of(prefixes), (m, chains, x)
+
+
+@pytest.mark.slow
+def test_dense_build_peak_memory():
+    # build_cg(verify=True) at m = 120 (n = 3,523) in a child process, whose
+    # peak resident set size the kernel reports in KiB.  The point-set
+    # build peaked at about 1,055 MB there.
+    code = (
+        "import random\n"
+        "from latmax.corpus import random_permutation\n"
+        "from latmax.geometry import build_cg\n"
+        "perm = random_permutation(120, random.Random(7120))\n"
+        "build_cg(120, [tuple(range(1, 121)), perm], verify=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(latmax.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=600)
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024 < 800
 
 
 def test_paper_geometry_shape(paper_geometry):
@@ -276,17 +358,17 @@ def test_random_cdim_k_builds_verified():
     assert cdim(G) <= 3
 
 
-def _doubled_points(mask):
-    """mask with each point bit p spread to bits 2p and 2p + 1."""
-    return sum(3 << 2 * p for p in range(mask.bit_length()) if mask >> p & 1)
-
-
 def _plant(G, fault, monkeypatch):
     """Break one fact that ConvexGeometry._verify checks, on the geometry of
     the chains 1 2 and 2 1, whose elements are {}, {1}, {2} and {1, 2}."""
-    masks, chains = G._point_masks, G.chain_elements
+    points, chains = G._points, G.chain_elements
     if fault == "meet":
-        G._point_masks = [0b11, *masks[1:]]
+        G._points = points.copy()
+        G._points[0] = True
+    elif fault == "meet-too-small":
+        meet = G.lattice.meet.copy()
+        meet[1, 3] = meet[3, 1] = 0
+        monkeypatch.setattr(G.lattice, "meet", meet)
     elif fault == "join":
         join = G.lattice.join.copy()
         join[1, 2] = join[2, 1] = 1
@@ -296,7 +378,8 @@ def _plant(G, fault, monkeypatch):
     elif fault == "semimodular":
         monkeypatch.setattr(geometry, "is_lower_semimodular", lambda L: False)
     elif fault == "cover":
-        G._point_masks = [_doubled_points(m) for m in masks]
+        # Each point counted twice: every cover then adds two.
+        G._points = np.repeat(points, 2, axis=1)
     elif fault == "irreducible":
         G.chain_elements = (chains[0], chains[0])
     elif fault == "prefixes":
@@ -307,6 +390,7 @@ def _plant(G, fault, monkeypatch):
     "fault, message",
     [
         ("meet", "meet of 0 and 1 is not their intersection"),
+        ("meet-too-small", "meet of 1 and 3 is not their intersection"),
         ("join", "join of 1 and 2 does not contain their union"),
         ("sd-join", "must satisfy SD-join"),
         ("semimodular", "must be lower semimodular"),

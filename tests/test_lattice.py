@@ -81,6 +81,79 @@ def test_bowtie_has_no_unique_glb():
     assert err.value.pair == (0, 1)
 
 
+def test_supplied_tables_give_the_computed_lattice(small_corpus):
+    for name, L in small_corpus.items():
+        K = Lattice(L.leq, tables=(L.meet.copy(), L.join.copy()))
+        for table in ("meet", "join"):
+            got = getattr(K, table)
+            assert got.dtype == np.int32 and not got.flags.writeable, name
+            assert np.array_equal(got, getattr(L, table)), name
+        assert (K.bottom, K.top) == (L.bottom, L.top), name
+        assert np.array_equal(K.cover_matrix, L.cover_matrix), name
+
+
+def _planted(L, fault):
+    """L's meet and join tables with one entry broken."""
+    meet, join = L.meet.copy(), L.join.copy()
+    n = L.n
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if fault == "meet":
+        # A common lower bound that is not the greatest one.
+        a, b = next((a, b) for a, b in pairs if meet[a, b] != L.bottom)
+        meet[a, b] = L.bottom
+    elif fault == "one-side":
+        # 2 lies below 4 and has as many elements below it as meet(1, 4) = 1,
+        # but it does not lie below 1: the entry disagrees with meet[1, 4].
+        meet[4, 1] = 2
+    elif fault == "join":
+        # A common upper bound that is not the least one, below the diagonal.
+        a, b = next((a, b) for a, b in pairs if join[a, b] != L.top)
+        join[b, a] = L.top
+    elif fault == "negative":
+        meet[0, 1] = -1
+    elif fault == "past-the-last-id":
+        join[1, 0] = n
+    return meet, join
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("meet", NotALattice, "no unique glb for (1, 4)"),
+        ("one-side", NotALattice, "no unique glb for (1, 4)"),
+        ("join", NotALattice, "no unique lub for (0, 1)"),
+        ("negative", ValueError, "meet table entry -1 at (0, 1) is not in 0..4"),
+        ("past-the-last-id", ValueError, "join table entry 5 at (1, 0) is not in 0..4"),
+    ],
+)
+def test_supplied_tables_are_certified(fault, error, message):
+    # N5 here: 0 < 1 < 4 and 0 < 2 < 3 < 4, so meet(1, 4) = 1 and
+    # join(0, 1) = 1 are the first entries off the bottom and the top;
+    # putting the bottom or the top in their place, or an id outside 0..4,
+    # must be refused.
+    L = n5()
+    assert L.meet[1, 4] == 1 and L.join[0, 1] == 1
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        Lattice(L.leq, tables=_planted(L, fault))
+    if error is NotALattice:
+        assert err.value.pair == tuple(int(x) for x in re.findall(r"\d+", message))
+
+
+def test_supplied_tables_cannot_make_a_lattice_of_the_bowtie():
+    # 0 and 1 have the two incomparable lower bounds 2 and 3, so no table
+    # entry passes for them, and they are the first pair off the diagonal.
+    leq = np.eye(6, dtype=bool)
+    for lo, his in {4: (0, 1, 2, 3, 5), 2: (0, 1, 5), 3: (0, 1, 5), 0: (5,), 1: (5,)}.items():
+        leq[lo, list(his)] = True
+    for z in (2, 3, 4):
+        meet, join = np.full((6, 6), z), np.full((6, 6), 5)
+        np.fill_diagonal(meet, range(6))
+        np.fill_diagonal(join, range(6))
+        with pytest.raises(NotALattice, match=r"^no unique glb for \(0, 1\)$") as err:
+            Lattice(leq, tables=(meet, join))
+        assert err.value.pair == (0, 1)
+
+
 def test_cyclic_input_rejected():
     with pytest.raises(CyclicInput):
         from_cover_relations(3, [(0, 1), (1, 2), (2, 0)])
