@@ -10,18 +10,21 @@ The family is built in chain coordinates, the view behind convex dimension
 (P. H. Edelman and R. E. Jamison, "The theory of convex geometries",
 *Geom. Dedicata* 19, 1985).  A member S is its tight vector t(S), where
 t_i(S) is the largest position on chain i of a point of S, and inclusion is
-the product order of tight vectors.  The (m+1)^k tight grid holds, at each
-cell s, the tight vector of C_1(s_1) ∩ ... ∩ C_k(s_k); the members are its
-fixed cells, ids run by size and then by sorted points, and meet and join
-are grid reads at the componentwise min and max.  The lattice certifies
-the tables it is handed against the order.
+the product order of tight vectors.  Each cell s of prefix lengths names the
+member C_1(s_1) ∩ ... ∩ C_k(s_k).  While the (m+1)^k cells are few, the
+tight grid holds the tight vector of every cell and the members are its
+fixed cells; past that the members are found chain by chain, so the work
+grows with the family and not with the cells.  Ids run by size and then by
+sorted points, meet and join are the members at the componentwise min and
+max of tight vectors, and the lattice certifies the tables it is handed
+against the order.
 """
 from __future__ import annotations
 
 import operator
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 
 import numpy as np
@@ -47,9 +50,9 @@ __all__ = [
 ]
 
 
-# The most entries a tight grid may hold: k(m+1)^k int64s for k chains on m
-# points, 128 MiB at this bound.
-MAX_GRID_ENTRIES = 1 << 24
+# The most cells, (m+1)^k for k chains on m points, for which the tight grid
+# is built; past it the members are found chain by chain.
+_GRID_CELLS = 1 << 18
 
 
 class BadPermutation(ValueError):
@@ -162,13 +165,14 @@ class ConvexGeometry:
     Built in chain coordinates.  A member S is its tight vector t(S): t_i(S)
     is the largest position on chain i of a point of S (0 when S is empty),
     and S holds exactly the points whose position on every chain i is at
-    most t_i(S).  Inclusion is the product order of tight vectors.  The
-    tight grid has one cell s per vector of positions, (m+1)^k cells in
-    all; cell s holds the tight vector of C_1(s_1) ∩ ... ∩ C_k(s_k).  The
-    members are the fixed cells, where the tight vector is the cell itself;
-    S ∩ S' is the member at cell min(t(S), t(S')), and the least member
-    containing S ∪ S' the one at cell max(t(S), t(S')).  Member ids run by
-    size, then by sorted points, and the meet and join tables go to
+    most t_i(S).  Inclusion is the product order of tight vectors.  Each
+    cell s of prefix lengths names the member C_1(s_1) ∩ ... ∩ C_k(s_k), and
+    the members are found, with a way to read the member at any cell, by
+    :func:`_grid_members` while the (m+1)^k cells number at most
+    ``_GRID_CELLS``, and by :func:`_chain_members` past that.  S ∩ S' is the
+    member at cell min(t(S), t(S')), and the least member containing S ∪ S'
+    the one at cell max(t(S), t(S')).  Member ids run by size, then by
+    sorted points, and the meet and join tables go to
     :class:`latmax.lattice.Lattice`, which certifies them.
 
     Exposes, for each chain i and ground point x, the least prefix C_i(x)
@@ -183,57 +187,21 @@ class ConvexGeometry:
             raise BadPermutation("at least one generating chain is required")
         # pos[i, p - 1] is the 1-based position of point p on chain i.
         pos = np.array([c.validate(m)[1] for c in self.chains])
-        k = len(self.chains)
-        cells = (m + 1) ** k
-        if k * cells > MAX_GRID_ENTRIES:
-            raise ValueError(
-                f"{k} chains on {m} points need a tight grid of k(m+1)^k = {k * cells} entries, "
-                f"more than {MAX_GRID_ENTRIES}"
-            )
-        # Each point's positions, scattered at its cell and carried up every
-        # axis by running maxima: cell s gets the largest position on each
-        # chain over the points at or below s.  Cells are numbered row-major.
-        strides = (m + 1) ** np.arange(k - 1, -1, -1)
-        tight = np.zeros((k, cells), dtype=np.int64)
-        tight[:, strides @ pos] = pos
-        grid = tight.reshape((k,) + (m + 1,) * k)
-        for axis in range(1, k + 1):
-            np.maximum.accumulate(grid, axis=axis, out=grid)
-        # cell[c] is the cell of c's tight vector; the members are the fixed cells.
-        cell = strides @ tight
-        fixed = (cell == np.arange(cells)).nonzero()[0]
-        coords = tight[:, fixed]
-        points = pos[0] <= coords[0][:, None]
-        for p, t in zip(pos[1:], coords[1:]):
-            points &= p <= t[:, None]
-        # Among sets of one size, the one holding the least point of their
-        # difference comes first in sorted-point order: the rows of ~points,
-        # packed with point 1 as the leading bit, sorted as numbers.
-        packed = np.packbits(~points, axis=1)
-        order = np.lexsort((*packed.T[::-1], points.sum(axis=1)))
-        points, coords = points[order], coords[:, order]
-        n = len(order)
-
-        # ids[s] is the id of the member at the tight vector of cell s.
-        at = np.zeros(cells, dtype=np.int32)
-        at[fixed[order]] = np.arange(n, dtype=np.int32)
-        ids = at[cell].reshape(grid.shape[1:])
-        del tight, grid, cell, at
-        meet = ids[tuple(np.minimum.outer(t, t) for t in coords)]
-        join = ids[tuple(np.maximum.outer(t, t) for t in coords)]
+        build = _grid_members if (m + 1) ** len(pos) <= _GRID_CELLS else _chain_members
+        self._points, coords, self._member_at = build(pos, m)
+        self._coords, self._positions = coords, pos
+        meet = self._member_at(np.minimum.outer(t, t) for t in coords)
+        join = self._member_at(np.maximum.outer(t, t) for t in coords)
         leq = np.less_equal.outer(coords[0], coords[0])
         for t in coords[1:]:
             leq &= np.less_equal.outer(t, t)
         self.lattice = Lattice(leq, tables=(meet, join))
-
-        self._points = points
-        self._coords = coords
-        self._positions = pos
-        self._ids = ids
         # chain_elements[i][q] = id of the q-point prefix of chain i: the cell
-        # at q on axis i and at m on every other axis.
+        # at q on chain i and at m on every other chain.
+        k = len(self.chains)
         self.chain_elements = tuple(
-            tuple(ids[(m,) * i + (slice(None),) + (m,) * (k - 1 - i)].tolist()) for i in range(k)
+            tuple(self._member_at((m,) * i + (np.arange(m + 1),) + (m,) * (k - 1 - i)).tolist())
+            for i in range(k)
         )
         if verify:
             self._verify()
@@ -266,7 +234,7 @@ class ConvexGeometry:
     @cached_property
     def _closures(self) -> tuple:
         """The id of (x) for x = 1..m: the member at the cell of x's positions."""
-        return tuple(self._ids[tuple(self._positions)].tolist())
+        return tuple(self._member_at(self._positions).tolist())
 
     def element_set(self, a: int) -> frozenset:
         """The points of element a; a ValueError names an id outside 0..n-1."""
@@ -364,6 +332,96 @@ class ConvexGeometry:
 
     def __repr__(self):
         return f"ConvexGeometry(m={self.m}, chains={len(self.chains)}, n={self.lattice.n})"
+
+
+def _grid_members(pos, m: int):
+    """(points, coords, at) of the geometry with positions pos, through its
+    tight grid: the point matrix and the tight vectors of the members in id
+    order, and the function from k arrays of cells to the ids of their
+    members.
+
+    Each point's positions are scattered at its cell and carried up every
+    axis by running maxima, so cell s gets the largest position on each
+    chain over the points at or below s: the tight vector of C_1(s_1) ∩ ...
+    ∩ C_k(s_k).  The members are the fixed cells.
+    """
+    k = len(pos)
+    cells = (m + 1) ** k
+    # Cells are numbered row-major.
+    strides = (m + 1) ** np.arange(k - 1, -1, -1)
+    tight = np.zeros((k, cells), dtype=np.int64)
+    tight[:, strides @ pos] = pos
+    grid = tight.reshape((k,) + (m + 1,) * k)
+    for axis in range(1, k + 1):
+        np.maximum.accumulate(grid, axis=axis, out=grid)
+    # cell[c] is the cell of c's tight vector; the members are the fixed cells.
+    cell = strides @ tight
+    fixed = (cell == np.arange(cells)).nonzero()[0]
+    coords = tight[:, fixed]
+    points = pos[0] <= coords[0][:, None]
+    for p, t in zip(pos[1:], coords[1:]):
+        points &= p <= t[:, None]
+    # Ids by size, then by the rows of ~points packed with point 1 as the
+    # leading bit: the order _distinct sorts by.
+    packed = np.packbits(~points, axis=1)
+    order = np.lexsort((*packed.T[::-1], points.sum(axis=1)))
+    # ids[s] is the id of the member at the tight vector of cell s.
+    at = np.zeros(cells, dtype=np.int32)
+    at[fixed[order]] = np.arange(len(order), dtype=np.int32)
+    ids = at[cell].reshape(grid.shape[1:])
+    return points[order], coords[:, order], partial(_read_grid, ids)
+
+
+def _read_grid(ids, cells):
+    """The id of the member at each cell: one read of the id grid."""
+    return ids[tuple(cells)]
+
+
+def _chain_members(pos, m: int):
+    """(points, coords, at) as :func:`_grid_members` gives them, found chain
+    by chain, for geometries whose grid would be large.
+
+    The sets after chain j are the meets of one prefix of each chain up to
+    j.  After chain 0 they are its prefixes, C_0(q) with id q; steps[j - 1]
+    holds at [e, q] the id of e ∩ C_j(q) among the sets after chain j, for
+    each set e before it.  The work grows with the family and the chain
+    count, not with the (m+1)^k cells.
+    """
+    prefixes = pos[:, None, :] <= np.arange(m + 1)[:, None]
+    points = prefixes[0]
+    steps = []
+    for prefix in prefixes[1:]:
+        points, step = _distinct((points[:, None] & prefix).reshape(-1, m))
+        steps.append(step.reshape(-1, m + 1))
+    # t_i(S): the largest position on chain i of a point of S.
+    coords = np.where(points, pos[:, None], 0).max(axis=2)
+    return points, coords, partial(_read_steps, steps)
+
+
+def _read_steps(steps, cells):
+    """The id of the member at each cell: the cell's position on chain 0,
+    then one read of each later chain's step table."""
+    cells = iter(cells)
+    e = next(cells)
+    for step, s in zip(steps, cells):
+        e = step[e, s]
+    return e
+
+
+def _distinct(rows):
+    """(sets, inverse): the distinct rows of a boolean matrix in id order, and
+    for each row the index of its set in sets.
+
+    Id order is by size, then by sorted points: of two sets of one size,
+    the one holding the least point of their difference comes first.  So a
+    row's key is its size, big-endian, then its complement packed with
+    point 1 as the leading bit, and the keys sort as bytes.
+    """
+    size = rows.sum(axis=1).astype(">u4").view(np.uint8).reshape(-1, 4)
+    keys = np.concatenate((size, np.packbits(~rows, axis=1)), axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], inverse.astype(np.int32).ravel()
 
 
 def _first(mask):

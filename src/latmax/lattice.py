@@ -129,7 +129,7 @@ class Lattice:
         if (~leq & (sizes > 0)).any():
             raise ValueError("order relation is not transitive")
         self.cover_matrix = leq & (sizes == 2)
-        del sizes
+        del f, sizes
         leq.flags.writeable = False
         self.cover_matrix.flags.writeable = False
         self.n = n
@@ -144,7 +144,7 @@ class Lattice:
         if tables is None:
             self.meet, self.join, self.bottom, self.top = _tables(down, up)
         else:
-            self.meet, self.join, self.bottom, self.top = _certified_tables(leq, f, *tables)
+            self.meet, self.join, self.bottom, self.top = _certified_tables(leq, *tables)
 
     @cached_property
     def dual(self) -> Lattice:
@@ -291,13 +291,13 @@ def _tables(down, up):
     return _frozen_table(meet), _frozen_table(join), bottom, top
 
 
-def _certified_tables(leq, f, meet, join):
+def _certified_tables(leq, meet, join):
     """(meet, join, bottom, top) from supplied meet and join tables, kept as
     read-only int32 arrays once they are certified against the order.
 
     z = meet[a, b] is the glb of a and b when z = meet[b, a], z <= a (so,
     read at (b, a), z <= b) and |↓z| = |↓a ∩ ↓b|: then ↓z = ↓a ∩ ↓b.  The
-    counts |↓a ∩ ↓b| are the float32 product leqᵀ·leq of the order matrix f
+    counts |↓a ∩ ↓b| are the float32 product leqᵀ·leq of the order matrix
     (exact while n < 2^24), whose diagonal holds |↓z|; join is the dual,
     through leq·leqᵀ.  The first pair a <= b, in row-major order, that
     fails either table raises :class:`NotALattice`, glb before lub; an
@@ -307,7 +307,9 @@ def _certified_tables(leq, f, meet, join):
     n = len(leq)
     meet, join = _id_table(meet, n, "meet"), _id_table(join, n, "join")
     ids = np.arange(n)[:, None]
+    f = leq.astype(np.float32)
     down, up = f.T @ f, f @ f.T
+    del f
     down_size, up_size = down.diagonal(), up.diagonal()
     glb = (meet == meet.T) & leq[meet, ids] & (down_size[meet] == down)
     lub = (join == join.T) & leq[ids, join] & (up_size[join] == up)

@@ -318,6 +318,18 @@ def test_oracle_accepts_multichain_geometry_file(tmp_path, capsys):
     assert "# 6 complements" in out
 
 
+def test_oracle_and_dot_take_many_copies_of_one_chain(tmp_path, capsys):
+    # Eight copies of one chain generate the lattice of one copy.
+    chain = "1 2 3 4 5 6\n"
+    many, one = tmp_path / "many.txt", tmp_path / "one.txt"
+    many.write_text("6 8\n" + chain * 8)
+    one.write_text("6 1\n" + chain)
+    for command in (["oracle"], ["oracle", "--json"], ["dot"]):
+        rc, out, err = run_cli(capsys, *command, "--file", str(many))
+        assert (rc, err) == (0, ""), command
+        assert out == run_cli(capsys, *command, "--file", str(one))[1], command
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -42,12 +42,13 @@ def test_bad_permutation_rejected():
         build_cg(3, [])
 
 
-def test_a_grid_past_its_limit_is_refused():
-    # Eight chains on 6 points would need 8 * 7^8 grid entries; the check
-    # comes before any of them is allocated.
-    message = "8 chains on 6 points need a tight grid of k(m+1)^k = 46118408 entries, more than 16777216"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build_cg(6, [tuple(range(1, 7))] * 8)
+def test_many_copies_of_one_chain_give_that_chain():
+    # Eight chains on 6 points: the build's work grows with the family, 7
+    # sets here, and not with the (m+1)^k cells of the chain coordinates.
+    G = build_cg(6, [tuple(range(1, 7))] * 8)
+    assert [sorted(s) for s in G.family] == [list(range(1, q + 1)) for q in range(7)]
+    assert G.chain_elements == (tuple(range(7)),) * 8
+    assert [G.point_closure(x) for x in range(1, 7)] == list(range(1, 7))
 
 
 def _family_inputs():
@@ -74,8 +75,9 @@ def test_family_matches_independent_intersection_closure():
 
 def _differential_inputs():
     """(m, chains): every two-chain geometry with m <= 6, 300 seeded random
-    geometries with 1-4 chains and m <= 7, and 20 seeded two-chain ones with
-    m = 9-16, whose points no longer fit one byte of the id sort key."""
+    geometries with 1-4 chains and m <= 7, 20 seeded two-chain ones with
+    m = 9-16, whose points no longer fit one byte of the id sort key, and 20
+    seeded ones with 5-8 chains and m <= 12."""
     for m in range(1, 7):
         identity = tuple(range(1, m + 1))
         for perm in permutations(identity):
@@ -87,6 +89,9 @@ def _differential_inputs():
     for _ in range(20):
         m = rng.randint(9, 16)
         yield m, [tuple(range(1, m + 1)), random_permutation(m, rng)]
+    for _ in range(20):
+        m = rng.randint(1, 12)
+        yield m, [random_permutation(m, rng) for _ in range(rng.randint(5, 8))]
 
 
 def assert_matches_the_set_build(m, chains):
@@ -102,19 +107,27 @@ def assert_matches_the_set_build(m, chains):
     assert (G.lattice.bottom, G.lattice.top) == (want.lattice.bottom, want.lattice.top)
 
 
-def test_coordinate_build_matches_the_set_build():
+@pytest.fixture(params=["grid-while-small", "chain-by-chain"])
+def member_search(request, monkeypatch):
+    """The build as it runs, through the tight grid while the cells are few,
+    or with every geometry's members found chain by chain."""
+    if request.param == "chain-by-chain":
+        monkeypatch.setattr(geometry, "_GRID_CELLS", 0)
+
+
+def test_coordinate_build_matches_the_set_build(member_search):
     for m, chains in _differential_inputs():
         assert_matches_the_set_build(m, chains)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("m", [40, 80, 120])
-def test_coordinate_build_matches_the_set_build_at_the_dense_reach(m):
+def test_coordinate_build_matches_the_set_build_at_the_dense_reach(m, member_search):
     perm = random_permutation(m, random.Random(7000 + m))
     assert_matches_the_set_build(m, [tuple(range(1, m + 1)), perm])
 
 
-def test_point_closure_is_the_meet_of_its_chain_prefixes():
+def test_point_closure_is_the_meet_of_its_chain_prefixes(member_search):
     for m, chains in _differential_inputs():
         G = build_cg(m, chains, verify=False)
         for x in range(1, m + 1):
