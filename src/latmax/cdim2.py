@@ -321,8 +321,10 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     if minima.bit_count() != 1:
         raise NoCaseMatches(f"complement has {minima.bit_count()} minimal elements")
     lo = minima.bit_length() - 1
-    # (j) ⊆ C1(j), so j is the last point of (j) on chain 1.
-    j = max(G.element_set(lo), key=G.chains[0].pos.__getitem__, default=None)
+    # (j) ⊆ C1(j), so j is the last point of (j) on chain 1: the point at
+    # position t_1(lo), and none when lo is empty.
+    t = int(G._coords[0, lo])
+    j = G.chains[0].perm[t - 1] if t else None
     if j is None or G.point_closure(j) != lo:
         raise NoCaseMatches("minimum is not a point closure")
 

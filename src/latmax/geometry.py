@@ -11,13 +11,11 @@ The family is built in chain coordinates, the view behind convex dimension
 *Geom. Dedicata* 19, 1985).  A member S is its tight vector t(S), where
 t_i(S) is the largest position on chain i of a point of S, and inclusion is
 the product order of tight vectors.  Each cell s of prefix lengths names the
-member C_1(s_1) ∩ ... ∩ C_k(s_k).  While the (m+1)^k cells are few, the
-tight grid holds the tight vector of every cell and the members are its
-fixed cells; past that the members are found chain by chain, so the work
-grows with the family and not with the cells.  Ids run by size and then by
-sorted points, meet and join are the members at the componentwise min and
-max of tight vectors, and the lattice certifies the tables it is handed
-against the order.
+member C_1(s_1) ∩ ... ∩ C_k(s_k).  The members are found chain by chain, so
+the work grows with the family and not with the (m+1)^k cells.  Ids run by
+size and then by sorted points, meet and join are the members at the
+componentwise min and max of tight vectors, and the lattice certifies the
+tables it is handed against the order.
 """
 from __future__ import annotations
 
@@ -33,6 +31,7 @@ from .lattice import (
     InvariantViolation,
     Lattice,
     _check_id,
+    _first,
     _index_in,
     _int_field,
     _rows,
@@ -48,11 +47,6 @@ __all__ = [
     "format_cg_text",
     "parse_cg_text",
 ]
-
-
-# The most cells, (m+1)^k for k chains on m points, for which the tight grid
-# is built; past it the members are found chain by chain.
-_GRID_CELLS = 1 << 18
 
 
 class BadPermutation(ValueError):
@@ -167,13 +161,12 @@ class ConvexGeometry:
     and S holds exactly the points whose position on every chain i is at
     most t_i(S).  Inclusion is the product order of tight vectors.  Each
     cell s of prefix lengths names the member C_1(s_1) ∩ ... ∩ C_k(s_k), and
-    the members are found, with a way to read the member at any cell, by
-    :func:`_grid_members` while the (m+1)^k cells number at most
-    ``_GRID_CELLS``, and by :func:`_chain_members` past that.  S ∩ S' is the
-    member at cell min(t(S), t(S')), and the least member containing S ∪ S'
-    the one at cell max(t(S), t(S')).  Member ids run by size, then by
-    sorted points, and the meet and join tables go to
-    :class:`latmax.lattice.Lattice`, which certifies them.
+    :func:`_members` finds the members chain by chain, with a way to read
+    the member at any cell.  S ∩ S' is the member at cell min(t(S), t(S')),
+    and the least member containing S ∪ S' the one at cell max(t(S),
+    t(S')).  Member ids run by size, then by sorted points, and the meet
+    and join tables go to :class:`latmax.lattice.Lattice`, which certifies
+    them.
 
     Exposes, for each chain i and ground point x, the least prefix C_i(x)
     containing x, and the point closure (x), the smallest family member
@@ -187,8 +180,7 @@ class ConvexGeometry:
             raise BadPermutation("at least one generating chain is required")
         # pos[i, p - 1] is the 1-based position of point p on chain i.
         pos = np.array([c.validate(m)[1] for c in self.chains])
-        build = _grid_members if (m + 1) ** len(pos) <= _GRID_CELLS else _chain_members
-        self._points, coords, self._member_at = build(pos, m)
+        self._points, coords, self._member_at = _members(pos, m)
         self._coords, self._positions = coords, pos
         meet = self._member_at(np.minimum.outer(t, t) for t in coords)
         join = self._member_at(np.maximum.outer(t, t) for t in coords)
@@ -334,68 +326,47 @@ class ConvexGeometry:
         return f"ConvexGeometry(m={self.m}, chains={len(self.chains)}, n={self.lattice.n})"
 
 
-def _grid_members(pos, m: int):
-    """(points, coords, at) of the geometry with positions pos, through its
-    tight grid: the point matrix and the tight vectors of the members in id
-    order, and the function from k arrays of cells to the ids of their
-    members.
+def _members(pos, m: int):
+    """(points, coords, at) of the geometry with positions pos: the point
+    matrix and the tight vectors of the members in id order, and the
+    function from k arrays of cells to the ids of their members.
 
-    Each point's positions are scattered at its cell and carried up every
-    axis by running maxima, so cell s gets the largest position on each
-    chain over the points at or below s: the tight vector of C_1(s_1) ∩ ...
-    ∩ C_k(s_k).  The members are the fixed cells.
+    The members are found chain by chain.  The sets after chain j are the
+    meets C_0(s_0) ∩ ... ∩ C_j(s_j); after chain 0 they are its prefixes,
+    C_0(q) with id q.  Each set S after chain j is e ∩ C_j(q) for some set e
+    before it, and one pair (e, q) stands for S: e the set before chain j at
+    cell (t_0(S), ..., t_{j-1}(S)), and q = t_j(S).  The tight vectors of
+    all e ∩ C_j(q) come from the points of e, scattered at their positions
+    on chain j and carried along q by running maxima, and the sets after
+    chain j are the pairs that stand for themselves.  steps[j - 1] holds at
+    [e, q] the id of e ∩ C_j(q), so the work grows with the family and the
+    chain count, not with the (m+1)^k cells.
     """
-    k = len(pos)
-    cells = (m + 1) ** k
-    # Cells are numbered row-major.
-    strides = (m + 1) ** np.arange(k - 1, -1, -1)
-    tight = np.zeros((k, cells), dtype=np.int64)
-    tight[:, strides @ pos] = pos
-    grid = tight.reshape((k,) + (m + 1,) * k)
-    for axis in range(1, k + 1):
-        np.maximum.accumulate(grid, axis=axis, out=grid)
-    # cell[c] is the cell of c's tight vector; the members are the fixed cells.
-    cell = strides @ tight
-    fixed = (cell == np.arange(cells)).nonzero()[0]
-    coords = tight[:, fixed]
-    points = pos[0] <= coords[0][:, None]
-    for p, t in zip(pos[1:], coords[1:]):
-        points &= p <= t[:, None]
-    # Ids by size, then by the rows of ~points packed with point 1 as the
-    # leading bit: the order _distinct sorts by.
-    packed = np.packbits(~points, axis=1)
-    order = np.lexsort((*packed.T[::-1], points.sum(axis=1)))
-    # ids[s] is the id of the member at the tight vector of cell s.
-    at = np.zeros(cells, dtype=np.int32)
-    at[fixed[order]] = np.arange(len(order), dtype=np.int32)
-    ids = at[cell].reshape(grid.shape[1:])
-    return points[order], coords[:, order], partial(_read_grid, ids)
-
-
-def _read_grid(ids, cells):
-    """The id of the member at each cell: one read of the id grid."""
-    return ids[tuple(cells)]
-
-
-def _chain_members(pos, m: int):
-    """(points, coords, at) as :func:`_grid_members` gives them, found chain
-    by chain, for geometries whose grid would be large.
-
-    The sets after chain j are the meets of one prefix of each chain up to
-    j.  After chain 0 they are its prefixes, C_0(q) with id q; steps[j - 1]
-    holds at [e, q] the id of e ∩ C_j(q) among the sets after chain j, for
-    each set e before it.  The work grows with the family and the chain
-    count, not with the (m+1)^k cells.
-    """
-    prefixes = pos[:, None, :] <= np.arange(m + 1)[:, None]
-    points = prefixes[0]
+    q = np.arange(m + 1)
+    points, coords = pos[0] <= q[:, None], q[:, None]
     steps = []
-    for prefix in prefixes[1:]:
-        points, step = _distinct((points[:, None] & prefix).reshape(-1, m))
-        steps.append(step.reshape(-1, m + 1))
-    # t_i(S): the largest position on chain i of a point of S.
-    coords = np.where(points, pos[:, None], 0).max(axis=2)
-    return points, coords, partial(_read_steps, steps)
+    for j in range(1, len(pos)):
+        n = len(points)
+        # tight[e, q] is t_0..t_j of e ∩ C_j(q).
+        tight = np.zeros((n, m + 1, j + 1), dtype=np.int64)
+        tight[:, pos[j]] = points[..., None] * pos[: j + 1].T
+        np.maximum.accumulate(tight, axis=1, out=tight)
+        # cell[e, q] is the pair that stands for e ∩ C_j(q), numbered
+        # row-major; the members are the pairs that stand for themselves.
+        cell = _read_steps(steps, tight[..., :j].transpose(2, 0, 1)) * (m + 1) + tight[..., j]
+        own = (cell.ravel() == np.arange(cell.size)).nonzero()[0]
+        coords = tight.reshape(-1, j + 1)[own]
+        points = points[own // (m + 1)] & (pos[j] <= coords[:, j, None])
+        # Ids by size, then by sorted points: of two sets of one size, the one
+        # holding the least point of their difference comes first.  The keys
+        # are the size, then the complement packed with point 1 leading.
+        packed = np.packbits(~points, axis=1)
+        order = np.lexsort((*packed.T[::-1], points.sum(axis=1)))
+        own, points, coords = own[order], points[order], coords[order]
+        ids = np.empty(cell.size, dtype=np.int32)
+        ids[own] = np.arange(len(own), dtype=np.int32)
+        steps.append(ids[cell])
+    return points, coords.T, partial(_read_steps, steps)
 
 
 def _read_steps(steps, cells):
@@ -406,31 +377,6 @@ def _read_steps(steps, cells):
     for step, s in zip(steps, cells):
         e = step[e, s]
     return e
-
-
-def _distinct(rows):
-    """(sets, inverse): the distinct rows of a boolean matrix in id order, and
-    for each row the index of its set in sets.
-
-    Id order is by size, then by sorted points: of two sets of one size,
-    the one holding the least point of their difference comes first.  So a
-    row's key is its size, big-endian, then its complement packed with
-    point 1 as the leading bit, and the keys sort as bytes.
-    """
-    size = rows.sum(axis=1).astype(">u4").view(np.uint8).reshape(-1, 4)
-    keys = np.concatenate((size, np.packbits(~rows, axis=1)), axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], inverse.astype(np.int32).ravel()
-
-
-def _first(mask):
-    """The index of the first True entry of mask in row-major order, as ints,
-    or a tuple of Nones when it has none."""
-    flat = mask.argmax()
-    if not mask.flat[flat]:
-        return (None,) * mask.ndim
-    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
 def build_cg(m: int, chains, verify: bool = True) -> ConvexGeometry:

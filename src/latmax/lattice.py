@@ -318,8 +318,7 @@ def _certified_tables(leq, meet, join):
         # failure of the symmetric result in row-major order has a <= b.
         glb &= glb.T
         lub &= lub.T
-        bad = ~(glb & lub)
-        a, b = (int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
+        a, b = _first(~(glb & lub))
         which = "lub" if glb[a, b] else "glb"
         raise NotALattice(f"no unique {which} for {(a, b)}", pair=(a, b))
     meet.flags.writeable = False
@@ -337,10 +336,18 @@ def _id_table(table, n: int, what: str):
         raise ValueError(f"{what} table must hold element ids, got {table.dtype}")
     # A negative entry wraps round to a huge unsigned one.
     if table.astype(np.uint64, copy=False).max() >= n:
-        outside = (table < 0) | (table >= n)
-        a, b = (int(i) for i in np.unravel_index(outside.argmax(), outside.shape))
+        a, b = _first((table < 0) | (table >= n))
         raise ValueError(f"{what} table entry {table[a, b]} at {(a, b)} is not in 0..{n - 1}")
     return table.astype(np.int32, copy=False)
+
+
+def _first(mask):
+    """The index of the first True entry of mask in row-major order, as ints,
+    or a tuple of Nones when it has none."""
+    flat = mask.argmax()
+    if not mask.flat[flat]:
+        return (None,) * mask.ndim
+    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
 def _row_masks(matrix) -> list:

@@ -238,6 +238,19 @@ def test_verify_complements_counts_a_set_that_fits_no_case():
         classify_complement(G, materialize(G, whole))
     v = verify_complements(G, [*comps, whole])
     assert v.misclassified == (1,) and not v.ok
+    # The top X is no point closure either: its last point on chain 1, 10,
+    # has (10) = {3, 6, 7, 10}.
+    with pytest.raises(NoCaseMatches, match="minimum is not a point closure"):
+        classify_complement(G, {G.lattice.top})
+
+
+def test_verify_complements_reads_no_member_sets():
+    # Verification works on ids and chain coordinates; the frozensets of
+    # the members are built only when something asks for them.
+    G = build_cg(10, [IDENT10, PAPER_PERM])
+    comps, _ = fast_complements(10, PAPER_PERM)
+    assert verify_complements(G, comps).ok
+    assert "family" not in vars(G) and "set_index" not in vars(G)
 
 
 def test_oracle_equivalence_m9_random():

@@ -107,27 +107,19 @@ def assert_matches_the_set_build(m, chains):
     assert (G.lattice.bottom, G.lattice.top) == (want.lattice.bottom, want.lattice.top)
 
 
-@pytest.fixture(params=["grid-while-small", "chain-by-chain"])
-def member_search(request, monkeypatch):
-    """The build as it runs, through the tight grid while the cells are few,
-    or with every geometry's members found chain by chain."""
-    if request.param == "chain-by-chain":
-        monkeypatch.setattr(geometry, "_GRID_CELLS", 0)
-
-
-def test_coordinate_build_matches_the_set_build(member_search):
+def test_coordinate_build_matches_the_set_build():
     for m, chains in _differential_inputs():
         assert_matches_the_set_build(m, chains)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("m", [40, 80, 120])
-def test_coordinate_build_matches_the_set_build_at_the_dense_reach(m, member_search):
+def test_coordinate_build_matches_the_set_build_at_the_dense_reach(m):
     perm = random_permutation(m, random.Random(7000 + m))
     assert_matches_the_set_build(m, [tuple(range(1, m + 1)), perm])
 
 
-def test_point_closure_is_the_meet_of_its_chain_prefixes(member_search):
+def test_point_closure_is_the_meet_of_its_chain_prefixes():
     for m, chains in _differential_inputs():
         G = build_cg(m, chains, verify=False)
         for x in range(1, m + 1):

@@ -74,3 +74,22 @@ def test_sublattice_imports_no_numpy():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
     ]
     assert not found, found
+
+
+def test_package_reads_no_environment_variable():
+    # Every setting of a run is an argument or a CLI option; a module that
+    # read os.environ or os.getenv would add a knob no caller can see.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        )
+        or (isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name in names for a in node.names))
+    ]
+    assert SOURCES and not found, found
