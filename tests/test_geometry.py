@@ -107,8 +107,26 @@ def assert_matches_the_set_build(m, chains):
     assert (G.lattice.bottom, G.lattice.top) == (want.lattice.bottom, want.lattice.top)
 
 
-def test_coordinate_build_matches_the_set_build():
-    for m, chains in _differential_inputs():
+# The differential inputs in two parts by their number of chain coordinates,
+# (m+1)^k: those few enough that a grid holding every cell would be small,
+# and the many-chain ones past 2^18 cells, whose members are found only chain
+# by chain.  Each input falls in one part.
+CELL_PARTS = pytest.mark.parametrize(
+    "many_cells", [False, True], ids=["grid-while-small", "chain-by-chain"]
+)
+
+
+def _differential_part(many_cells):
+    part = [
+        (m, chains) for m, chains in _differential_inputs() if ((m + 1) ** len(chains) > 2**18) == many_cells
+    ]
+    assert part
+    return part
+
+
+@CELL_PARTS
+def test_coordinate_build_matches_the_set_build(many_cells):
+    for m, chains in _differential_part(many_cells):
         assert_matches_the_set_build(m, chains)
 
 
@@ -119,8 +137,9 @@ def test_coordinate_build_matches_the_set_build_at_the_dense_reach(m):
     assert_matches_the_set_build(m, [tuple(range(1, m + 1)), perm])
 
 
-def test_point_closure_is_the_meet_of_its_chain_prefixes():
-    for m, chains in _differential_inputs():
+@CELL_PARTS
+def test_point_closure_is_the_meet_of_its_chain_prefixes(many_cells):
+    for m, chains in _differential_part(many_cells):
         G = build_cg(m, chains, verify=False)
         for x in range(1, m + 1):
             prefixes = [G.chain_prefix_of_point(i, x) for i in range(len(chains))]
