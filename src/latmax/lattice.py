@@ -334,8 +334,8 @@ def _id_table(table, n: int, what: str):
         raise ValueError(f"{what} table must have shape {(n, n)}, got {table.shape}")
     if table.dtype.kind not in "iu":
         raise ValueError(f"{what} table must hold element ids, got {table.dtype}")
-    # A negative entry wraps round to a huge unsigned one.
-    if table.astype(np.uint64, copy=False).max() >= n:
+    # Read as unsigned, in place, a negative entry is past n - 1 as well.
+    if table.view(table.dtype.str.replace("i", "u")).max() >= n:
         a, b = _first((table < 0) | (table >= n))
         raise ValueError(f"{what} table entry {table[a, b]} at {(a, b)} is not in 0..{n - 1}")
     return table.astype(np.int32, copy=False)

@@ -82,14 +82,16 @@ def test_bowtie_has_no_unique_glb():
 
 
 def test_supplied_tables_give_the_computed_lattice(small_corpus):
+    # Any integer type holds ids, in either byte order.
     for name, L in small_corpus.items():
-        K = Lattice(L.leq, tables=(L.meet.copy(), L.join.copy()))
-        for table in ("meet", "join"):
-            got = getattr(K, table)
-            assert got.dtype == np.int32 and not got.flags.writeable, name
-            assert np.array_equal(got, getattr(L, table)), name
-        assert (K.bottom, K.top) == (L.bottom, L.top), name
-        assert np.array_equal(K.cover_matrix, L.cover_matrix), name
+        for dtype in (np.int32, ">i4", np.uint8):
+            K = Lattice(L.leq, tables=(L.meet.astype(dtype), L.join.astype(dtype)))
+            for table in ("meet", "join"):
+                got = getattr(K, table)
+                assert got.dtype == np.int32 and not got.flags.writeable, name
+                assert np.array_equal(got, getattr(L, table)), name
+            assert (K.bottom, K.top) == (L.bottom, L.top), name
+            assert np.array_equal(K.cover_matrix, L.cover_matrix), name
 
 
 def _planted(L, fault):
@@ -113,6 +115,12 @@ def _planted(L, fault):
         meet[0, 1] = -1
     elif fault == "past-the-last-id":
         join[1, 0] = n
+    elif fault == "unsigned-past-the-last-id":
+        meet, join = meet.astype(np.uint8), join.astype(np.uint8)
+        meet[2, 3] = 200
+    elif fault == "big-endian-negative":
+        meet, join = meet.astype(">i4"), join.astype(">i4")
+        join[3, 2] = -1
     return meet, join
 
 
@@ -124,6 +132,8 @@ def _planted(L, fault):
         ("join", NotALattice, "no unique lub for (0, 1)"),
         ("negative", ValueError, "meet table entry -1 at (0, 1) is not in 0..4"),
         ("past-the-last-id", ValueError, "join table entry 5 at (1, 0) is not in 0..4"),
+        ("unsigned-past-the-last-id", ValueError, "meet table entry 200 at (2, 3) is not in 0..4"),
+        ("big-endian-negative", ValueError, "join table entry -1 at (3, 2) is not in 0..4"),
     ],
 )
 def test_supplied_tables_are_certified(fault, error, message):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import reference_complements_json, reference_complements_text
-from latmax import cli
+from latmax import cdim2, cli
 from latmax.cdim2 import complements_to_json, complements_to_text, decompose_and_run
 from latmax.geometry import ChainSpec, format_cg_text
 
@@ -37,6 +37,38 @@ def test_renderer_matches_reference_m1_to_60(identity_first):
 
 def test_renderer_matches_reference_at_m500():
     _assert_matches_reference(500, _chains(random.Random(1212), 500, identity_first=False))
+
+
+@pytest.mark.parametrize("identity_first", [True, False], ids=["identity", "arbitrary"])
+def test_renderer_matches_reference_across_block_edges(monkeypatch, identity_first):
+    # A block holds 100 // m descriptors, one past m = 50, so each m from 1 to
+    # 60 has block edges at its own stride through the descriptors.
+    monkeypatch.setattr(cdim2, "_BLOCK_CELLS", 100)
+    rng = random.Random(2800 + identity_first)
+    for m in range(1, 61):
+        for _ in range(2):
+            _assert_matches_reference(m, _chains(rng, m, identity_first))
+
+
+@pytest.mark.parametrize("part", [slice(5, -3), slice(6, None, 3)], ids=["slice", "strided"])
+def test_renderer_takes_a_slice_that_starts_inside_a_block(monkeypatch, part):
+    # Blocks of four descriptors: the part starts inside the second block of
+    # the whole result, and the renderer cuts it into blocks of its own.
+    m = 40
+    monkeypatch.setattr(cdim2, "_BLOCK_CELLS", 4 * m)
+    chains = _chains(random.Random(2810), m, identity_first=False)
+    comps = decompose_and_run(m, chains)[part]
+    assert complements_to_text(comps, *chains) == reference_complements_text(comps, *chains)
+    assert complements_to_json(comps, *chains) == reference_complements_json(comps, *chains)
+
+
+def test_renderer_matches_reference_at_m2000_in_many_blocks():
+    m = 2000
+    chains = _chains(random.Random(2820), m, identity_first=False)
+    comps = decompose_and_run(m, chains)
+    assert len(comps) > 10 * (cdim2._BLOCK_CELLS // m)
+    assert complements_to_text(comps, *chains) == reference_complements_text(comps, *chains)
+    assert complements_to_json(comps, *chains) == reference_complements_json(comps, *chains)
 
 
 SMALLEST = [((1,), (1,)), ((1, 2), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (1, 2)), ((2, 1), (2, 1))]
