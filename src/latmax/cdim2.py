@@ -32,7 +32,9 @@ listed result against the brute-force oracle.  The text and JSON renderers
 read the columns directly and build no Complement.  They take a block of
 descriptors at a time as boolean matrices, one row per descriptor and one
 column per point, so that the endpoint sets of a whole block come out sorted
-from one compress of a table of the points' tokens per matrix.
+from one compress of a table of the points' tokens per matrix.  A last
+column, set in every row, ends each row's text with the token ``;``, and the
+rows are cut at those bytes.
 """
 from __future__ import annotations
 
@@ -405,9 +407,10 @@ _JSON_HEADS = [
 ]
 _TOP_ON_C2 = np.array([shape == SHAPE_CHAIN2 for shape, _ in KINDS])
 
-# Cells of each membership matrix the renderers build: a block holds
-# max(1, _BLOCK_CELLS // m) descriptors.  Its arrays, about 1 MB in all, stay
-# in cache: 2^18 cells rendered 10-30% slower at m = 500 to 2000.
+# Cells of each membership matrix the renderers build, give or take a column:
+# a block holds max(1, _BLOCK_CELLS // m) descriptors, each a row of m + 1
+# cells (a column per point and the row terminator).  Its arrays, about 1 MB
+# in all, stay in cache: 2^18 cells rendered 10-30% slower at m = 500 to 2000.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -466,6 +469,7 @@ def _endpoint_sets(comps, chain1, chain2, sep):
     """(j, kind, (j), tops) per descriptor, each set as a memoryview of its
     ascending points joined by ``sep``; ``tops`` lists the interval tops in
     output order, or is None for a single interval whose top is (j) itself.
+    A ValueError names a prefix length outside 0..m.
 
     The descriptors go a block at a time, as boolean matrices with a row per
     descriptor and a column per point, in point order: C_i(j) holds the
@@ -474,62 +478,55 @@ def _endpoint_sets(comps, chain1, chain2, sep):
     and a union row takes its C2(j) as a second top.  The text of a matrix
     is one compress of the points' tokens ``p<sep>``, padded with NUL bytes
     to one width, which are then deleted; row-major order lists each row's
-    points in ascending order.  The rows are cut from it by byte length:
-    a top's comes from a table of chain-prefix lengths, and (j)'s from its
-    count of points per digit class.
+    points in ascending order.  A last column, at position 0 on both chains,
+    is in every row with the token ``;``, so each row's text ends at a ``;``
+    and the rows are cut there.  (j) is a subset of its top and no token is
+    empty, so a single interval's top is (j) exactly when the two have the
+    same length.
     """
     # Each chain is read once, by _permutation; an iterator as a tuple.
     chains = [
         c.perm if isinstance(c, ChainSpec) else c if isinstance(c, Sequence) else tuple(c) for c in (chain1, chain2)
     ]
     m = len(chains[0])
-    (perm1, pos1), (perm2, pos2) = (_permutation(m, chain) for chain in chains)
-    # Entry p-1 of the table, and column p-1 of each matrix, is point p.
-    table = np.array([b"%d%s" % (p, sep) for p in range(1, m + 1)])
-    size = np.char.str_len(table)
-    # prefix_bytes[i][k] is the byte length of the first k points of chain i.
-    prefix_bytes = [np.concatenate(([0], size.take(perm - 1).cumsum())) for perm in (perm1, perm2)]
-    # (first column, end column, token length) of the points with d digits.
-    digits = [(10 ** (d - 1) - 1, 10**d - 1, d + len(sep)) for d in range(1, len(str(m)) + 1)]
-    # Positions, prefix lengths and per-class counts fit the narrowest type holding m.
+    # Positions and prefix lengths fit the narrowest type holding m.
     small = np.min_scalar_type(m)
-    pos1, pos2 = pos1.astype(small), pos2.astype(small)
+    pos1, pos2 = (np.append(_permutation(m, chain)[1], 0).astype(small) for chain in chains)
+    j_col, kind_col, c1_col, c2_col = comps._columns()
+    for column in (c1_col, c2_col):
+        for length in (column.min(initial=0), column.max(initial=0)):
+            if not 0 <= length <= m:
+                raise ValueError(f"prefix length {length} is not in 0..{m}")
+    # Entry p-1 of the table, and column p-1 of each matrix, is point p; the
+    # last is the row terminator.
+    table = np.array([b"%d%s" % (p, sep) for p in range(1, m + 1)] + [b";"])
     rows = max(1, _BLOCK_CELLS // m)
     table = np.tile(table, min(rows, len(comps)))
     cut = len(sep)
 
-    def pieces(matrix, lengths):
-        text = memoryview(np.compress(matrix.ravel(), table[: matrix.size]).tobytes().translate(None, b"\0"))
-        ends = lengths.cumsum()
-        return [text[start:end] for start, end in zip((ends - lengths).tolist(), (ends - cut).tolist())]
+    def pieces(matrix):
+        text = np.compress(matrix.ravel(), table[: matrix.size]).tobytes().translate(None, b"\0")
+        view, start = memoryview(text), 0
+        for _ in range(len(matrix)):
+            end = text.index(b";", start)
+            yield view[start : end - cut]
+            start = end + 1
 
-    j_col, kind_col, c1_col, c2_col = comps._columns()
-    for start in range(0, len(comps), rows):
-        block = slice(start, start + rows)
-        kind, c1_len, c2_len = kind_col[block], c1_col[block], c2_col[block]
-        in1 = pos1 <= c1_len.astype(small)[:, None]
-        in2 = pos2 <= c2_len.astype(small)[:, None]
-        closure = in1 & in2
-        closure_bytes = sum(
-            np.add.reduce(closure[:, a:b], axis=1, dtype=small).astype(np.int64) * width for a, b, width in digits
-        )
+    for first in range(0, len(comps), rows):
+        block = slice(first, first + rows)
+        kind = kind_col[block]
+        in1 = pos1 <= c1_col[block].astype(small)[:, None]
+        in2 = pos2 <= c2_col[block].astype(small)[:, None]
         union = kind == UNION_TYPE3
-        seconds = iter(pieces(in2[union], prefix_bytes[1][c2_len[union]]))
+        seconds = pieces(in2[union])
+        closure = pieces(in1 & in2)
         on2 = _TOP_ON_C2[kind]
         top = in1  # C1(j) rows, with C2(j) rows for the chain-2 kinds
         top[on2] = in2[on2]
-        top_bytes = np.where(on2, prefix_bytes[1][c2_len], prefix_bytes[0][c1_len])
-        rows_out = zip(
-            j_col[block].tolist(),
-            kind.tolist(),
-            pieces(closure, closure_bytes),
-            pieces(top, top_bytes),
-            (closure_bytes == top_bytes).tolist(),
-        )
-        for j, k, lo, hi, trivial in rows_out:
+        for j, k, lo, hi in zip(j_col[block].tolist(), kind.tolist(), closure, pieces(top)):
             if k == UNION_TYPE3:
                 yield j, k, lo, (hi, next(seconds))
-            elif trivial:
+            elif len(lo) == len(hi):
                 yield j, k, lo, None
             else:
                 yield j, k, lo, (hi,)

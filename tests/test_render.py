@@ -4,11 +4,12 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from helpers import reference_complements_json, reference_complements_text
 from latmax import cdim2, cli
-from latmax.cdim2 import complements_to_json, complements_to_text, decompose_and_run
+from latmax.cdim2 import Complements, complements_to_json, complements_to_text, decompose_and_run, fast_complements
 from latmax.geometry import ChainSpec, format_cg_text
 
 
@@ -36,7 +37,11 @@ def test_renderer_matches_reference_m1_to_60(identity_first):
 
 
 def test_renderer_matches_reference_at_m500():
-    _assert_matches_reference(500, _chains(random.Random(1212), 500, identity_first=False))
+    # With 99, 100, 999 and 1000 on either side of a change in the points'
+    # widest decimal token.
+    rng = random.Random(1212)
+    for m in (500, 99, 100, 999, 1000):
+        _assert_matches_reference(m, _chains(rng, m, identity_first=False))
 
 
 @pytest.mark.parametrize("identity_first", [True, False], ids=["identity", "arbitrary"])
@@ -97,6 +102,58 @@ def test_renderer_takes_a_slice_and_chain_iterators():
         (complements_to_json, reference_complements_json),
     ):
         assert render(comps, *map(iter, chains)) == reference(comps, *chains)
+
+
+PAPER_PERM = (3, 6, 7, 10, 1, 8, 9, 5, 2, 4)
+PAPER_TEXT = (
+    "{(2)}\t(2)={1,2}\n"
+    "{(4)}\t(4)={1,2,3,4}\n"
+    "[(5),C1(5)]\t(5)={1,3,5}\tC1(5)={1,2,3,4,5}\n"
+    "[(5),C2(5)]\t(5)={1,3,5}\tC2(5)={1,3,5,6,7,8,9,10}\n"
+    "[(6),C1(6)]\t(6)={3,6}\tC1(6)={1,2,3,4,5,6}\n"
+    "[(8),C1(8)] u [(8),C2(8)]\t(8)={1,3,6,7,8}\tC1(8)={1,2,3,4,5,6,7,8}\tC2(8)={1,3,6,7,8,10}\n"
+    "[(9),C1(9)]\t(9)={1,3,6,7,8,9}\tC1(9)={1,2,3,4,5,6,7,8,9}\n"
+    "[(9),C2(9)]\t(9)={1,3,6,7,8,9}\tC2(9)={1,3,6,7,8,9,10}\n"
+    "{(10)}\t(10)={3,6,7,10}\n"
+)
+PAPER_JSON = (
+    '[{"j": 2, "shape": "IntervalChain1", "class": "Type1", "intervals": [[[1, 2], [1, 2]]]}, '
+    '{"j": 4, "shape": "IntervalChain1", "class": "Type1", "intervals": [[[1, 2, 3, 4], [1, 2, 3, 4]]]}, '
+    '{"j": 5, "shape": "IntervalChain1", "class": "Type1", "intervals": [[[1, 3, 5], [1, 2, 3, 4, 5]]]}, '
+    '{"j": 5, "shape": "IntervalChain2", "class": "Type1", "intervals": [[[1, 3, 5], [1, 3, 5, 6, 7, 8, 9, 10]]]}, '
+    '{"j": 6, "shape": "IntervalChain1", "class": "Type2", "intervals": [[[3, 6], [1, 2, 3, 4, 5, 6]]]}, '
+    '{"j": 8, "shape": "UnionBothChains", "class": "Type3", "intervals": '
+    "[[[1, 3, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8]], [[1, 3, 6, 7, 8], [1, 3, 6, 7, 8, 10]]]}, "
+    '{"j": 9, "shape": "IntervalChain1", "class": "Type1", "intervals": [[[1, 3, 6, 7, 8, 9], [1, 2, 3, 4, 5, 6, 7, 8, 9]]]}, '
+    '{"j": 9, "shape": "IntervalChain2", "class": "Type1", "intervals": [[[1, 3, 6, 7, 8, 9], [1, 3, 6, 7, 8, 9, 10]]]}, '
+    '{"j": 10, "shape": "IntervalChain2", "class": "Type1", "intervals": [[[3, 6, 7, 10], [3, 6, 7, 10]]]}]'
+)
+
+
+def test_renderers_build_no_complement(monkeypatch):
+    # The renderers read the columns only: a Complement built anywhere in
+    # them would raise here.
+    comps, _ = fast_complements(10, PAPER_PERM)
+
+    def no_complement(*args):
+        raise AssertionError("a renderer built a Complement")
+
+    monkeypatch.setattr(cdim2, "Complement", no_complement)
+    chains = (tuple(range(1, 11)), PAPER_PERM)
+    assert complements_to_text(comps, *chains) == PAPER_TEXT
+    assert complements_to_json(comps, *chains) == PAPER_JSON
+
+
+@pytest.mark.parametrize("length", [-1, 5, 7])
+@pytest.mark.parametrize("column", ["c1_len", "c2_len"])
+def test_renderer_names_a_prefix_length_outside_0_to_m(column, length):
+    # Point 2 of the 4-point geometry, with one prefix length out of range.
+    lengths = {"c1_len": 2, "c2_len": 2, column: length}
+    comps = Complements(np.array([2]), np.array([0]), np.array([lengths["c1_len"]]), np.array([lengths["c2_len"]]))
+    chains = ((1, 2, 3, 4), (2, 1, 4, 3))
+    for render in (complements_to_text, complements_to_json):
+        with pytest.raises(ValueError, match=rf"^prefix length {length} is not in 0\.\.4$"):
+            render(comps, *chains)
 
 
 def test_empty_result_renders_as_no_lines_and_an_empty_array():
