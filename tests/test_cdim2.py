@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -639,6 +640,54 @@ def test_output_columns_keep_their_dtypes():
             assert [column.dtype for column in comps._columns()] == [
                 np.int64, np.int8, np.int64, np.int64
             ]
+
+
+def _traced(call, *args):
+    """(result, transient peak, retained) of call(*args): the bytes it
+    allocates, as tracemalloc counts them, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, retained - before
+
+
+def test_fast_path_memory_budget_at_m100000():
+    # Bytes per point at m = 10^5 on chains given as lists: each pass frees
+    # its arrays, so the transient peak stays within 40 (fast_complements)
+    # and 56 (decompose_and_run).  What is kept is the columns alone: 17
+    # bytes per descriptor (int64 j = c1_len, int8 kind, int64 c2_len), and
+    # 25 once j and c1_len differ.
+    m = 10**5
+    rng = random.Random(80)
+    a, b = (list(random_permutation(m, rng)) for _ in range(2))
+    (fast, _), fast_peak, fast_kept = _traced(fast_complements, m, a)
+    relabeled, relabel_peak, relabel_kept = _traced(decompose_and_run, m, [b, a])
+    assert fast_peak <= 40 * m and relabel_peak <= 56 * m, (fast_peak / m, relabel_peak / m)
+    # Besides the columns, a few Python objects: the arrays' headers, the
+    # Complements and the OpCounter.
+    assert 17 * len(fast) <= fast_kept <= 17 * len(fast) + 4096, fast_kept
+    assert 25 * len(relabeled) <= relabel_kept <= 25 * len(relabeled) + 4096, relabel_kept
+
+
+def test_fast_path_leaves_its_inputs_alone():
+    # Both calls take an int64 array as it is, without a copy, and build the
+    # columns in place: no column may be, or share memory with, an input,
+    # and no input may change.
+    m = 1000
+    rng = random.Random(83)
+    a, b = (np.array(random_permutation(m, rng), dtype=np.int64) for _ in range(2))
+    for chains in ((a, b), (a.tolist(), b.tolist())):
+        kept = [np.array(chain) for chain in chains]
+        fast, _ = fast_complements(m, chains[1])
+        relabeled = decompose_and_run(m, chains)
+        for column in fast._columns() + relabeled._columns():
+            assert not any(np.shares_memory(column, chain) for chain in chains)
+        assert all(map(np.array_equal, chains, kept))
 
 
 def test_relabel_equals_block_splitting_exhaustive():

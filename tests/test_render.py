@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -187,3 +188,22 @@ def test_cli_json_at_m500_matches_reference_and_round_trips(tmp_path, capsys):
     assert outputs["json"] == reference_complements_json(comps, *chains) + "\n"
     text = outputs["json"].rstrip("\n")
     assert json.dumps(json.loads(text)) == text
+
+
+@pytest.mark.parametrize(
+    "j, kind, message",
+    [
+        (2, 7, "kind code 7 is not in 0..4"),
+        (2, -1, "kind code -1 is not in 0..4"),
+        (9, 0, "point 9 is not in 1..4"),
+        (0, 0, "point 0 is not in 1..4"),
+    ],
+    ids=["kind-7", "kind-minus-1", "point-9", "point-0"],
+)
+def test_renderer_names_a_kind_code_or_point_outside_its_range(j, kind, message):
+    # Point j of the 4-point geometry with prefix lengths 2 and 2.
+    comps = Complements(np.array([j]), np.array([kind]), np.array([2]), np.array([2]))
+    chains = ((1, 2, 3, 4), (2, 1, 4, 3))
+    for render in (complements_to_text, complements_to_json):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            render(comps, *chains)
