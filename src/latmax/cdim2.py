@@ -18,8 +18,8 @@ Both passes are whole-array numpy operations.  The second packs five flags
 per point j into one byte: the three about chain 2 are computed once per
 chain-2 position and gathered at phi^-1(j) in one read, and the two about
 chain 1 are added at j.  The branch itself is tabulated once over all 32
-flag bytes, so one lookup per point gives both output slots and their kind
-codes.  Two arbitrary chains need no block decomposition: renaming every
+flag bytes, so one lookup per point gives both output slots and their
+kinds.  Two arbitrary chains need no block decomposition: renaming every
 point by its position on chain 1 turns chain 1 into the identity, and the
 points of the result are renamed back.
 
@@ -29,17 +29,20 @@ running maximum or the steps along chain 2).  The second keeps two slot
 bytes per point until the columns are read from them, and builds the point
 column in place in the index array of the full slots.  Traced at m = 10^5
 and 10^6, the peak above chains given as lists is 33 bytes per point in
-:func:`fast_complements` and 48 in :func:`decompose_and_run` (which holds
-both chains' positions while it renames them), of which the output is 17
-and 25.
+:func:`fast_complements` and 41 in :func:`decompose_and_run`, which holds
+both chains' positions while it renames them, and reads them padded with a
+leading 0 at the points themselves.  Of these, the output is 17 and 25.
 
-The result is a columnar :class:`Complements` sequence (point j, kind code,
-and the two prefix lengths) in ascending j, the chain-1 interval before the
-chain-2 one.  :class:`Complement` descriptors are built only when the
-sequence is indexed or iterated; materialization against a geometry is on
-demand and costs O(lattice size), and :func:`verify_complements` checks a
-listed result against the brute-force oracle.  The text and JSON renderers
-read the columns directly and build no Complement.  They take a block of
+The result is a columnar :class:`Complements` sequence on m points (point
+j, kind, and the two prefix lengths) in ascending j, the chain-1 interval
+before the chain-2 one.  Its public constructor is the one range check of
+descriptor columns; the enumerations build through an unchecked path, as
+they make valid columns only, so the fast path pays no check.
+:class:`Complement` descriptors are built only when the sequence is indexed
+or iterated; materialization against a geometry is on demand and costs
+O(lattice size), and :func:`verify_complements` checks a listed result
+against the brute-force oracle.  The text and JSON renderers read the
+checked columns directly and build no Complement.  They take a block of
 descriptors at a time as boolean matrices, one row per descriptor and one
 column per point, so that the endpoint sets of a whole block come out sorted
 from one compress of a table of the points' tokens per matrix.  A last
@@ -55,7 +58,7 @@ from functools import reduce
 
 import numpy as np
 
-from .geometry import ChainSpec, ConvexGeometry, _as_chain, _permutation
+from .geometry import ChainSpec, ConvexGeometry, _as_chain, _padded_permutation, _permutation
 from .lattice import _index_in, _mask_in, _minimal_mask, bits
 from .sublattice import maximal_complements_oracle
 
@@ -102,7 +105,7 @@ NEXT_IN_C2 = 16  # j+1 in C2(j)
 
 
 def _slot_kinds(flags):
-    """The O(1) branch at one point: the kind codes of its chain-1 (or
+    """The O(1) branch at one point: the kinds of its chain-1 (or
     union) slot and its chain-2 slot, None for an empty slot."""
     if flags & SAME_STEP:
         if flags & CLOSURE_IS_C2:
@@ -117,7 +120,7 @@ def _slot_kinds(flags):
 
 
 # _SLOTS[flags] is the branch for every flag byte: two bytes, the slots in
-# order, each 1 + its kind code or 0 when empty.
+# order, each 1 + its kind or 0 when empty.
 _SLOTS = (
     np.array([[0 if k is None else k + 1 for k in _slot_kinds(f)] for f in range(32)], dtype=np.int8)
     .view(np.uint16)
@@ -166,39 +169,81 @@ class Complement:
     c2_len: int
 
     def endpoint_sets(self, chain1, chain2):
-        """((j), [maxima]) as ground-point frozensets, per the host chains."""
-        c1 = _as_chain(chain1).prefix(self.c1_len)
-        c2 = _as_chain(chain2).prefix(self.c2_len)
-        closure = c1 & c2
-        if self.shape == SHAPE_CHAIN1:
-            return closure, [c1]
-        if self.shape == SHAPE_CHAIN2:
-            return closure, [c2]
-        return closure, [c1, c2]
+        """((j), [maxima]) as ground-point frozensets, per the host chains.
+        A ValueError names a prefix length outside 0..m or an unknown shape."""
+        chain1 = _as_chain(chain1)
+        tops = _tops(self, chain1.m)
+        prefixes = chain1.prefix(self.c1_len), _as_chain(chain2).prefix(self.c2_len)
+        return prefixes[0] & prefixes[1], [prefixes[i] for i in tops]
+
+
+# The chains whose prefixes top each shape's intervals, in output order.
+_SHAPE_TOPS = {SHAPE_CHAIN1: (0,), SHAPE_CHAIN2: (1,), SHAPE_UNION: (0, 1)}
+
+
+def _tops(comp: Complement, m: int) -> tuple:
+    """The chains whose prefixes top comp's intervals, after checking its
+    shape and both of its prefix lengths against 0..m: a bare Complement
+    carries no m, so its reader checks it."""
+    for length in (comp.c1_len, comp.c2_len):
+        _index_in(length, 0, m, "prefix length")
+    if comp.shape not in _SHAPE_TOPS:
+        raise ValueError(f"shape {comp.shape!r} is not one of {', '.join(_SHAPE_TOPS)}")
+    return _SHAPE_TOPS[comp.shape]
 
 
 class Complements(Sequence):
-    """Immutable columnar sequence of complement descriptors.
+    """Immutable columnar sequence of complement descriptors on m points.
 
-    The columns are read-only numpy arrays: ``j``, ``kind`` (an index into
-    ``KINDS``), ``c1_len`` and ``c2_len``.  Indexing and iteration build
-    :class:`Complement` objects holding Python ints; slicing returns another
-    Complements.  A Complements equals one with the same columns, and a list
-    or tuple holding the same descriptors in the same order.
+    ``m`` is the ground set size, and the columns are read-only numpy arrays
+    of one length: ``j`` (a point in 1..m), ``kind`` (an index into
+    ``KINDS``), ``c1_len`` and ``c2_len`` (prefix lengths in 0..m).
+    ``Complements(m, j, kind, c1_len, c2_len)`` copies the columns and is
+    the one check of their values: a ValueError names the columns' shapes
+    unless they are 1-D and of one length, else the least or greatest value
+    of the first column that leaves its range.  The enumerations and
+    slicing build through :meth:`_unchecked`, since they make valid columns
+    only.
+
+    Indexing and iteration build :class:`Complement` objects holding Python
+    ints; slicing returns another Complements.  A Complements equals one
+    with the same m and columns, and a list or tuple holding the same
+    descriptors in the same order.
     """
 
-    __slots__ = ("j", "kind", "c1_len", "c2_len")
+    __slots__ = ("m", "j", "kind", "c1_len", "c2_len")
 
-    def __init__(self, j, kind, c1_len, c2_len):
-        for name, column in zip(self.__slots__, (j, kind, c1_len, c2_len)):
+    def __new__(cls, m, j, kind, c1_len, c2_len):
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"ground set size {m!r} is not a positive integer")
+        columns = [np.array(column) for column in (j, kind, c1_len, c2_len)]
+        if columns[0].ndim != 1 or any(column.shape != columns[0].shape for column in columns):
+            shapes = ", ".join(str(column.shape) for column in columns)
+            raise ValueError(f"descriptor columns must be 1-D and of one length, got shapes {shapes}")
+        bounds = ("point", 1, m), ("kind code", 0, len(KINDS) - 1), ("prefix length", 0, m), ("prefix length", 0, m)
+        for column, (what, lo, hi) in zip(columns, bounds):
+            if len(column):
+                for value in (column.min(), column.max()):
+                    _index_in(value, lo, hi, what)
+        # Integer columns keep their dtype; an empty or object one becomes int64.
+        columns = [column if column.dtype.kind in "iu" else column.astype(np.int64) for column in columns]
+        return cls._unchecked(int(m), *columns)
+
+    @classmethod
+    def _unchecked(cls, m, j, kind, c1_len, c2_len):
+        """A Complements of columns already known to be valid, kept as they are."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        for name, column in zip(cls.__slots__[1:], (j, kind, c1_len, c2_len)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Complements is immutable")
 
     def __reduce__(self):
-        return Complements, self._columns()
+        return Complements, (self.m, *self._columns())
 
     def _columns(self):
         return self.j, self.kind, self.c1_len, self.c2_len
@@ -208,7 +253,7 @@ class Complements(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Complements(*(column[index] for column in self._columns()))
+            return Complements._unchecked(self.m, *(column[index] for column in self._columns()))
         shape, case = KINDS[self.kind[index]]
         return Complement(
             int(self.j[index]), shape, case, int(self.c1_len[index]), int(self.c2_len[index])
@@ -223,7 +268,7 @@ class Complements(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, Complements):
-            return all(map(np.array_equal, self._columns(), other._columns()))
+            return self.m == other.m and all(map(np.array_equal, self._columns(), other._columns()))
         if isinstance(other, (list, tuple)):
             return len(self) == len(other) and all(map(operator.eq, self, other))
         return NotImplemented
@@ -231,7 +276,7 @@ class Complements(Sequence):
     __hash__ = None
 
     def __repr__(self):
-        return f"Complements({list(self)!r})"
+        return f"Complements(m={self.m}, {list(self)!r})"
 
 
 def fast_complements(m: int, phi) -> tuple:
@@ -250,14 +295,14 @@ def _enumerate(perm, inv) -> tuple:
     ops = OpCounter(comparisons=2 * (m - 1) + 5 * m, set_ops=3 * m)
     rows, kind, c2_len = _columns(perm, inv)
     rows += 1  # point j is row j - 1, and C1(j) is its first j points
-    return Complements(rows, kind, rows, c2_len), ops
+    return Complements._unchecked(m, rows, kind, rows, c2_len), ops
 
 
 def _columns(perm, inv) -> tuple:
     """The second pass: the columns (j - 1, kind, c2_len), in output order.
 
     Each point has two slots, the chain-1 interval or the union first and
-    the chain-2 interval second; a slot holds 1 + its kind code, or 0.
+    the chain-2 interval second; a slot holds 1 + its kind, or 0.
     Flattening the slots point by point gives the output order, and the
     index of a full slot, halved, is its point's row.  Only the returned
     columns outlive the call.
@@ -308,34 +353,32 @@ def decompose_and_run(m: int, chains) -> Complements:
     they carry over unchanged.
     """
     chain1, chain2 = chains
-    perm1, pos1 = _permutation(m, chain1)
-    perm2, pos2 = _permutation(m, chain2)
+    # Positions padded with a leading 0 are read at the points themselves.
+    perm1, pos1 = _padded_permutation(m, chain1)
+    perm2, pos2 = _padded_permutation(m, chain2)
     # Each array is dropped once read: only chain 1 is needed after the passes.
-    perm = pos1[perm2 - 1]
+    perm = pos1[perm2]
     del pos1, perm2
-    inv = pos2[perm1 - 1]
+    inv = pos2[perm1]
     del pos2
     rows, kind, c2_len = _columns(perm, inv)
     del perm, inv
     j = perm1[rows]
     rows += 1
-    return Complements(j, kind, rows, c2_len)
+    return Complements._unchecked(m, j, kind, rows, c2_len)
 
 
 def materialize(G: ConvexGeometry, comp: Complement) -> frozenset:
     """The complement as a set of lattice-element ids of the geometry; (j) is
     the meet, that is the intersection, of the chain prefixes C1(j), C2(j).
-    A ValueError names a prefix length outside 0..m."""
+    A ValueError names a prefix length outside 0..m or an unknown shape."""
     if len(G.chains) != 2:
         raise ValueError("materialization needs a two-chain geometry")
-    for length in (comp.c1_len, comp.c2_len):
-        if not 0 <= length <= G.m:
-            raise ValueError(f"prefix length {length} is not in 0..{G.m}")
+    tops = _tops(comp, G.m)
     L = G.lattice
-    c1, c2 = G.chain_elements[0][comp.c1_len], G.chain_elements[1][comp.c2_len]
-    lo = int(L.meet[c1, c2])
-    tops = {SHAPE_CHAIN1: (c1,), SHAPE_CHAIN2: (c2,), SHAPE_UNION: (c1, c2)}[comp.shape]
-    return frozenset(bits(reduce(operator.or_, (L.interval_mask(lo, hi) for hi in tops))))
+    prefixes = G.chain_elements[0][comp.c1_len], G.chain_elements[1][comp.c2_len]
+    lo = int(L.meet[prefixes[0], prefixes[1]])
+    return frozenset(bits(reduce(operator.or_, (L.interval_mask(lo, prefixes[i]) for i in tops))))
 
 
 # -- classification ------------------------------------------------------------
@@ -437,10 +480,9 @@ def verify_complements(G: ConvexGeometry, comps, bound=None) -> Verification:
 # array work, done for a block of descriptors in a few numpy calls, and a
 # few Python appends.
 
-# Per kind code: the interval names of a text line, the head of a JSON row,
+# Per kind: the interval names of a text line, the head of a JSON row,
 # and whether the (first) interval top is C2(j).
-_SHAPE_NAMES = {SHAPE_CHAIN1: (b"C1",), SHAPE_CHAIN2: (b"C2",), SHAPE_UNION: (b"C1", b"C2")}
-_TEXT_NAMES = [_SHAPE_NAMES[shape] for shape, _ in KINDS]
+_TEXT_NAMES = [tuple(b"C%d" % (i + 1) for i in _SHAPE_TOPS[shape]) for shape, _ in KINDS]
 _JSON_HEADS = [
     b'{"j": %%d, "shape": "%s", "class": "%s", "intervals": [' % (shape.encode(), case.encode())
     for shape, case in KINDS
@@ -509,8 +551,9 @@ def _endpoint_sets(comps, chain1, chain2, sep):
     """(j, kind, (j), tops) per descriptor, each set as a memoryview of its
     ascending points joined by ``sep``; ``tops`` lists the interval tops in
     output order, or is None for a single interval whose top is (j) itself.
-    A ValueError names a point outside 1..m, a kind code outside 0..4 or a
-    prefix length outside 0..m.
+    The columns were checked when ``comps`` was built, so only the chains
+    are read here: a BadPermutation names one that is no permutation of
+    1..m for the m of ``comps``.
 
     The descriptors go a block at a time, as boolean matrices with a row per
     descriptor and a column per point, in point order: C_i(j) holds the
@@ -525,19 +568,15 @@ def _endpoint_sets(comps, chain1, chain2, sep):
     empty, so a single interval's top is (j) exactly when the two have the
     same length.
     """
-    # Each chain is read once, by _permutation; an iterator as a tuple.
-    chains = [
-        c.perm if isinstance(c, ChainSpec) else c if isinstance(c, Sequence) else tuple(c) for c in (chain1, chain2)
-    ]
-    m = len(chains[0])
-    # Positions and prefix lengths fit the narrowest type holding m.
+    m = comps.m
+    # Positions and prefix lengths fit the narrowest type holding m.  Each
+    # chain is read once, by _permutation; an iterator as a tuple.
     small = np.min_scalar_type(m)
-    pos1, pos2 = (np.append(_permutation(m, chain)[1], 0).astype(small) for chain in chains)
+    pos1, pos2 = (
+        np.append(_permutation(m, c if isinstance(c, (ChainSpec, Sequence)) else tuple(c))[1], 0).astype(small)
+        for c in (chain1, chain2)
+    )
     j_col, kind_col, c1_col, c2_col = comps._columns()
-    bounds = ("point", 1, m), ("kind code", 0, len(KINDS) - 1), ("prefix length", 0, m), ("prefix length", 0, m)
-    for column, (what, lo, hi) in zip((j_col, kind_col, c1_col, c2_col), bounds):
-        for value in (column.min(initial=lo), column.max(initial=lo)):
-            _index_in(value, lo, hi, what)
     # Entry p-1 of the table, and column p-1 of each matrix, is point p; the
     # last is the row terminator.
     table = np.array([b"%d%s" % (p, sep) for p in range(1, m + 1)] + [b";"])

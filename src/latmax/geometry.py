@@ -91,7 +91,14 @@ def _point(p) -> int:
 
 
 def _permutation(m: int, phi):
-    """(phi, phi^-1) as int64 arrays, after checking phi is a permutation of 1..m.
+    """(phi, phi^-1) as int64 arrays, after checking phi is a permutation of 1..m."""
+    perm, pos = _padded_permutation(m, phi)
+    return perm, pos[1:]
+
+
+def _padded_permutation(m: int, phi):
+    """(phi, positions) as int64 arrays, after checking phi is a permutation
+    of 1..m; positions[p] is the position of point p, and positions[0] = 0.
 
     The one check of a chain's points.  A fault names the first offending
     point or the count given, never the whole chain.
@@ -129,24 +136,24 @@ def _permutation(m: int, phi):
 
 
 def _inverted(m: int, perm, phi):
-    """(perm, perm^-1) for an int64 array perm of m points read from phi."""
+    """(perm, positions) for an int64 array perm of m points read from phi:
+    the inverse permutation padded with a leading 0."""
     fault = f"not a permutation of 1..{m}"
     if perm.min() < 1 or perm.max() > m:
         k = ((perm < 1) | (perm > m)).argmax()
         raise BadPermutation(f"{fault}: point {perm[k]} is out of range")
-    # Entry 0 of the padded inverse is never written.
-    inv = np.zeros(m + 1, dtype=np.int64)
-    inv[perm] = np.arange(1, m + 1)
-    inv = inv[1:]
-    if not inv.all():
+    # Entry 0 is never written.
+    pos = np.zeros(m + 1, dtype=np.int64)
+    pos[perm] = np.arange(1, m + 1)
+    if not pos[1:].all():
         # Of the copies of a repeated point, at most one keeps its position.
-        k = (inv[perm - 1] != np.arange(1, m + 1)).argmax()
+        k = (pos[perm] != np.arange(1, m + 1)).argmax()
         raise BadPermutation(f"{fault}: point {perm[k]} repeats")
     # Both reads take True as 1 (and False as the out-of-range 0), so a bool
     # can only hide at the single position holding 1.
-    if not isinstance(phi, np.ndarray) and isinstance(phi[inv[0] - 1], (bool, np.bool_)):
+    if not isinstance(phi, np.ndarray) and isinstance(phi[pos[1] - 1], (bool, np.bool_)):
         raise BadPermutation("points must be integers, got a bool")
-    return perm, inv
+    return perm, pos
 
 
 def _as_chain(chain) -> ChainSpec:

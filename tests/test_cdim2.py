@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import pickle
 import random
+import re
 import tracemalloc
 from itertools import permutations
 
@@ -226,7 +227,7 @@ def test_verify_complements_sees_missing_repeated_and_mistagged():
     # j = 2 is [(2), C1(2)] of Type1; tagging it Type2 keeps its set.
     kind = comps.kind.copy()
     kind[0] = C1_TYPE2
-    mistagged = verify_complements(G, Complements(comps.j, kind, comps.c1_len, comps.c2_len))
+    mistagged = verify_complements(G, Complements(comps.m, comps.j, kind, comps.c1_len, comps.c2_len))
     assert mistagged.sets_agree and mistagged.misclassified == (2,) and not mistagged.ok
 
 
@@ -369,6 +370,25 @@ def test_materialize_names_a_prefix_length_past_the_chains(c1_len, c2_len, bad):
     G = build_cg(3, [(1, 2, 3), (3, 1, 2)])
     with pytest.raises(ValueError, match=f"prefix length {bad} is not in 0..3"):
         materialize(G, Complement(1, SHAPE_CHAIN1, "Type1", c1_len, c2_len))
+
+
+@pytest.mark.parametrize("c1_len, c2_len, bad", [(-1, 2, -1), (9, 2, 9), (2, 5, 5), (2, True, True)])
+def test_endpoint_sets_names_a_prefix_length_past_the_chains(c1_len, c2_len, bad):
+    # A bare Complement carries no m: -1 once read as C1 = {1, 2, 3}, and 9
+    # as all four points.
+    comp = Complement(2, SHAPE_CHAIN1, "Type1", c1_len, c2_len)
+    with pytest.raises(ValueError, match=f"^prefix length {bad} is not in 0\\.\\.4$"):
+        comp.endpoint_sets((1, 2, 3, 4), (2, 1, 4, 3))
+
+
+def test_materialize_and_endpoint_sets_refuse_an_unknown_shape():
+    G = build_cg(4, [(1, 2, 3, 4), (2, 1, 4, 3)])
+    comp = Complement(2, "Bogus", "Type1", 2, 2)
+    message = "^shape 'Bogus' is not one of IntervalChain1, IntervalChain2, UnionBothChains$"
+    with pytest.raises(ValueError, match=message):
+        materialize(G, comp)
+    with pytest.raises(ValueError, match=message):
+        comp.endpoint_sets(*G.chains)
 
 
 THREE_CHAINS = [(1, 2, 3), (2, 3, 1), (3, 1, 2)]
@@ -564,6 +584,110 @@ def test_complements_are_immutable():
         comps[:3].kind[0] = 0
 
 
+# (column, value, message) on the 4-point geometry, the other columns of the
+# one descriptor being j = 2, kind 0 and prefix lengths 2 and 2.  Kind -1
+# once read as the union, and kind 7 raised a bare IndexError.
+RANGE_FAULTS = [
+    ("j", 0, "point 0 is not in 1..4"),
+    ("j", 5, "point 5 is not in 1..4"),
+    ("j", 2.0, "point 2.0 is not in 1..4"),
+    ("j", True, "point True is not in 1..4"),
+    ("kind", -1, "kind code -1 is not in 0..4"),
+    ("kind", 7, "kind code 7 is not in 0..4"),
+    ("c1_len", -1, "prefix length -1 is not in 0..4"),
+    ("c1_len", 5, "prefix length 5 is not in 0..4"),
+    ("c2_len", -1, "prefix length -1 is not in 0..4"),
+    ("c2_len", 9, "prefix length 9 is not in 0..4"),
+]
+
+
+@pytest.mark.parametrize("column, value, message", RANGE_FAULTS, ids=[f"{c}-{v!r}" for c, v, _ in RANGE_FAULTS])
+def test_complements_refuses_a_value_outside_its_range(column, value, message):
+    columns = {"j": [2], "kind": [0], "c1_len": [2], "c2_len": [2], column: [value]}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Complements(4, *(np.array(columns[name]) for name in ("j", "kind", "c1_len", "c2_len")))
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        ([2, 3], [0], [2], [2]),
+        ([2], [0], [2], [2, 3]),
+        ([[2]], [[0]], [[2]], [[2]]),
+        (2, 0, 2, 2),
+    ],
+    ids=["long-j", "long-c2_len", "2-D", "0-D"],
+)
+def test_complements_refuses_columns_not_1d_of_one_length(columns):
+    with pytest.raises(ValueError, match="^descriptor columns must be 1-D and of one length, got shapes "):
+        Complements(4, *map(np.array, columns))
+
+
+@pytest.mark.parametrize("m", [0, -3, True, 2.0, "4"])
+def test_complements_refuses_a_ground_set_size_that_is_no_positive_int(m):
+    with pytest.raises(ValueError, match="is not a positive integer$"):
+        Complements(m, np.array([1]), np.array([0]), np.array([1]), np.array([1]))
+
+
+def test_complements_copies_its_columns():
+    # The caller's arrays stay writable, and a later write to them does not
+    # reach the descriptors.
+    j, kind = np.array([2, 4]), np.array([0, 0])
+    comps = Complements(4, j, kind, j, np.array([2, 4]))
+    j[0] = 99
+    kind[0] = -1
+    assert comps == [Complement(2, SHAPE_CHAIN1, "Type1", 2, 2), Complement(4, SHAPE_CHAIN1, "Type1", 4, 4)]
+    assert not comps.j.flags.writeable and comps.m == 4
+
+
+def test_complements_carries_m_through_slices_and_pickles():
+    comps, _ = fast_complements(10, PAPER_PERM)
+    assert comps.m == comps[2:5].m == comps[:0].m == pickle.loads(pickle.dumps(comps)).m == 10
+    assert pickle.loads(pickle.dumps(comps[::2])) == comps[::2]
+    first = "Complement(j=2, shape='IntervalChain1', case='Type1', c1_len=2, c2_len=9)"
+    assert repr(comps[:1]) == f"Complements(m=10, [{first}])"
+    # Equal columns on another ground set are other descriptors.
+    assert Complements(11, *comps._columns()) != comps
+    assert Complements(10, *comps._columns()) == comps
+
+
+def test_a_pickle_with_altered_columns_is_refused_on_load():
+    comps, _ = fast_complements(10, PAPER_PERM)
+    cls, (m, j, kind, c1_len, c2_len) = comps.__reduce__()
+
+    class Forged:
+        def __init__(self, *args):
+            self.args = args
+
+        def __reduce__(self):
+            return cls, self.args
+
+    bad_kind = kind.copy()
+    bad_kind[3] = 7
+    bad_c2 = c2_len.copy()
+    bad_c2[0] = 11
+    for args, message in [
+        ((m, j, bad_kind, c1_len, c2_len), "kind code 7 is not in 0..4"),
+        ((m, j, kind, c1_len, bad_c2), "prefix length 11 is not in 0..10"),
+        ((9, j, kind, c1_len, c2_len), "point 10 is not in 1..9"),
+        ((m, j[1:], kind, c1_len, c2_len), "descriptor columns must be 1-D and of one length"),
+    ]:
+        blob = pickle.dumps(Forged(*args))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            pickle.loads(blob)
+
+
+def test_enumerations_make_columns_the_constructor_takes():
+    # The fast path builds without the check; its columns must pass it.
+    rng = random.Random(85)
+    for m in [*range(1, 7), *(rng.randint(7, 300) for _ in range(40)), 10**4]:
+        perm = random_permutation(m, rng)
+        fast, _ = fast_complements(m, perm)
+        relabeled = decompose_and_run(m, (random_permutation(m, rng), perm))
+        for comps in (fast, relabeled, fast[1::2]):
+            assert Complements(comps.m, *comps._columns()) == comps and comps.m == m
+
+
 # -- differential and metamorphic checks against the scalar references ---------
 
 
@@ -658,8 +782,9 @@ def _traced(call, *args):
 
 def test_fast_path_memory_budget_at_m100000():
     # Bytes per point at m = 10^5 on chains given as lists: each pass frees
-    # its arrays, so the transient peak stays within 40 (fast_complements)
-    # and 56 (decompose_and_run).  What is kept is the columns alone: 17
+    # its arrays, and decompose_and_run gathers from positions padded with a
+    # leading 0, so the transient peak stays within 40 (fast_complements)
+    # and 48 (decompose_and_run).  What is kept is the columns alone: 17
     # bytes per descriptor (int64 j = c1_len, int8 kind, int64 c2_len), and
     # 25 once j and c1_len differ.
     m = 10**5
@@ -667,7 +792,7 @@ def test_fast_path_memory_budget_at_m100000():
     a, b = (list(random_permutation(m, rng)) for _ in range(2))
     (fast, _), fast_peak, fast_kept = _traced(fast_complements, m, a)
     relabeled, relabel_peak, relabel_kept = _traced(decompose_and_run, m, [b, a])
-    assert fast_peak <= 40 * m and relabel_peak <= 56 * m, (fast_peak / m, relabel_peak / m)
+    assert fast_peak <= 40 * m and relabel_peak <= 48 * m, (fast_peak / m, relabel_peak / m)
     # Besides the columns, a few Python objects: the arrays' headers, the
     # Complements and the OpCounter.
     assert 17 * len(fast) <= fast_kept <= 17 * len(fast) + 4096, fast_kept
@@ -732,6 +857,18 @@ def test_relabeling_both_chains_renames_only_the_points():
                     assert getattr(before, column).tolist() == getattr(after, column).tolist()
                 cases += 1
     assert cases == 2619
+
+
+def test_relabeling_renames_the_fast_path_at_m100000():
+    """decompose_and_run(m, [sigma, sigma∘phi]) is fast_complements(m, phi)
+    with every point j renamed to sigma(j), on the same m."""
+    m = 10**5
+    rng = np.random.default_rng(86)
+    sigma, phi = rng.permutation(m) + 1, rng.permutation(m) + 1
+    fast, _ = fast_complements(m, phi)
+    renamed = Complements(m, sigma[fast.j - 1], fast.kind, fast.c1_len, fast.c2_len)
+    assert decompose_and_run(m, [sigma.tolist(), sigma[phi - 1].tolist()]) == renamed
+    assert len(fast) > m // 2
 
 
 def _by_endpoint_sets(m, chains):

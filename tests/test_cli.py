@@ -132,7 +132,7 @@ def test_verify_catches_a_complement_listed_twice(capsys, monkeypatch):
 
     def doubled(m, chains):
         comps = real(m, chains)
-        return Complements(*(np.concatenate((column, column[:1])) for column in comps._columns()))
+        return Complements(comps.m, *(np.concatenate((column, column[:1])) for column in comps._columns()))
 
     monkeypatch.setattr(cli, "decompose_and_run", doubled)
     rc, _, err = run_cli(capsys, "cg-complements", "--perm", "2 1 3 4", "--verify")
@@ -148,7 +148,7 @@ def test_verify_reports_a_misclassified_complement(capsys, monkeypatch):
         comps = real(m, chains)
         kind = comps.kind.copy()
         kind[0] = C1_TYPE2
-        return Complements(comps.j, kind, comps.c1_len, comps.c2_len)
+        return Complements(comps.m, comps.j, kind, comps.c1_len, comps.c2_len)
 
     monkeypatch.setattr(cli, "decompose_and_run", mistagged)
     rc, _, err = run_cli(capsys, *PAPER_ARGS, "--verify")

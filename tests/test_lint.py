@@ -93,3 +93,17 @@ def test_package_reads_no_environment_variable():
         or (isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name in names for a in node.names))
     ]
     assert SOURCES and not found, found
+
+
+def test_only_cdim2_builds_an_unchecked_complements():
+    # Complements(m, ...) checks every column; Complements._unchecked skips
+    # that for the columns the enumerations and slicing make.  A call from
+    # any other module could hand the renderers columns nobody checked.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "cdim2.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+    ]
+    assert SOURCES and not found, found

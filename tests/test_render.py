@@ -11,7 +11,7 @@ import pytest
 from helpers import reference_complements_json, reference_complements_text
 from latmax import cdim2, cli
 from latmax.cdim2 import Complements, complements_to_json, complements_to_text, decompose_and_run, fast_complements
-from latmax.geometry import ChainSpec, format_cg_text
+from latmax.geometry import BadPermutation, ChainSpec, format_cg_text
 
 
 def _chains(rng, m, identity_first):
@@ -148,12 +148,19 @@ def test_renderers_build_no_complement(monkeypatch):
 @pytest.mark.parametrize("length", [-1, 5, 7])
 @pytest.mark.parametrize("column", ["c1_len", "c2_len"])
 def test_renderer_names_a_prefix_length_outside_0_to_m(column, length):
-    # Point 2 of the 4-point geometry, with one prefix length out of range.
+    # Point 2 of the 4-point geometry, with one prefix length out of range:
+    # Complements refuses it where it is built, so no renderer can see it.
     lengths = {"c1_len": 2, "c2_len": 2, column: length}
-    comps = Complements(np.array([2]), np.array([0]), np.array([lengths["c1_len"]]), np.array([lengths["c2_len"]]))
-    chains = ((1, 2, 3, 4), (2, 1, 4, 3))
+    with pytest.raises(ValueError, match=rf"^prefix length {length} is not in 0\.\.4$"):
+        Complements(4, np.array([2]), np.array([0]), np.array([lengths["c1_len"]]), np.array([lengths["c2_len"]]))
+
+
+@pytest.mark.parametrize("chains", [((1, 2, 3), (2, 1, 3)), ((1, 2, 3, 4), (2, 1, 3, 5, 4))], ids=["short", "long-chain-2"])
+def test_renderer_refuses_chains_of_another_m(chains):
+    # The descriptors carry m = 4; chains of any other length do not host them.
+    comps = decompose_and_run(4, ((1, 2, 3, 4), (2, 1, 4, 3)))
     for render in (complements_to_text, complements_to_json):
-        with pytest.raises(ValueError, match=rf"^prefix length {length} is not in 0\.\.4$"):
+        with pytest.raises(BadPermutation, match=r"^not a permutation of 1\.\.4: \d points given$"):
             render(comps, *chains)
 
 
@@ -201,9 +208,7 @@ def test_cli_json_at_m500_matches_reference_and_round_trips(tmp_path, capsys):
     ids=["kind-7", "kind-minus-1", "point-9", "point-0"],
 )
 def test_renderer_names_a_kind_code_or_point_outside_its_range(j, kind, message):
-    # Point j of the 4-point geometry with prefix lengths 2 and 2.
-    comps = Complements(np.array([j]), np.array([kind]), np.array([2]), np.array([2]))
-    chains = ((1, 2, 3, 4), (2, 1, 4, 3))
-    for render in (complements_to_text, complements_to_json):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            render(comps, *chains)
+    # Point j of the 4-point geometry with prefix lengths 2 and 2: refused
+    # where the descriptors are built, before any renderer reads them.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Complements(4, np.array([j]), np.array([kind]), np.array([2]), np.array([2]))
