@@ -143,7 +143,8 @@ class OpCounter:
     a comparison between arrays of n elements counts n, and a running
     maximum over n elements counts n - 1.  ``set_ops`` counts the symbolic
     prefix registrations of the first pass, three per point (the inverse
-    position and the two prefix maxima).
+    position and the two prefix maxima).  ``_enumerate`` sets both by a
+    formula, not by tallying, so a gate of 12 comparisons a point cannot fail.
     """
 
     comparisons: int = 0
@@ -169,11 +170,15 @@ class Complement:
     c2_len: int
 
     def endpoint_sets(self, chain1, chain2):
-        """((j), [maxima]) as ground-point frozensets, per the host chains.
-        A ValueError names a prefix length outside 0..m or an unknown shape."""
-        chain1 = _as_chain(chain1)
-        tops = _tops(self, chain1.m)
-        prefixes = chain1.prefix(self.c1_len), _as_chain(chain2).prefix(self.c2_len)
+        """((j), [maxima]) as ground-point frozensets, per the host chains,
+        both permutations of 1..m, where m is chain 1's point count.  A
+        ValueError names a faulty chain, prefix length or shape."""
+        chains = _as_chain(chain1), _as_chain(chain2)
+        m = chains[0].m
+        for chain in chains:
+            _permutation(m, chain)
+        tops = _tops(self, m)
+        prefixes = [frozenset(c.perm[:n]) for c, n in zip(chains, (self.c1_len, self.c2_len))]
         return prefixes[0] & prefixes[1], [prefixes[i] for i in tops]
 
 
@@ -350,8 +355,11 @@ def decompose_and_run(m: int, chains) -> Complements:
     Renames every point by its position on chain 1, which makes chain 1 the
     identity, runs the fast path once, and renames the points of the result
     back through chain 1.  Prefix lengths are positions on the chains, so
-    they carry over unchanged.
+    they carry over unchanged.  A ValueError names any chain count but 2.
     """
+    chains = tuple(chains)
+    if len(chains) != 2:
+        raise ValueError(f"decompose_and_run needs two chains, {len(chains)} given")
     chain1, chain2 = chains
     # Positions padded with a leading 0 are read at the points themselves.
     perm1, pos1 = _padded_permutation(m, chain1)
@@ -455,8 +463,10 @@ def verify_complements(G: ConvexGeometry, comps, bound=None) -> Verification:
 
     Materializes and classifies each descriptor once, then runs the oracle
     once.  A descriptor whose set fits no classification case is
-    misclassified.
+    misclassified.  A ValueError refuses a ``Complements`` on another m.
     """
+    if isinstance(comps, Complements) and comps.m != G.m:
+        raise ValueError(f"the descriptors are on {comps.m} points, the geometry on {G.m}")
     fast = set()
     misclassified = []
     for c in comps:

@@ -76,9 +76,6 @@ class ChainSpec:
         """1-based position of each point on the chain."""
         return {p: k + 1 for k, p in enumerate(self.perm)}
 
-    def prefix(self, length: int) -> frozenset:
-        return frozenset(self.perm[:length])
-
 
 def _point(p) -> int:
     """A chain entry as an int; floats, bools and strings are refused."""

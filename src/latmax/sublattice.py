@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 from .lattice import (
     InvariantViolation,
     Lattice,
     _check_id,
-    _component_masks,
     _join_of,
     _joinand_intervals,
     _mask_in,
@@ -72,9 +71,8 @@ class OracleStats:
     each branch, and the child of each forced move.  ``dead_ends`` counts
     the paths ended by a violated pair with no admissible element.  Each
     element refused at a forced move or a dead end counts once, under the
-    first rule that refuses it: ``forbidden`` on this path, ``barred``
-    (bottom, top, doubly irreducible or below the seed), or ``component``
-    (outside every component that holds C).
+    first rule that refuses it: ``forbidden`` on this path, or ``barred``
+    (bottom, top, doubly irreducible, or before the seed in the extension).
     """
 
     nodes: int
@@ -83,7 +81,6 @@ class OracleStats:
     dead_ends: int
     forbidden: int
     barred: int
-    component: int
 
 
 class UndefinedBound(ValueError):
@@ -246,49 +243,59 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     singletons (the degenerate complements {bottom}/{top} that exist when
     bottom is meet-irreducible or top is join-irreducible are not listed).
 
-    Search: for each seed c, grow sets C whose minimum element is c.  A
-    pair x, y outside C whose meet or join lies in C is violated, and every
-    removable set holding C holds x or y.  An element is admissible when it
-    is not forbidden on this path, not bottom, top or doubly irreducible,
-    not below the seed, and C stays inside one indecomposable component
-    with it.  A violated pair with one admissible element is a forced move:
-    that element joins C, in place.  A violated pair with none ends the
-    path.  Forced moves are taken to a fixpoint before any branching; then
-    the first violation x∧y ∈ C or x∨y ∈ C, whose x and y are both
-    admissible, branches into "x joins C", searched first and in place, and
-    "y joins C, x never will", which waits on a stack.  Every minimal set
-    found is checked against is_maximal_sublattice.
+    Search: the seeds go along a linear extension, in increasing order of
+    their down masks read as integers (a proper down set is a proper
+    submask, so a smaller integer; when the ids are one already, this is id
+    order), and for each seed c it grows sets C whose first element in that
+    extension is c.  A pair x, y outside C whose meet or join lies in C is
+    violated, and every removable set holding C holds x or y.  An element
+    is admissible when it is not forbidden on this path, not bottom, top or
+    doubly irreducible, and not before the seed in the extension.  A
+    violated pair with one admissible element is a forced move: that
+    element joins C, in place.  A violated pair with none ends the path.
+    Forced moves are taken to a fixpoint before any branching; then the
+    first violation x∧y ∈ C or x∨y ∈ C, whose x and y are both admissible,
+    branches into "x joins C", searched first and in place, and "y joins C,
+    x never will", which waits on a stack.  Every minimal set found is
+    checked against is_maximal_sublattice.
 
     The search stays complete: a minimal removable set C* that holds C and
     no forbidden element holds x or y of every violated pair, and each of
     its elements is admissible (a complement of two or more elements holds
-    no doubly irreducible element and lies in one component).  So C* holds
-    the element a forced move adds, and no such C* exists past a pair with
-    no admissible element.  Forced moves so shrink the search tree, not
-    the result.  No set found is a subset of a later C, so none is tested:
-    a set from an earlier seed holds that seed, which is below the current
-    one; a set from this seed lies under the first child of the branch
-    where its path and C's part, so it holds that branch's x, and C, under
-    the second child, never does.
+    no doubly irreducible element).  So C* holds the element a forced move
+    adds, and no such C* exists past a pair with no admissible element.
+    Forced moves so shrink the search tree, not the result.  No set found
+    is a subset of a later C, so none is tested: a set from an earlier seed
+    holds that seed, which comes before the current one and is barred; a
+    set from this seed lies under the first child of the branch where its
+    path and C's part, so it holds that branch's x, and C, under the second
+    child, never does.
+
+    C stays inside one indecomposable component, as a complement of two or
+    more elements must, with no test for it.  An element joins C only from
+    a pair of incomparable elements violated at a target in C.  Such a pair
+    lies inside one component, which holds its meet and join, so C takes no
+    cut element, and a target that is none keeps C in its own component.
+    A cut element seed's pairs that meet at it lie in the component above
+    it, and those that join to it lie below it, so they are all barred.
 
     The first violation is the first unresolved pair in the order: targets
-    z of C lowest first, then the preimage pairs of z in table order.  The
-    scan is resumable: each node carries a cursor (z, i) before which every
-    pair is resolved.  C only grows along a search path, so a resolved pair
-    stays resolved; a child resumes right after its parent's branch pair,
-    or at (e, 0) when the element e it added lies below z, since e's own
-    pairs are then the first unscanned ones.  A forced pair may lie past
-    the first violation; its element f leaves the cursor where it is, or
-    moves it to (f, 0) when f lies below the cursor's target.  Forced moves
-    never rescan the table: only a pair whose target just joined C, or
-    which holds an element that just stopped being admissible (the x a
-    second child forbids, or the elements of a component C has left), can
-    have become violated with at most one admissible element, and forced
-    moves reach the same fixpoint in any order.  The lowest-target-first
-    order is kept for branching on purpose: a variant that scanned the
-    newest element's pairs first picked other violations, grew a far
-    larger tree and did not finish a two-chain geometry with m = 16 in
-    500 s.
+    z of C lowest id first, then the preimage pairs of z in table order.
+    The scan is resumable: each node carries a cursor (z, i) before which
+    every pair is resolved.  C only grows along a search path, so a
+    resolved pair stays resolved; a child resumes right after its parent's
+    branch pair, or at (e, 0) when the element e it added has a smaller id
+    than z, since e's own pairs are then the first unscanned ones.  A
+    forced pair may lie past the first violation; its element f leaves the
+    cursor where it is, or moves it to (f, 0) when f has a smaller id than
+    the cursor's target.  Forced moves never rescan the table: only a pair
+    whose target just joined C, or which holds an element that just
+    stopped being admissible (the x a second child forbids), can have
+    become violated with at most one admissible element, and forced moves
+    reach the same fixpoint in any order.  The lowest-target-first order is
+    kept for branching on purpose: a variant that scanned the newest
+    element's pairs first picked other violations, grew a far larger tree
+    and did not finish a two-chain geometry with m = 16 in 500 s.
     """
     if bound is not None and L.n > bound:
         raise OracleBoundExceeded(f"n={L.n} exceeds oracle bound {bound}")
@@ -343,20 +350,16 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     # search ends at once with the singleton {d}.
     ends = (1 << L.bottom) | (1 << L.top)
     blocked = ends | mask_of(L.irreducibles.ji & L.irreducibles.mi)
-    comp_masks = _component_masks(L)
-    several, full = len(comp_masks) > 1, L.full_mask()
 
-    def fitting(cmask: int) -> int:
-        """The union of the components that hold C: the elements C may take."""
-        return reduce(or_, (cm for cm in comp_masks if not cmask & ~cm), 0)
-
-    nodes = forced = branches = dead_ends = n_barred = n_forbidden = n_component = 0
+    nodes = forced = branches = dead_ends = n_barred = n_forbidden = 0
     found: list[int] = []
-    for seed in range(n):
+    before = 0  # the seeds already visited, all barred
+    for seed in sorted(range(n), key=L.down_masks.__getitem__):
+        # Every C of this seed has the seed as its first element in the extension.
+        barred = blocked | before
+        before |= 1 << seed
         if (ends >> seed) & 1:
             continue
-        # Every C of this seed has the seed as its least element.
-        barred = blocked | ((1 << seed) - 1)
         # (C, forbidden elements, cursor target, cursor pair index, the
         # element that just joined C, the element just forbidden or -1)
         stack = [(1 << seed, 0, seed, 0, seed, -1)]
@@ -364,14 +367,13 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
             cmask, forb, z, i, e, x = stack.pop()
             while True:
                 nodes += 1
-                fits = fitting(cmask) if several else full
-                dead = barred | forb | ~fits
+                dead = barred | forb
                 # Forced moves to a fixpoint.  Only a pair whose target just
                 # joined C, or which holds an element that just stopped being
                 # admissible, can have become violated with at most one
                 # admissible element.
                 work = [pre[e], violated_with(cmask, x)] if x >= 0 else [pre[e]]
-                low, ended = n, False  # low: the least element a forced move adds
+                low, ended = n, False  # low: the least id a forced move adds
                 while work and not ended:
                     for pair in work.pop():
                         if cmask & pair:
@@ -379,16 +381,8 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                         live = pair & ~dead
                         if live & (live - 1):
                             continue
-                        refused = pair & dead
-                        while refused:
-                            d = refused & -refused
-                            refused ^= d
-                            if forb & d:
-                                n_forbidden += 1
-                            elif barred & d:
-                                n_barred += 1
-                            else:
-                                n_component += 1
+                        n_forbidden += (pair & forb).bit_count()
+                        n_barred += (pair & barred & ~forb).bit_count()
                         if not live:
                             ended = True
                             break
@@ -399,11 +393,6 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                         if f < low:
                             low = f
                         work.append(pre[f])
-                        if several and (gone := fits & ~fitting(cmask)):
-                            # C has left a component: its other elements die.
-                            fits ^= gone
-                            dead |= gone
-                            work += [violated_with(cmask, g) for g in bits(gone)]
                 if ended:
                     dead_ends += 1
                     break
@@ -430,10 +419,10 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
         if not any(r & ~cand == 0 for r in minimal):
             minimal.append(cand)
     for c in minimal:
-        if not _is_maximal_mask(L, full & ~c):
+        if not _is_maximal_mask(L, L.full_mask() & ~c):
             raise InvariantViolation(f"oracle complement {list(bits(c))} leaves no maximal sublattice")
     result = sorted((frozenset(bits(c)) for c in minimal), key=sorted)
-    L._oracle_stats = OracleStats(nodes, forced, branches, dead_ends, n_forbidden, n_barred, n_component)
+    L._oracle_stats = OracleStats(nodes, forced, branches, dead_ends, n_forbidden, n_barred)
     L._oracle_complements = tuple(result)
     return list(result)
 

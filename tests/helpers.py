@@ -659,9 +659,12 @@ def full_rescan_oracle(L):
     Each search node rescans from C's lowest target for the first violated
     pair and branches on it: "x joins C", and "y joins C, x never will".  It
     takes no forced move and keeps no cursor, and it refuses an element that
-    would make C a proper superset of any set found so far.  Its seed order,
-    blocked elements, component rule and result order are the library's
-    rules, written out again.  No cache, no bound, no self-check.
+    would make C a proper superset of any set found so far.  Its blocked
+    elements and result order are the library's.  Its admissibility rules
+    are not: it visits the seeds in id order and keeps C inside one
+    indecomposable component by a test, where the library seeds along a
+    linear extension and needs no such test, so the two agree only if both
+    rules are complete.  No cache, no bound, no self-check.
     """
     from latmax.lattice import bits, indecomposable_components, mask_of
 

@@ -381,6 +381,38 @@ def test_endpoint_sets_names_a_prefix_length_past_the_chains(c1_len, c2_len, bad
         comp.endpoint_sets((1, 2, 3, 4), (2, 1, 4, 3))
 
 
+@pytest.mark.parametrize(
+    "chains, message",
+    [
+        (((1, 2, 3), (5,)), "1 points given"),
+        (((1, 1, 2), (1, 2, 3)), "point 1 repeats"),
+        (((1, 2, 3), (2, 1)), "2 points given"),
+    ],
+    ids=["chain2-past-m", "chain1-repeats", "chain2-shorter-than-c2-len"],
+)
+def test_endpoint_sets_refuses_a_chain_that_is_no_permutation(chains, message):
+    # m is chain 1's point count; both chains are read against it.
+    comp = Complement(1, SHAPE_CHAIN1, "Type1", 1, 3)
+    with pytest.raises(BadPermutation, match=f"^not a permutation of 1\\.\\.3: {message}$"):
+        comp.endpoint_sets(*chains)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_decompose_and_run_refuses_other_than_two_chains(count):
+    chains = [(1, 2, 3), (2, 3, 1), (3, 1, 2)][:count]
+    with pytest.raises(ValueError, match=f"^decompose_and_run needs two chains, {count} given$"):
+        decompose_and_run(3, chains)
+
+
+def test_verify_complements_refuses_descriptors_on_another_m():
+    G = build_cg(4, [(1, 2, 3, 4), (2, 1, 4, 3)])
+    comps, _ = fast_complements(3, (2, 1, 3))
+    with pytest.raises(ValueError, match="^the descriptors are on 3 points, the geometry on 4$"):
+        verify_complements(G, comps)
+    # Bare descriptors carry no m: each is checked as it is read.
+    assert not verify_complements(G, list(comps)).ok
+
+
 def test_materialize_and_endpoint_sets_refuse_an_unknown_shape():
     G = build_cg(4, [(1, 2, 3, 4), (2, 1, 4, 3)])
     comp = Complement(2, "Bogus", "Type1", 2, 2)

@@ -25,6 +25,7 @@ from latmax.corpus import (
     m3,
     n5,
     random_cdim_k,
+    sd_corpus,
 )
 from latmax.geometry import build_cg
 from latmax.lattice import (
@@ -369,7 +370,7 @@ def _reference_corpus(cdim2_through_m6):
     for k in (3, 4):
         for m in (5, 6, 7):
             yield from (random_cdim_k(m, k, seed=s).lattice for s in range(6))
-    # Here "below the seed" and the component rule meet.
+    # A numbering that is no linear extension: the seeds leave id order.
     yield _b3_glued_with_cut_first()
 
 
@@ -381,17 +382,36 @@ def test_oracle_equals_the_full_rescan_reference(cdim2_through_m6):
         assert maximal_complements_oracle(L, bound=L.n) == full_rescan_oracle(L), to_cover_text(L)
 
 
-def test_oracle_component_prune_under_a_numbering_that_is_no_linear_extension():
-    # Every corpus numbers its elements along a linear extension, so the
-    # seed-order rule already keeps C inside one component.  Here the cut
-    # element of B3 ⊕ B3 is id 0, and the component rule refuses elements.
+def test_oracle_is_complete_under_a_numbering_that_is_no_linear_extension():
+    # The cut element of B3 ⊕ B3 is id 0, so id order is no linear
+    # extension.  The oracle seeds along one, so the cut element's seed,
+    # with every element below it barred, keeps C inside the upper B3; the
+    # full-rescan reference seeds in id order and needs its component rule.
     L = _b3_glued_with_cut_first()
     assert L.n == 15 and L.bottom == 1 and L.top == 14
     assert [iv.lo for iv in indecomposable_components(L)] == [1, 0]
     got = maximal_complements_oracle(L)
     assert got == brute_max_complements(L)
     assert got == full_rescan_oracle(L)
-    assert L._oracle_stats.component == 24
+
+
+def _renumbered(L, order):
+    """L with new id i given to old id order[i]."""
+    return Lattice(L.leq[np.ix_(order, order)])
+
+
+def test_oracle_complements_do_not_change_under_a_renumbering():
+    lattices = sd_corpus(seed=0, count=120)[0]
+    lattices.append(glued([boolean(3), n5(), boolean(2)]))
+    lattices.append(build_cg(5, [(1, 2, 3, 4, 5), (3, 5, 1, 4, 2), (5, 4, 2, 1, 3)]).lattice)
+    rng = random.Random(32)
+    for L in lattices:
+        expected = maximal_complements_oracle(L)
+        for _ in range(3):
+            order = rng.sample(range(L.n), L.n)
+            got = maximal_complements_oracle(_renumbered(L, order))
+            back = sorted((frozenset(order[a] for a in C) for C in got), key=sorted)
+            assert back == expected, (to_cover_text(L), order)
 
 
 @pytest.mark.parametrize(
@@ -399,15 +419,20 @@ def test_oracle_component_prune_under_a_numbering_that_is_no_linear_extension():
     [
         (
             lambda: chain_products([3, 2, 2]),
-            OracleStats(nodes=29, forced=7, branches=6, dead_ends=6, forbidden=7, barred=12, component=0),
+            OracleStats(nodes=29, forced=7, branches=6, dead_ends=6, forbidden=7, barred=12),
         ),
         # A forced element below the cursor's target moves the cursor here.
         (
             lambda: build_cg(5, [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]).lattice,
-            OracleStats(nodes=45, forced=7, branches=12, dead_ends=13, forbidden=6, barred=27, component=0),
+            OracleStats(nodes=45, forced=7, branches=12, dead_ends=13, forbidden=6, barred=27),
+        ),
+        # The seeds leave id order here: the cut element, id 0, comes eighth.
+        (
+            _b3_glued_with_cut_first,
+            OracleStats(nodes=25, forced=0, branches=6, dead_ends=7, forbidden=0, barred=14),
         ),
     ],
-    ids=["prod322", "two-chain-m5-reversed"],
+    ids=["prod322", "two-chain-m5-reversed", "b3-glued-cut-first"],
 )
 def test_oracle_search_statistics_are_pinned(build, stats):
     # A change to the search order or to a pruning rule shows here.
