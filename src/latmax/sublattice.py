@@ -69,7 +69,8 @@ class OracleStats:
 
     ``nodes`` counts the search nodes: each seed's root, both children of
     each branch, and the child of each forced move.  ``dead_ends`` counts
-    the paths ended by a violated pair with no admissible element.  Each
+    the paths ended by a violated pair with no admissible element, and
+    ``subsumed`` the paths ended because C holds a set already found.  Each
     element refused at a forced move or a dead end counts once, under the
     first rule that refuses it: ``forbidden`` on this path, or ``barred``
     (bottom, top, doubly irreducible, or before the seed in the extension).
@@ -81,6 +82,7 @@ class OracleStats:
     dead_ends: int
     forbidden: int
     barred: int
+    subsumed: int
 
 
 class UndefinedBound(ValueError):
@@ -243,33 +245,37 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     singletons (the degenerate complements {bottom}/{top} that exist when
     bottom is meet-irreducible or top is join-irreducible are not listed).
 
-    Search: the seeds go along a linear extension, in increasing order of
-    their down masks read as integers (a proper down set is a proper
-    submask, so a smaller integer; when the ids are one already, this is id
-    order), and for each seed c it grows sets C whose first element in that
-    extension is c.  A pair x, y outside C whose meet or join lies in C is
-    violated, and every removable set holding C holds x or y.  An element
-    is admissible when it is not forbidden on this path, not bottom, top or
-    doubly irreducible, and not before the seed in the extension.  A
-    violated pair with one admissible element is a forced move: that
-    element joins C, in place.  A violated pair with none ends the path.
-    Forced moves are taken to a fixpoint before any branching; then the
-    first violation x∧y ∈ C or x∨y ∈ C, whose x and y are both admissible,
-    branches into "x joins C", searched first and in place, and "y joins C,
-    x never will", which waits on a stack.  Every minimal set found is
-    checked against is_maximal_sublattice.
+    Search: the seeds go top-down along a linear extension, in decreasing
+    order of their down masks read as integers (a proper down set is a
+    proper submask, so a smaller integer), and for each seed c it grows
+    sets C whose first element in that extension is c.  A pair x, y outside
+    C whose meet or join lies in C is violated, and every removable set
+    holding C holds x or y.  An element is admissible when it is not
+    forbidden on this path, not bottom, top or doubly irreducible, and not
+    before the seed in the extension (a seed not yet visited).  A violated
+    pair with one admissible element is a forced move: that element joins
+    C, in place.  Forced moves are taken to a fixpoint; then a path ends
+    when a pair has no admissible element or when C holds a set already
+    found (the cut).  Otherwise the first violation x∧y ∈ C or x∨y ∈ C
+    branches into "y joins C, x never will", searched first and in place,
+    and "x joins C", which waits on a stack.
 
-    The search stays complete: a minimal removable set C* that holds C and
+    Every set found is minimal, so the sets found are the result, each
+    checked against is_maximal_sublattice.  A set F found earlier than C
+    and inside it ends C's path at the cut.  A set found later is never
+    inside F: across seeds, it holds its own seed, which comes before F's
+    seed in the extension and was barred while F was searched; within one
+    seed, its path and F's part at a branch where F took "x never" and it
+    took "x joins".  A set that is not minimal leaves a sublattice that is
+    not maximal, so the self-check also guards this.
+
+    The search stays complete: a minimal removable set R that holds C and
     no forbidden element holds x or y of every violated pair, and each of
     its elements is admissible (a complement of two or more elements holds
-    no doubly irreducible element).  So C* holds the element a forced move
-    adds, and no such C* exists past a pair with no admissible element.
-    Forced moves so shrink the search tree, not the result.  No set found
-    is a subset of a later C, so none is tested: a set from an earlier seed
-    holds that seed, which comes before the current one and is barred; a
-    set from this seed lies under the first child of the branch where its
-    path and C's part, so it holds that branch's x, and C, under the second
-    child, never does.
+    no doubly irreducible element).  So R holds the element a forced move
+    adds, and no such R exists past a pair with no admissible element.
+    The cut ends the path toward R only when C holds a found F ⊆ C ⊆ R,
+    so F = R.
 
     C stays inside one indecomposable component, as a complement of two or
     more elements must, with no test for it.  An element joins C only from
@@ -290,7 +296,7 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     cursor where it is, or moves it to (f, 0) when f has a smaller id than
     the cursor's target.  Forced moves never rescan the table: only a pair
     whose target just joined C, or which holds an element that just
-    stopped being admissible (the x a second child forbids), can have
+    stopped being admissible (the x that "x never" forbids), can have
     become violated with at most one admissible element, and forced moves
     reach the same fixpoint in any order.  The lowest-target-first order is
     kept for branching on purpose: a variant that scanned the newest
@@ -351,13 +357,13 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     ends = (1 << L.bottom) | (1 << L.top)
     blocked = ends | mask_of(L.irreducibles.ji & L.irreducibles.mi)
 
-    nodes = forced = branches = dead_ends = n_barred = n_forbidden = 0
+    nodes = forced = branches = dead_ends = n_barred = n_forbidden = subsumed = 0
     found: list[int] = []
-    before = 0  # the seeds already visited, all barred
-    for seed in sorted(range(n), key=L.down_masks.__getitem__):
+    rest = L.full_mask()  # the seeds not yet visited, all barred
+    for seed in reversed(sorted(range(n), key=L.down_masks.__getitem__)):
         # Every C of this seed has the seed as its first element in the extension.
-        barred = blocked | before
-        before |= 1 << seed
+        rest ^= 1 << seed
+        barred = blocked | rest
         if (ends >> seed) & 1:
             continue
         # (C, forbidden elements, cursor target, cursor pair index, the
@@ -396,6 +402,9 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 if ended:
                     dead_ends += 1
                     break
+                if any(f & ~cmask == 0 for f in found):
+                    subsumed += 1
+                    break
                 if low < z:
                     z, i = low, 0
                 viol = first_violation(cmask, z, i)
@@ -406,23 +415,20 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 z, i = viol
                 pair = pre[z][i]
                 x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
-                # "y joins C, x never will" waits on the stack; "x joins C"
-                # is searched first, in place.
-                stack.append((cmask | (1 << y), forb | (1 << x), *((y, 0) if y < z else (z, i + 1)), y, x))
-                cmask |= 1 << x
-                z, i = (x, 0) if x < z else (z, i + 1)
-                e, x = x, -1
+                # "x joins C" waits on the stack; "y joins C, x never will"
+                # is searched first, in place, and x stays the element just
+                # forbidden.
+                stack.append((cmask | (1 << x), forb, *((x, 0) if x < z else (z, i + 1)), x, -1))
+                cmask |= 1 << y
+                forb |= 1 << x
+                z, i = (y, 0) if y < z else (z, i + 1)
+                e = y
 
-    found.sort(key=lambda m: m.bit_count())
-    minimal: list[int] = []
-    for cand in found:
-        if not any(r & ~cand == 0 for r in minimal):
-            minimal.append(cand)
-    for c in minimal:
+    for c in found:
         if not _is_maximal_mask(L, L.full_mask() & ~c):
             raise InvariantViolation(f"oracle complement {list(bits(c))} leaves no maximal sublattice")
-    result = sorted((frozenset(bits(c)) for c in minimal), key=sorted)
-    L._oracle_stats = OracleStats(nodes, forced, branches, dead_ends, n_forbidden, n_barred)
+    result = sorted((frozenset(bits(c)) for c in found), key=sorted)
+    L._oracle_stats = OracleStats(nodes, forced, branches, dead_ends, n_forbidden, n_barred, subsumed)
     L._oracle_complements = tuple(result)
     return list(result)
 

@@ -599,7 +599,6 @@ FROZENSET_REPLAY = {
     "hyp2-dual": _ref_on_dual(_ref_hyp2_fails),
     "hyp3": _ref_convex_fails,
     "hyp4": _ref_hyp4_fails,
-    "hyp4-convexity": _ref_convex_fails,
     "q2": _ref_q2_fails,
     "thm4.4": _ref_thm44_fails,
     "thm4.5": _ref_interval_fails,

@@ -315,6 +315,16 @@ def test_reverify_on_synthetic_counterexamples():
     assert not reverify_witness(honest)
 
 
+@pytest.mark.parametrize(
+    "host", [{}, {"chains": [[1, 2, 3], [3, 2, 1]]}], ids=["no-host", "chains-without-m"]
+)
+def test_reverify_refuses_a_witness_that_names_no_host(host):
+    witness = {"claim": "hyp3", "complement": [1], **host}
+    fake = CheckReport("hyp3-convex", "synthetic", 1, "CounterexampleFound", witness)
+    with pytest.raises(ValueError, match="^a witness needs 'lattice', or 'm' and 'chains'$"):
+        reverify_witness(fake)
+
+
 def test_reverify_ignores_holds():
     rep = check_hyp3_convex([boolean(2)], label="b2")
     assert rep.holds and not reverify_witness(rep)

@@ -14,7 +14,7 @@ import pytest
 import latmax
 from latmax import checks, cli
 from latmax.cdim2 import C1_TYPE2, Complements
-from latmax.corpus import boolean, sd_corpus
+from latmax.corpus import boolean, random_cdim_k, sd_corpus
 from latmax.geometry import ConvexGeometry, build_cg, format_cg_text
 from latmax.lattice import InvariantViolation, is_sd, to_cover_text
 from latmax.checks import CheckReport
@@ -316,6 +316,19 @@ def test_oracle_accepts_multichain_geometry_file(tmp_path, capsys):
     assert rc == 0
     # cyclic rotations generate the cube 2^3: six atom/coatom intervals
     assert "# 6 complements" in out
+
+
+@pytest.mark.slow
+def test_oracle_lists_the_complements_of_six_chains_over_eleven_points(tmp_path, capsys):
+    G = random_cdim_k(11, 6, seed=0)
+    p = tmp_path / "geom.txt"
+    p.write_text(format_cg_text(G.m, [c.perm for c in G.chains]))
+    rc, out, _ = run_cli(capsys, "oracle", "--file", str(p))
+    assert rc == 0
+    comps = maximal_complements_oracle(G.lattice)
+    names = [cli._fmt_points(G.element_set(a)) for a in range(G.lattice.n)]
+    listed = [" ".join(names[a] for a in sorted(c)) for c in comps]
+    assert out.splitlines()[: len(comps) + 1] == [f"# {len(comps)} complements of maximal sublattices", *listed]
 
 
 def test_oracle_and_dot_take_many_copies_of_one_chain(tmp_path, capsys):

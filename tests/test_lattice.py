@@ -121,6 +121,10 @@ def _planted(L, fault):
     elif fault == "big-endian-negative":
         meet, join = meet.astype(">i4"), join.astype(">i4")
         join[3, 2] = -1
+    elif fault == "wrong-shape":
+        join = join[:, :4]
+    elif fault == "not-integer":
+        meet = meet.astype(float)
     return meet, join
 
 
@@ -134,13 +138,15 @@ def _planted(L, fault):
         ("past-the-last-id", ValueError, "join table entry 5 at (1, 0) is not in 0..4"),
         ("unsigned-past-the-last-id", ValueError, "meet table entry 200 at (2, 3) is not in 0..4"),
         ("big-endian-negative", ValueError, "join table entry -1 at (3, 2) is not in 0..4"),
+        ("wrong-shape", ValueError, "join table must have shape (5, 5), got (5, 4)"),
+        ("not-integer", ValueError, "meet table must hold element ids, got float64"),
     ],
 )
 def test_supplied_tables_are_certified(fault, error, message):
     # N5 here: 0 < 1 < 4 and 0 < 2 < 3 < 4, so meet(1, 4) = 1 and
     # join(0, 1) = 1 are the first entries off the bottom and the top;
-    # putting the bottom or the top in their place, or an id outside 0..4,
-    # must be refused.
+    # putting the bottom or the top in their place, an id outside 0..4, or a
+    # table of the wrong shape or type must be refused.
     L = n5()
     assert L.meet[1, 4] == 1 and L.join[0, 1] == 1
     with pytest.raises(error, match=f"^{re.escape(message)}$") as err:

@@ -19,7 +19,7 @@ from latmax.sublattice import maximal_complements_oracle
 # interval, while C = {2} is an honest complement for every claim below.
 # Complements are given as masks.
 CHAIN_TAGS = (
-    "hyp1", "hyp2", "hyp2-dual", "hyp3", "hyp4-convexity", "q2", "thm4.4",
+    "hyp1", "hyp2", "hyp2-dual", "hyp3", "q2", "thm4.4",
     "thm4.5", "thm4.5-dual", "thm5.1/5.5", "distributive-baseline",
     "bounded-baseline",
 )

@@ -32,6 +32,7 @@ from latmax.lattice import (
     InvariantViolation,
     Lattice,
     from_cover_relations,
+    from_cover_text,
     indecomposable_components,
     is_sd_join,
     to_cover_text,
@@ -370,6 +371,9 @@ def _reference_corpus(cdim2_through_m6):
     for k in (3, 4):
         for m in (5, 6, 7):
             yield from (random_cdim_k(m, k, seed=s).lattice for s in range(6))
+    for k in (5, 6):
+        for m in (5, 6):
+            yield from (random_cdim_k(m, k, seed=s).lattice for s in range(4))
     # A numbering that is no linear extension: the seeds leave id order.
     yield _b3_glued_with_cut_first()
 
@@ -419,20 +423,25 @@ def test_oracle_complements_do_not_change_under_a_renumbering():
     [
         (
             lambda: chain_products([3, 2, 2]),
-            OracleStats(nodes=29, forced=7, branches=6, dead_ends=6, forbidden=7, barred=12),
+            OracleStats(nodes=29, forced=7, branches=6, dead_ends=6, forbidden=7, barred=12, subsumed=3),
         ),
-        # A forced element below the cursor's target moves the cursor here.
         (
             lambda: build_cg(5, [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]).lattice,
-            OracleStats(nodes=45, forced=7, branches=12, dead_ends=13, forbidden=6, barred=27),
+            OracleStats(nodes=32, forced=6, branches=6, dead_ends=10, forbidden=6, barred=20, subsumed=2),
         ),
         # The seeds leave id order here: the cut element, id 0, comes eighth.
         (
             _b3_glued_with_cut_first,
-            OracleStats(nodes=25, forced=0, branches=6, dead_ends=7, forbidden=0, barred=14),
+            OracleStats(nodes=25, forced=0, branches=6, dead_ends=7, forbidden=0, barred=14, subsumed=0),
+        ),
+        # A forced element below the cursor's target moves the cursor here:
+        # the seed 6 forces 4.
+        (
+            lambda: from_cover_text("7\n0 1\n2 5\n3 4\n4 1\n5 3\n5 6\n6 0\n6 4\n"),
+            OracleStats(nodes=6, forced=1, branches=0, dead_ends=2, forbidden=0, barred=5, subsumed=0),
         ),
     ],
-    ids=["prod322", "two-chain-m5-reversed", "b3-glued-cut-first"],
+    ids=["prod322", "two-chain-m5-reversed", "b3-glued-cut-first", "cursor-moved-down"],
 )
 def test_oracle_search_statistics_are_pinned(build, stats):
     # A change to the search order or to a pruning rule shows here.
@@ -443,6 +452,24 @@ def test_oracle_search_statistics_are_pinned(build, stats):
     # A cached answer leaves the record of the search that made it.
     maximal_complements_oracle(L)
     assert L._oracle_stats == stats
+
+
+@pytest.mark.parametrize(
+    "m, k, n, count, max_nodes",
+    [
+        (9, 6, 174, 33, 25_000),
+        pytest.param(11, 6, 297, 30, 200_000, marks=pytest.mark.slow),
+        pytest.param(10, 4, 203, 21, 200_000, marks=pytest.mark.slow),
+    ],
+)
+def test_oracle_reaches_many_chains(m, k, n, count, max_nodes):
+    # Past two chains the oracle is the only ground truth.  A path whose C
+    # holds a set already found ends there; without that cut the first
+    # geometry ran past 100 s.
+    L = random_cdim_k(m, k, seed=0).lattice
+    assert L.n == n
+    assert len(maximal_complements_oracle(L)) == count
+    assert L._oracle_stats.nodes < max_nodes and L._oracle_stats.subsumed > 0
 
 
 def test_oracle_self_check_failure_raises(monkeypatch):
