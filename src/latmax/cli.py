@@ -191,7 +191,8 @@ def cmd_bench(args) -> int:
     import random as _random
 
     sizes = [int(t) if _is_int(t) else 0 for t in args.sizes.split(",")]
-    if min(sizes) < 1:
+    # A size past sys.maxsize could never become a list of points.
+    if min(sizes) < 1 or max(sizes) > sys.maxsize:
         raise _InputError(f"--sizes takes comma-separated positive integers, got {_clip(args.sizes)}")
     rng = _random.Random(args.seed)
     rows = []

@@ -20,7 +20,7 @@ tables it is handed against the order.
 from __future__ import annotations
 
 import operator
-from array import array
+import struct
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress
@@ -68,7 +68,11 @@ class ChainSpec:
 
     def validate(self, m: int):
         """(perm, positions) as int64 arrays, after checking the chain is a
-        permutation of 1..m; positions[p - 1] is the position of point p."""
+        permutation of 1..m; positions[p - 1] is the position of point p.
+
+        The chain is a tuple, read by :func:`_padded_permutation` with one
+        struct pack that only reads its points, so perm is a read-only view
+        of the packed bytes; nothing in latmax writes to it."""
         return _permutation(m, self.perm)
 
     @cached_property
@@ -100,20 +104,27 @@ def _padded_permutation(m: int, phi):
     The one check of a chain's points.  A fault names the first offending
     point or the count given, never the whole chain.
 
-    A tuple or list is read through an int64 buffer, which takes what
-    ``operator.index`` takes.  The buffer refuses floats, strings, nested
-    lists, numpy bools and ints past int64, and it reads a bool as an int;
-    on any of these, or any fault, the chain is read again through numpy,
-    which names the fault.
+    A tuple or list of m points is read with one ``Struct(f"{m}q").pack``
+    call, whose ``q`` code takes what ``operator.index`` takes.  Unpacked
+    into the call, an exact tuple hands over its own item array, so the
+    points are only read: an int64 buffer built item by item would take and
+    drop a reference to each point, writing its reference count twice.  A
+    list is first copied into a temporary tuple.  The chain array then sits
+    on the packed ``bytes`` and is read-only.  The pack refuses floats,
+    strings, nested lists, numpy bools and ints past int64, and it reads a
+    bool as an int; on any of these, or any fault, the chain is read again
+    through numpy, which names the fault.
     """
+    m = _ground_size(m)
     if m < 1:
         raise BadPermutation("ground set must be nonempty")
     if isinstance(phi, ChainSpec):
         phi = phi.perm
     if type(phi) in (tuple, list) and len(phi) == m:
         try:
-            return _inverted(m, np.frombuffer(array("q", phi), dtype=np.int64), phi)
-        except (TypeError, OverflowError, BadPermutation):
+            packed = struct.Struct(f"{m}q").pack(*phi)
+            return _inverted(m, np.frombuffer(packed, dtype=np.int64), phi)
+        except (struct.error, BadPermutation):
             pass  # read it again below, where each fault gets its message
     try:
         perm = np.asarray(phi)
@@ -130,6 +141,17 @@ def _padded_permutation(m: int, phi):
     if perm.dtype.kind not in "iu":
         raise BadPermutation(f"points must be integers, got {perm.dtype}")
     return _inverted(m, perm.astype(np.int64, copy=False), phi)
+
+
+def _ground_size(m) -> int:
+    """The ground set size as an int; a bool, or what ``operator.index``
+    refuses, is refused."""
+    if not isinstance(m, bool):
+        try:
+            return operator.index(m)
+        except TypeError:
+            pass
+    raise BadPermutation(f"ground set size {m!r} is not an integer")
 
 
 def _inverted(m: int, perm, phi):

@@ -31,7 +31,7 @@ from latmax.cdim2 import (
 )
 from latmax.checks import check_lemma_64_65
 from latmax.corpus import all_cdim2_geometries, random_permutation
-from latmax.geometry import BadPermutation, ChainSpec, build_cg
+from latmax.geometry import BadPermutation, ChainSpec, _padded_permutation, build_cg
 from latmax.lattice import bits
 from latmax.sublattice import is_maximal_sublattice, maximal_complements_oracle
 
@@ -187,6 +187,55 @@ def test_index_points_read_alike_by_every_entry_point():
     for chain in (phi, list(phi)):
         assert fast_complements(3, chain)[0] == fast_complements(3, plain)[0]
         assert decompose_and_run(3, (chain, (1, 2, 3))) == decompose_and_run(3, (plain, (1, 2, 3)))
+
+
+# A ground set size is an int: a bool, or what operator.index refuses, is
+# refused by every entry point before a point is read.
+_NOT_A_SIZE = [
+    (3.0, "ground set size 3.0 is not an integer"),
+    ("3", "ground set size '3' is not an integer"),
+    (True, "ground set size True is not an integer"),
+]
+
+
+@pytest.mark.parametrize("m, message", _NOT_A_SIZE, ids=["float", "str", "bool"])
+def test_non_integer_ground_set_size_rejected(m, message):
+    chain = (1, 2, 3)
+    calls = [
+        lambda: fast_complements(m, chain),
+        lambda: decompose_and_run(m, (chain, chain)),
+        lambda: ChainSpec(chain).validate(m),
+        lambda: build_cg(m, [chain, chain]),
+    ]
+    for call in calls:
+        with pytest.raises(BadPermutation) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_numpy_int_ground_set_size_is_accepted():
+    m, chains = np.int64(3), ((1, 2, 3), (3, 1, 2))
+    assert fast_complements(m, chains[1])[0] == fast_complements(3, chains[1])[0]
+    assert decompose_and_run(m, chains) == decompose_and_run(3, chains)
+    assert build_cg(m, chains).lattice.n == build_cg(3, chains).lattice.n
+
+
+@given(st.integers(1, 60).flatmap(lambda m: st.permutations(range(1, m + 1))), st.data())
+@settings(max_examples=60)
+def test_every_chain_form_reads_alike(perm, data):
+    # A tuple, a list and an int64 array of one permutation read to the same
+    # (perm, positions), and so does a tuple or list mixing numpy ints and
+    # __index__ points with plain ints.
+    m = len(perm)
+    positions = [0] * (m + 1)
+    for k, p in enumerate(perm, 1):
+        positions[p] = k
+    kinds = data.draw(st.lists(st.sampled_from([int, np.int64, np.uint32, _Index]), min_size=m, max_size=m))
+    mixed = tuple(kind(p) for kind, p in zip(kinds, perm))
+    for chain in (tuple(perm), list(perm), np.array(perm, dtype=np.int64), mixed, list(mixed)):
+        got, pos = _padded_permutation(m, chain)
+        assert got.dtype == pos.dtype == np.int64
+        assert (got.tolist(), pos.tolist()) == (perm, positions)
 
 
 @pytest.mark.parametrize("chain", [(1.5, 2), (True, 2), ("1", "2")])
@@ -813,22 +862,24 @@ def _traced(call, *args):
 
 
 def test_fast_path_memory_budget_at_m100000():
-    # Bytes per point at m = 10^5 on chains given as lists: each pass frees
-    # its arrays, and decompose_and_run gathers from positions padded with a
-    # leading 0, so the transient peak stays within 40 (fast_complements)
-    # and 48 (decompose_and_run).  What is kept is the columns alone: 17
+    # Bytes per point at m = 10^5 on chains given as lists and as tuples
+    # (the form the CLI passes): each pass frees its arrays, and
+    # decompose_and_run gathers from positions padded with a leading 0, so
+    # the transient peak stays within 40 (fast_complements) and 48
+    # (decompose_and_run).  What is kept is the columns alone: 17
     # bytes per descriptor (int64 j = c1_len, int8 kind, int64 c2_len), and
     # 25 once j and c1_len differ.
     m = 10**5
     rng = random.Random(80)
-    a, b = (list(random_permutation(m, rng)) for _ in range(2))
-    (fast, _), fast_peak, fast_kept = _traced(fast_complements, m, a)
-    relabeled, relabel_peak, relabel_kept = _traced(decompose_and_run, m, [b, a])
-    assert fast_peak <= 40 * m and relabel_peak <= 48 * m, (fast_peak / m, relabel_peak / m)
-    # Besides the columns, a few Python objects: the arrays' headers, the
-    # Complements and the OpCounter.
-    assert 17 * len(fast) <= fast_kept <= 17 * len(fast) + 4096, fast_kept
-    assert 25 * len(relabeled) <= relabel_kept <= 25 * len(relabeled) + 4096, relabel_kept
+    a, b = (random_permutation(m, rng) for _ in range(2))
+    for form in (list, tuple):
+        (fast, _), fast_peak, fast_kept = _traced(fast_complements, m, form(a))
+        relabeled, relabel_peak, relabel_kept = _traced(decompose_and_run, m, [form(b), form(a)])
+        assert fast_peak <= 40 * m and relabel_peak <= 48 * m, (form, fast_peak / m, relabel_peak / m)
+        # Besides the columns, a few Python objects: the arrays' headers, the
+        # Complements and the OpCounter.
+        assert 17 * len(fast) <= fast_kept <= 17 * len(fast) + 4096, (form, fast_kept)
+        assert 25 * len(relabeled) <= relabel_kept <= 25 * len(relabeled) + 4096, (form, relabel_kept)
 
 
 def test_fast_path_leaves_its_inputs_alone():

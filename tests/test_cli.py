@@ -361,6 +361,7 @@ def test_oracle_and_dot_take_many_copies_of_one_chain(tmp_path, capsys):
         (["--file", ""], "empty cover-list input"),
         (["--file", "2\n0 5\n"], "cover pair (0, 5) out of range for n=2"),
         (["--file", "3 2\n1 2 3\n"], "expected 2 chain lines, got 1"),
+        (["bench", "--sizes", "99999999999999999999"], "--sizes takes comma-separated positive integers"),
     ],
 )
 def test_malformed_geometry_exit_code(argv, message, tmp_path, capsys):

@@ -62,17 +62,23 @@ def test_only_checks_builds_a_check_report():
     assert SOURCES and not found, found
 
 
+def _imports(tree) -> list:
+    """(top-level module name, line) of each absolute import in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.append(((node.module or "").split(".")[0], node.lineno))
+    return found
+
+
 def test_sublattice_imports_no_numpy():
     # Closure, maximality and the oracle run on int masks; an array import
     # would let array round trips back into the search.
     path = Path(latmax.__file__).parent / "sublattice.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = [
-        f"sublattice.py:{node.lineno}"
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
-    ]
+    found = [f"sublattice.py:{line}" for name, line in _imports(tree) if name == "numpy"]
     assert not found, found
 
 
@@ -106,4 +112,35 @@ def test_only_cdim2_builds_an_unchecked_complements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
     ]
+    assert SOURCES and not found, found
+
+
+def test_chains_become_int64_in_one_place():
+    # geometry._padded_permutation reads every tuple or list chain into
+    # int64 with one Struct(...).pack call.  A second pack, or an int64
+    # buffer built with array, would be a second read of the points with its
+    # own accepted inputs and messages.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{line} imports {name}"
+            for name, line in _imports(tree)
+            if name == "array" or (name == "struct" and path.name != "geometry.py")
+        ]
+        reader = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_padded_permutation" and path.name == "geometry.py"
+            for node in ast.walk(fn)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if id(node) not in reader
+            and isinstance(node, ast.Attribute)
+            and node.attr in ("pack", "pack_into")
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "attr", getattr(node.value.func, "id", None)) == "Struct"
+        ]
     assert SOURCES and not found, found
