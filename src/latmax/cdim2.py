@@ -173,12 +173,11 @@ class Complement:
         """((j), [maxima]) as ground-point frozensets, per the host chains,
         both permutations of 1..m, where m is chain 1's point count.  A
         ValueError names a faulty chain, prefix length or shape."""
-        chains = _as_chain(chain1), _as_chain(chain2)
-        m = chains[0].m
-        for chain in chains:
-            _permutation(m, chain)
+        chain1 = _as_chain(chain1)
+        m = chain1.m
+        perms = [_as_chain(c).validate(m)[0] for c in (chain1, chain2)]
         tops = _tops(self, m)
-        prefixes = [frozenset(c.perm[:n]) for c, n in zip(chains, (self.c1_len, self.c2_len))]
+        prefixes = [frozenset(p[:n].tolist()) for p, n in zip(perms, (self.c1_len, self.c2_len))]
         return prefixes[0] & prefixes[1], [prefixes[i] for i in tops]
 
 

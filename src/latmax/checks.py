@@ -34,7 +34,6 @@ from .geometry import ConvexGeometry, build_cg
 from .lattice import (
     InvariantViolation,
     Lattice,
-    _component_masks,
     _is_convex_mask,
     _join_of,
     _joinand_intervals,
@@ -718,8 +717,10 @@ def observation_suite(L: Lattice, M) -> CheckReport:
     minima, maxima = _minimal_mask(L, cmask), _minimal_mask(L.dual, cmask)
     sides = ((L, minima, maxima), (L.dual, maxima, minima))
 
-    # 3.1 complement confined to one indecomposable component
-    if cmask and not any(cmask & ~comp == 0 for comp in _component_masks(L)):
+    # 3.1 complement confined to one indecomposable component, that is
+    # inside ↑c or ↓c for every cut element c (one comparable to all)
+    up, down, full = L.up_masks, L.down_masks, L.full_mask()
+    if any(up[c] | down[c] == full and cmask & ~up[c] and cmask & ~down[c] for c in range(L.n)):
         return report("3.1-component")
 
     # 3.2 no doubly irreducible element when |C| >= 2
@@ -741,7 +742,6 @@ def observation_suite(L: Lattice, M) -> CheckReport:
 
     # 3.5 no partition into two mutually incomparable nonempty parts: the
     # comparability graph on C, searched from its lowest id, is connected.
-    up, down = L.up_masks, L.down_masks
     reached = frontier = cmask & -cmask
     while frontier:
         step = 0

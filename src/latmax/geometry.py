@@ -55,12 +55,11 @@ class BadPermutation(ValueError):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A linear order on {1..m}: perm[k] is the (k+1)-st smallest point."""
+    """A linear order on {1..m}: perm[k] is the (k+1)-st smallest point.
+
+    The points are kept as given; :meth:`validate` is their one check."""
 
     perm: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(map(_point, self.perm)))
 
     @property
     def m(self) -> int:
@@ -70,15 +69,10 @@ class ChainSpec:
         """(perm, positions) as int64 arrays, after checking the chain is a
         permutation of 1..m; positions[p - 1] is the position of point p.
 
-        The chain is a tuple, read by :func:`_padded_permutation` with one
+        A tuple or list is read by :func:`_padded_permutation` with one
         struct pack that only reads its points, so perm is a read-only view
         of the packed bytes; nothing in latmax writes to it."""
         return _permutation(m, self.perm)
-
-    @cached_property
-    def pos(self) -> dict:
-        """1-based position of each point on the chain."""
-        return {p: k + 1 for k, p in enumerate(self.perm)}
 
 
 def _point(p) -> int:
@@ -101,8 +95,9 @@ def _padded_permutation(m: int, phi):
     """(phi, positions) as int64 arrays, after checking phi is a permutation
     of 1..m; positions[p] is the position of point p, and positions[0] = 0.
 
-    The one check of a chain's points.  A fault names the first offending
-    point or the count given, never the whole chain.
+    The one reader of a chain's points: every entry point, ``ChainSpec``
+    included, takes them from the arrays it returns.  A fault names the
+    first offending point or the count given, never the whole chain.
 
     A tuple or list of m points is read with one ``Struct(f"{m}q").pack``
     call, whose ``q`` code takes what ``operator.index`` takes.  Unpacked
@@ -201,11 +196,13 @@ class ConvexGeometry:
 
     def __init__(self, m: int, chains, verify: bool = True):
         self.m = m
-        self.chains = tuple(_as_chain(c) for c in chains)
-        if not self.chains:
+        read = [_as_chain(c).validate(m) for c in chains]
+        if not read:
             raise BadPermutation("at least one generating chain is required")
+        # The chains as the ints their one check read.
+        self.chains = tuple(ChainSpec(tuple(perm.tolist())) for perm, _ in read)
         # pos[i, p - 1] is the 1-based position of point p on chain i.
-        pos = np.array([c.validate(m)[1] for c in self.chains])
+        pos = np.array([p for _, p in read])
         self._points, coords, self._member_at = _members(pos, m)
         self._coords, self._positions = coords, pos
         meet = self._member_at(np.minimum.outer(t, t) for t in coords)
@@ -262,8 +259,8 @@ class ConvexGeometry:
     def _pos(self, i: int, x: int) -> int:
         """The 1-based position of point x on chain i; a ValueError names a
         chain index outside 0..k-1 or a point outside 1..m."""
-        chain = self.chains[_index_in(i, 0, len(self.chains) - 1, "chain index")]
-        return chain.pos[_index_in(x, 1, self.m, "point")]
+        i = _index_in(i, 0, len(self.chains) - 1, "chain index")
+        return int(self._positions[i, _index_in(x, 1, self.m, "point") - 1])
 
     def chain_prefix_of_point(self, i: int, x: int) -> int:
         """C_i(x): the least prefix of chain i containing ground point x."""
@@ -287,8 +284,7 @@ class ConvexGeometry:
         if k == self.m:
             return None, False
         x = self.chains[i].perm[k]
-        other = self.chains[1 - i].pos
-        return x, other[x] <= other[j]
+        return x, self._pos(1 - i, x) <= self._pos(1 - i, j)
 
     def point_closure(self, x: int) -> int:
         """(x): the smallest family member containing x; join-irreducible.
@@ -414,10 +410,11 @@ def build_cg(m: int, chains, verify: bool = True) -> ConvexGeometry:
 
 
 def format_cg_text(m: int, chains) -> str:
-    """CG text format: `m k` then one space-separated permutation per line."""
-    chains = [_as_chain(c) for c in chains]
-    lines = [f"{m} {len(chains)}"]
-    lines += [" ".join(map(str, c.perm)) for c in chains]
+    """CG text format: `m k` then one space-separated permutation per line;
+    a BadPermutation names a chain that is no permutation of 1..m."""
+    perms = [_as_chain(c).validate(m)[0] for c in chains]
+    lines = [f"{m} {len(perms)}"]
+    lines += [" ".join(map(str, perm.tolist())) for perm in perms]
     return "\n".join(lines) + "\n"
 
 

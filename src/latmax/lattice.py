@@ -97,16 +97,14 @@ class Lattice:
     # The oracle's result, a tuple once computed, and the OracleStats of the
     # search that computed it; the masks of the proper sublattices'
     # complements the checks quantify over, a tuple once computed; whether
-    # the lattice is SD-join, a bool once computed; the masks of the
-    # indecomposable components, a tuple once computed; and the intervals
-    # [j, x] of the canonical joinands j of each x, a tuple once computed.
-    # A dual view takes its primal's covers and irreducibles, but keeps
-    # these six of its own.
+    # the lattice is SD-join, a bool once computed; and the intervals [j, x]
+    # of the canonical joinands j of each x, a tuple once computed.  A dual
+    # view takes its primal's covers and irreducibles, but keeps these five
+    # of its own.
     _oracle_complements = None
     _oracle_stats = None
     _sublattice_complements = None
     _sd_join = None
-    _components = None
     _joinand_intervals = None
 
     def __init__(self, leq, *, tables=None):
@@ -173,11 +171,6 @@ class Lattice:
         return d
 
     # -- structure ---------------------------------------------------------
-
-    @cached_property
-    def _canonical_reps(self) -> dict:
-        """x -> canonical join representation of x, filled by canonical_join_rep."""
-        return {}
 
     @cached_property
     def covers(self):
@@ -451,14 +444,17 @@ def from_cover_relations(n: int, covers) -> Lattice:
     The pairs may be any acyclic generating relation; the order is their
     reflexive-transitive closure.  Raises CyclicInput on a cycle and
     NotALattice when some pair has no unique glb/lub or there is no unique
-    bottom/top.
+    bottom/top, and a ValueError names a pair that is not two element ids in
+    0..n-1 (a bool or a float such as 0.5 is none).
     """
     if n < 0:
         raise ValueError(f"element count must be nonnegative, got {n}")
     succ = [[] for _ in range(n)]
     for lo, hi in covers:
-        if not (0 <= lo < n and 0 <= hi < n):
-            raise ValueError(f"cover pair {(lo, hi)} out of range for n={n}")
+        try:
+            lo, hi = (_index_in(x, 0, n - 1, "element id") for x in (lo, hi))
+        except ValueError:
+            raise ValueError(f"cover pair {(lo, hi)} out of range for n={n}") from None
         succ[lo].append(hi)
     # The sorter takes succ[a] as a's predecessors, so each element comes
     # after every element above it.
@@ -596,14 +592,12 @@ def canonical_join_rep(L: Lattice, x: int):
     ↓y, and it lies above j_y; for y ≠ y′, y lies in ↓x ∖ ↓y′, so j_{y′} <= y
     and the j_y form an irredundant antichain.  (⇒) X refines {y, z} for
     every z in ↓x ∖ ↓y; taking z in X shows that one element of X lies
-    outside ↓y, and it lies below every such z.  A ValueError names an x
-    outside 0..n-1.
+    outside ↓y, and it lies below every such z.  Read from
+    :func:`_joinand_intervals`, which computes every x's once per lattice.
+    A ValueError names an x outside 0..n-1.
     """
-    reps = L._canonical_reps
-    # A bool or a float equal to a cached id would find that id's entry.
-    if type(x) is not int or x not in reps:
-        reps[x] = _canonical_rep_uncached(L, x)
-    return reps[x]
+    pairs = _joinand_intervals(L)[_check_id(L, x)]
+    return None if pairs is None else frozenset(j for j, _ in pairs)
 
 
 def canonical_meet_rep(L: Lattice, x: int):
@@ -618,7 +612,7 @@ def _joinand_intervals(L: Lattice) -> tuple:
     are the canonical meetands u of x with the mask of [x, u] in L."""
     if L._joinand_intervals is None:
         up, down = L.up_masks, L.down_masks
-        reps = (canonical_join_rep(L, x) for x in range(L.n))
+        reps = (_canonical_rep(L, x) for x in range(L.n))
         L._joinand_intervals = tuple(
             None if rep is None else tuple((j, up[j] & down[x]) for j in sorted(rep))
             for x, rep in enumerate(reps)
@@ -626,8 +620,8 @@ def _joinand_intervals(L: Lattice) -> tuple:
     return L._joinand_intervals
 
 
-def _canonical_rep_uncached(L: Lattice, x: int):
-    _check_id(L, x)
+def _canonical_rep(L: Lattice, x: int):
+    """The canonical joinands of element x as a frozenset, or None."""
     down = L.down_masks
     joinands = {_least(L, down[x] & ~down[y]) for y in L.lower_covers[x]}
     if None in joinands:
@@ -694,15 +688,6 @@ def indecomposable_components(L: Lattice):
     cuts = [a for a in range(L.n) if L.up_masks[a] | L.down_masks[a] == full]
     cuts.sort(key=lambda a: L.down_masks[a].bit_count())
     return [Interval(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-
-
-def _component_masks(L: Lattice) -> tuple:
-    """The masks of the indecomposable components of L, computed once per
-    lattice; the full mask for a one-element lattice, which has none."""
-    if L._components is None:
-        ivs = indecomposable_components(L)
-        L._components = tuple(L.interval_mask(iv.lo, iv.hi) for iv in ivs) or (L.full_mask(),)
-    return L._components
 
 
 def double_interval(L: Lattice, iv: Interval) -> Lattice:

@@ -271,9 +271,7 @@ def scalar_fast_complements(m, phi):
     )
     from latmax.geometry import _as_chain
 
-    phi = _as_chain(phi)
-    phi.validate(m)
-    perm = (0,) + phi.perm  # 1-based
+    perm = (0, *_as_chain(phi).validate(m)[0].tolist())  # 1-based
 
     inv = [0] * (m + 1)
     for k in range(1, m + 1):
@@ -317,11 +315,9 @@ def block_decompose_and_run(m, chains):
     from latmax.cdim2 import SHAPE_CHAIN1, SHAPE_CHAIN2, TYPE2, Complement
     from latmax.geometry import _as_chain
 
-    chain1, chain2 = (_as_chain(c) for c in chains)
-    chain1.validate(m)
-    chain2.validate(m)
-    pos1 = chain1.pos
-    norm = [pos1[p] for p in chain2.perm]  # chain 2 in relabeled points
+    (perm1, pos1), (perm2, _) = (_as_chain(c).validate(m) for c in chains)
+    perm1 = perm1.tolist()
+    norm = pos1[perm2 - 1].tolist()  # chain 2 in relabeled points
 
     # Block boundaries: running max of norm equals the position index.
     cuts = [0]
@@ -339,11 +335,11 @@ def block_decompose_and_run(m, chains):
         for c in comps:
             out.append(
                 Complement(
-                    chain1.perm[lo + c.j - 1], c.shape, c.case, lo + c.c1_len, lo + c.c2_len
+                    perm1[lo + c.j - 1], c.shape, c.case, lo + c.c1_len, lo + c.c2_len
                 )
             )
         if bi + 2 < len(cuts) and size == 1 and cuts[bi + 2] - hi == 1:
-            out.append(Complement(chain1.perm[hi - 1], SHAPE_CHAIN1, TYPE2, hi, hi))
+            out.append(Complement(perm1[hi - 1], SHAPE_CHAIN1, TYPE2, hi, hi))
     out.sort(key=lambda c: (c.c1_len, 0 if c.shape != SHAPE_CHAIN2 else 1))
     return out
 
@@ -852,7 +848,7 @@ def least_mi_on_chain(G, i, x):
     qualify is the top X (which is never meet-irreducible).
     """
     mi = G.lattice.irreducibles.mi
-    for k in range(G.chains[i].pos[x], G.m + 1):
+    for k in range(G._pos(i, x), G.m + 1):
         a = G.chain_elements[i][k]
         if a in mi:
             return a

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from latmax.corpus import all_cdim2_geometries, boolean, chain, doubled_sequences
-from latmax.lattice import Lattice, _component_masks, bits, mask_of, minimal_elements
+from latmax.lattice import Lattice, bits, mask_of, minimal_elements
 from latmax.sublattice import maximal_complements_oracle
 
 
@@ -45,7 +45,6 @@ def test_dual_shares_arrays_and_double_dual_is_primal(dual_corpus):
         assert np.array_equal(DD.leq, L.leq) and DD.meet is L.meet
         assert (DD.bottom, DD.top, DD.down_masks) == (L.bottom, L.top, L.down_masks)
         assert DD.covers is L.covers and DD.lower_covers is L.lower_covers
-        assert _component_masks(L) is _component_masks(L)
 
 
 def test_oracle_complements_are_self_dual(dual_corpus):

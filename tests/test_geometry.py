@@ -310,6 +310,16 @@ def test_cg_text_round_trip():
     assert m == 4 and [c.perm for c in chains] == [(1, 2, 3, 4), (2, 4, 1, 3)]
 
 
+def test_cg_text_writes_only_checked_chains():
+    # A chain is checked as every entry point checks it, and written as the
+    # ints that check read.
+    with pytest.raises(BadPermutation, match=r"^not a permutation of 1\.\.3: point 1 repeats$"):
+        format_cg_text(3, [(1, 1, 1), (3, 2, 1)])
+    with pytest.raises(BadPermutation, match=r"^points must be integers, got float64$"):
+        format_cg_text(2, [(1.0, 2.0)])
+    assert format_cg_text(3, [np.array([3, 1, 2]), (np.int32(2), 3, 1)]) == "3 2\n3 1 2\n2 3 1\n"
+
+
 # -- lemma 6.3 structural facts -------------------------------------------------
 
 
@@ -338,7 +348,7 @@ def lemma_63_assertions(G):
         assert L.interval(cx, c1) & L.interval(cx, c2) == {cx}
         # (6) the down set of a chain prefix splits at the closure
         for i, ci in ((0, c1), (1, c2)):
-            pos = G.chains[i].pos[x]
+            pos = G._pos(i, x)
             prev = G.chain_elements[i][pos - 1]
             down_ci = L.interval(L.bottom, ci)
             upper = L.interval(cx, ci)

@@ -184,8 +184,11 @@ def test_cyclic_input_rejected():
         (lambda: Lattice(np.zeros((0, 0), dtype=bool)), "empty carrier has no bottom/top"),
         (lambda: double_interval(n5(), Interval(1, 2)), "not an interval: Interval(lo=1, hi=2)"),
         (lambda: glued([]), "glued sum needs at least one part"),
+        # Cover pairs follow the id rule: a float or a bool is no element id.
+        (lambda: from_cover_relations(2, [(0.5, 1)]), "cover pair (0.5, 1) out of range for n=2"),
+        (lambda: from_cover_relations(2, [(True, 0)]), "cover pair (True, 0) out of range for n=2"),
     ],
-    ids=["non-square", "empty", "not-an-interval", "empty-glued-sum"],
+    ids=["non-square", "empty", "not-an-interval", "empty-glued-sum", "float-cover", "bool-cover"],
 )
 def test_malformed_lattice_input_is_named(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -117,9 +117,10 @@ def test_only_cdim2_builds_an_unchecked_complements():
 
 def test_chains_become_int64_in_one_place():
     # geometry._padded_permutation reads every tuple or list chain into
-    # int64 with one Struct(...).pack call.  A second pack, or an int64
-    # buffer built with array, would be a second read of the points with its
-    # own accepted inputs and messages.
+    # int64 with one Struct(...).pack call, and only it converts single
+    # points, with geometry._point.  A second pack, an int64 buffer built
+    # with array, or a _point call elsewhere would be a second read of the
+    # points with its own accepted inputs and messages.
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -142,5 +143,15 @@ def test_chains_become_int64_in_one_place():
             and node.attr in ("pack", "pack_into")
             and isinstance(node.value, ast.Call)
             and getattr(node.value.func, "attr", getattr(node.value.func, "id", None)) == "Struct"
+        ]
+        found += [
+            f"{path.name}:{node.lineno} names _point"
+            for node in ast.walk(tree)
+            if id(node) not in reader
+            and (
+                isinstance(node, ast.Name) and node.id == "_point"
+                or isinstance(node, ast.Attribute) and node.attr == "_point"
+                or isinstance(node, ast.alias) and node.name == "_point"
+            )
         ]
     assert SOURCES and not found, found
