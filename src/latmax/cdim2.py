@@ -418,18 +418,19 @@ def classify_complement(G: ConvexGeometry, C) -> str:
     # position t_1(lo), and none when lo is empty.
     t = int(G._coords[0, lo])
     j = G.chains[0].perm[t - 1] if t else None
-    if j is None or G.point_closure(j) != lo:
+    if j is None or G._closures[j - 1] != lo:
         raise NoCaseMatches("minimum is not a point closure")
 
-    interval = [L.interval_mask(lo, G.chain_prefix_of_point(i, j)) for i in (0, 1)]
-    (x1, x2), inside = zip(G.successor(0, j), G.successor(1, j))
+    # Per chain i: |C_i(j)|, the successor x_i, and whether x_i lies in C_i'(j).
+    (k1, x1, in1), (k2, x2, in2) = G._successors(j)
+    interval = [L.interval_mask(lo, prefixes[k]) for prefixes, k in zip(G.chain_elements, (k1, k2))]
     on = G.chain_member[lo]
     same_step = x1 is not None and x1 == x2
     # (case, set, premise).  The union needs no count of maxima: were one
     # prefix inside the other, (j) would equal it and lie on a chain.
     rows = [(TYPE3, interval[0] | interval[1], same_step and not any(on))]
-    for i in (0, 1):
-        rows += [(TYPE1, interval[i], inside[i] and not on[1 - i]), (TYPE2, interval[i], same_step and on[1 - i])]
+    for i, inside in ((0, in1), (1, in2)):
+        rows += [(TYPE1, interval[i], inside and not on[1 - i]), (TYPE2, interval[i], same_step and on[1 - i])]
     tags = {case for case, mask, premise in rows if premise and mask == cmask}
     if len(tags) != 1:
         raise NoCaseMatches(f"matched cases {sorted(tags)} for C={list(bits(cmask))}")

@@ -50,7 +50,7 @@ from .lattice import (
     to_cover_text,
 )
 from .sublattice import (
-    _generated_mask,
+    _grow,
     _is_maximal_mask,
     _strict_joinands,
     is_sublattice,
@@ -521,7 +521,7 @@ def sublattice_complements(L: Lattice) -> list:
             rng = random.Random(0)
             for _ in range(SUBLATTICE_SAMPLES):
                 size = rng.randint(1, max(1, L.n // 2))
-                sub = _generated_mask(L, mask_of(rng.sample(range(L.n), size)))
+                sub = _grow(L, 0, mask_of(rng.sample(range(L.n), size)))
                 if sub != full:
                     seen.add(full & ~sub)
             found = sorted(seen, key=lambda cmask: (cmask.bit_count(), list(bits(cmask))))

@@ -53,13 +53,20 @@ class BadPermutation(ValueError):
     """A chain is not a permutation of {1..m}."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpec:
     """A linear order on {1..m}: perm[k] is the (k+1)-st smallest point.
 
-    The points are kept as given; :meth:`validate` is their one check."""
+    The points are kept as given; :meth:`validate` is their one check.  Specs
+    compare and hash by their points, in a tuple, list or numpy array alike."""
 
     perm: tuple
+
+    def __eq__(self, other):
+        return tuple(self.perm) == tuple(other.perm) if isinstance(other, ChainSpec) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.perm))
 
     @property
     def m(self) -> int:
@@ -111,8 +118,6 @@ def _padded_permutation(m: int, phi):
     through numpy, which names the fault.
     """
     m = _ground_size(m)
-    if m < 1:
-        raise BadPermutation("ground set must be nonempty")
     if isinstance(phi, ChainSpec):
         phi = phi.perm
     if type(phi) in (tuple, list) and len(phi) == m:
@@ -139,14 +144,17 @@ def _padded_permutation(m: int, phi):
 
 
 def _ground_size(m) -> int:
-    """The ground set size as an int; a bool, or what ``operator.index``
-    refuses, is refused."""
-    if not isinstance(m, bool):
-        try:
-            return operator.index(m)
-        except TypeError:
-            pass
-    raise BadPermutation(f"ground set size {m!r} is not an integer")
+    """The ground set size as an int of at least 1; a bool, what
+    ``operator.index`` refuses, or a size below 1 is refused."""
+    try:
+        size = None if isinstance(m, bool) else operator.index(m)
+    except TypeError:
+        size = None
+    if size is None:
+        raise BadPermutation(f"ground set size {m!r} is not an integer")
+    if size < 1:
+        raise BadPermutation("ground set must be nonempty")
+    return size
 
 
 def _inverted(m: int, perm, phi):
@@ -201,10 +209,11 @@ class ConvexGeometry:
             raise BadPermutation("at least one generating chain is required")
         # The chains as the ints their one check read.
         self.chains = tuple(ChainSpec(tuple(perm.tolist())) for perm, _ in read)
-        # pos[i, p - 1] is the 1-based position of point p on chain i.
+        # pos[i, p - 1] is the position of point p on chain i; (p) is the member at p's cell.
         pos = np.array([p for _, p in read])
         self._points, coords, self._member_at = _members(pos, m)
-        self._coords, self._positions = coords, pos
+        self._coords, self._position_rows = coords, pos.tolist()
+        self._closures = tuple(self._member_at(pos).tolist())
         meet = self._member_at(np.minimum.outer(t, t) for t in coords)
         join = self._member_at(np.maximum.outer(t, t) for t in coords)
         leq = np.less_equal.outer(coords[0], coords[0])
@@ -246,26 +255,15 @@ class ConvexGeometry:
         every element a."""
         return np.array([np.asarray(ids)[t] for ids, t in zip(self.chain_elements, self._coords)])
 
-    @cached_property
-    def _closures(self) -> tuple:
-        """The id of (x) for x = 1..m: the member at the cell of x's positions."""
-        return tuple(self._member_at(self._positions).tolist())
-
     def element_set(self, a: int) -> frozenset:
         """The points of element a; a ValueError names an id outside 0..n-1."""
         _check_id(self.lattice, a)
         return self.family[a]
 
-    def _pos(self, i: int, x: int) -> int:
-        """The 1-based position of point x on chain i; a ValueError names a
-        chain index outside 0..k-1 or a point outside 1..m."""
-        i = _index_in(i, 0, len(self.chains) - 1, "chain index")
-        return int(self._positions[i, _index_in(x, 1, self.m, "point") - 1])
-
     def chain_prefix_of_point(self, i: int, x: int) -> int:
         """C_i(x): the least prefix of chain i containing ground point x."""
-        k = self._pos(i, x)
-        return self.chain_elements[i][k]
+        i = _index_in(i, 0, len(self.chains) - 1, "chain index")
+        return self.chain_elements[i][self._position_rows[i][_index_in(x, 1, self.m, "point") - 1]]
 
     def chain_prefix(self, i: int, a: int) -> int:
         """C_i(a): the least prefix of chain i containing family element a,
@@ -280,11 +278,17 @@ class ConvexGeometry:
         geometry on any other number of chains."""
         if len(self.chains) != 2:
             raise ValueError(f"successor needs a two-chain geometry, this one has {len(self.chains)} chains")
-        k = self._pos(i, j)
-        if k == self.m:
-            return None, False
-        x = self.chains[i].perm[k]
-        return x, self._pos(1 - i, x) <= self._pos(1 - i, j)
+        i = _index_in(i, 0, 1, "chain index")
+        return self._successors(_index_in(j, 1, self.m, "point"))[i][1:]
+
+    def _successors(self, j: int) -> tuple:
+        """Per chain i of a two-chain geometry, (k, x, inside) at a point j in
+        1..m: C_i(j) is the k-point prefix, and (x, inside) is successor(i, j)."""
+        (row1, row2), m = self._position_rows, self.m
+        k1, k2 = row1[j - 1], row2[j - 1]
+        x1 = self.chains[0].perm[k1] if k1 < m else None
+        x2 = self.chains[1].perm[k2] if k2 < m else None
+        return (k1, x1, x1 is not None and row2[x1 - 1] <= k2), (k2, x2, x2 is not None and row1[x2 - 1] <= k1)
 
     def point_closure(self, x: int) -> int:
         """(x): the smallest family member containing x; join-irreducible.
@@ -411,10 +415,9 @@ def build_cg(m: int, chains, verify: bool = True) -> ConvexGeometry:
 
 def format_cg_text(m: int, chains) -> str:
     """CG text format: `m k` then one space-separated permutation per line;
-    a BadPermutation names a chain that is no permutation of 1..m."""
+    a BadPermutation names a bad m or a chain that is no permutation of 1..m."""
     perms = [_as_chain(c).validate(m)[0] for c in chains]
-    lines = [f"{m} {len(perms)}"]
-    lines += [" ".join(map(str, perm.tolist())) for perm in perms]
+    lines = [f"{_ground_size(m)} {len(perms)}", *(" ".join(map(str, perm.tolist())) for perm in perms)]
     return "\n".join(lines) + "\n"
 
 
@@ -428,8 +431,7 @@ def parse_cg_text(text: str):
         raise ValueError("first line must be `m k`")
     m = _int_field(fields[0], head_no, head, "the ground-set size m")
     k = _int_field(fields[1], head_no, head, "the chain count k")
-    if m < 1:
-        raise BadPermutation("ground set must be nonempty")
+    _ground_size(m)
     if len(rows) != k + 1:
         raise ValueError(f"expected {k} chain lines, got {len(rows) - 1}")
     chains = [

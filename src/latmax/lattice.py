@@ -175,11 +175,11 @@ class Lattice:
     @cached_property
     def covers(self):
         """Upper-cover adjacency: covers[a] = tuple of b with a ≺ b."""
-        return tuple(tuple(bits(m)) for m in _row_masks(self.cover_matrix))
+        return _row_tuples(self.cover_matrix)
 
     @cached_property
     def lower_covers(self):
-        return tuple(tuple(bits(m)) for m in _row_masks(self.cover_matrix.T))
+        return _row_tuples(self.cover_matrix.T)
 
     @cached_property
     def irreducibles(self) -> IrreducibleInfo:
@@ -351,6 +351,12 @@ def _row_masks(matrix) -> list:
     packed = np.packbits(np.ascontiguousarray(matrix), axis=1, bitorder="little")
     width, raw = packed.shape[1], packed.tobytes()
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _row_tuples(matrix) -> tuple:
+    """The rows of a boolean matrix as tuples of the columns set in them."""
+    cols, ends = np.nonzero(matrix)[1].tolist(), matrix.sum(axis=1).cumsum().tolist()
+    return tuple(tuple(cols[lo:hi]) for lo, hi in zip([0, *ends], ends))
 
 
 def mask_of(ids) -> int:

@@ -12,14 +12,14 @@ search.
 Element subsets are plain frozensets of element ids in the public API;
 closure, maximality, the oracle, the Frattini sublattice and the complement
 bounds m̄(c), m̲(c) run on bitmasks (Python ints), and convert only at that
-boundary.  The observation suite that checks complements against the
-general facts 3.1-3.8 is a checker, in :mod:`latmax.checks`.
+boundary.  Closure reads the covers: z is the meet of a set above it unless
+the set lies above an upper cover of z.  The observation suite that checks
+complements against the general facts 3.1-3.8 is a checker, in
+:mod:`latmax.checks`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 
 from .lattice import (
     InvariantViolation,
@@ -115,52 +115,52 @@ def resolve_oracle_bound(bound=None) -> int:
 # -- closure and maximality ----------------------------------------------------
 
 
-def _accumulators(L: Lattice, mask: int):
-    """The closure accumulators of the held set mask, or None when it is not closed.
+def _is_closed(L: Lattice, mask: int) -> bool:
+    """Whether the set mask M is closed under meet and join.
 
-    For z outside M, ``meets[z]`` is the AND of the down masks over M ∩ ↑z
-    and ``joins[z]`` the AND of the up masks over M ∩ ↓z (-1 for an empty
-    set).  M is closed iff no z outside M is the meet of M ∩ ↑z or the join
-    of M ∩ ↓z: a ∧ b = z with a, b in M puts a and b in M ∩ ↑z, whose meet
-    is then z, and a closed M holds the meet of any of its subsets.  The
-    meet of a set is z exactly when the AND of its down masks is z's down
-    mask; the join test is the dual.  No pair of M is formed: the cost is
-    the sum of |M ∩ ↑z| + |M ∩ ↓z| over z outside M.  Entries of held
-    elements are left at -1 and never read.
+    M is closed iff no z outside M is the meet of M ∩ ↑z or the join of
+    M ∩ ↓z: a ∧ b = z with a, b in M puts a and b in M ∩ ↑z, whose meet is
+    then z.  A meet strictly above z lies above an upper cover of z
+    (Freese, Ježek and Nation, *Free Lattices*, ch. 2), so M ∩ ↑z meets to
+    z iff it is nonempty and inside ↑u for no upper cover u of z; the join
+    test is the dual.  No pair of M is formed.
     """
-    down, up = L.down_masks, L.up_masks
-    meets, joins = [-1] * L.n, [-1] * L.n
-    for z in bits(L.full_mask() & ~mask):
-        meets[z] = m = reduce(and_, map(down.__getitem__, bits(mask & up[z])), -1)
-        joins[z] = j = reduce(and_, map(up.__getitem__, bits(mask & down[z])), -1)
-        if m == down[z] or j == up[z]:
-            return None
-    return meets, joins
+    for masks, tops in ((L.up_masks, L.covers), (L.down_masks, L.lower_covers)):
+        for z in bits(L.full_mask() & ~mask):
+            part = mask & masks[z]
+            if part:
+                for u in tops[z]:
+                    if part & masks[u] == part:
+                        break
+                else:
+                    return False
+    return True
 
 
-def _grow(L: Lattice, held: int, meets: list, joins: list, new: int, stop: int = 0) -> int:
-    """Mask of the sublattice generated by held | new, updating the accumulators.
+def _grow(L: Lattice, held: int, new: int, stop: int = 0) -> int:
+    """Mask of the sublattice generated by held | new, for a closed set held.
 
-    ``meets`` and ``joins`` are the accumulators of the closed set held (see
-    ``_accumulators``); all -1 for an empty one.  Each element added to the
-    set updates only the outside z in its down set (meet side) or its up set
-    (join side); a z whose accumulator reaches its own down (or up) mask is
-    generated and joins the worklist.  ``stop`` marks elements known to
+    An added element h can only make an outside z below it the meet of
+    held ∩ ↑z (a set holding h), and an outside z above it the join of
+    held ∩ ↓z, so only that side gets the cover test of ``_is_closed``.  A
+    generated z joins the worklist.  ``stop`` marks elements known to
     generate L together with held: once the closure reaches one of them it
     is all of L, and the full mask is returned at once.
     """
-    full = L.full_mask()
+    sides = ((L.down_masks, L.up_masks, L.covers), (L.up_masks, L.down_masks, L.lower_covers))
     work = list(bits(new & ~held))
     held |= new
     while work:
         h = work.pop()
-        for accs, own in ((meets, L.down_masks), (joins, L.up_masks)):
-            own_h = own[h]
-            for z in bits(own_h & ~held):
-                accs[z] = acc = accs[z] & own_h
-                if acc == own[z]:
+        for span, masks, tops in sides:
+            for z in bits(span[h] & ~held):
+                part = held & masks[z]
+                for u in tops[z]:
+                    if part & masks[u] == part:
+                        break
+                else:
                     if (stop >> z) & 1:
-                        return full
+                        return L.full_mask()
                     held |= 1 << z
                     work.append(z)
     return held
@@ -171,17 +171,12 @@ def generate_sublattice(L: Lattice, S) -> frozenset:
     mask = _mask_in(L, S)
     if not mask:
         raise EmptyGenerator("sublattice generators must be nonempty")
-    return frozenset(bits(_generated_mask(L, mask)))
-
-
-def _generated_mask(L: Lattice, mask: int) -> int:
-    """generate_sublattice on the mask of S, as a mask."""
-    return _grow(L, 0, [-1] * L.n, [-1] * L.n, mask)
+    return frozenset(bits(_grow(L, 0, mask)))
 
 
 def is_sublattice(L: Lattice, M) -> bool:
     mask = _mask_in(L, M)
-    return bool(mask) and _accumulators(L, mask) is not None
+    return bool(mask) and _is_closed(L, mask)
 
 
 def is_maximal_sublattice(L: Lattice, M) -> bool:
@@ -192,17 +187,13 @@ def is_maximal_sublattice(L: Lattice, M) -> bool:
 def _is_maximal_mask(L: Lattice, mask: int) -> bool:
     """is_maximal_sublattice on the mask of M."""
     full = L.full_mask()
-    if not mask or mask == full:
+    if not mask or mask == full or not _is_closed(L, mask):
         return False
-    accs = _accumulators(L, mask)
-    if accs is None:
-        return False
-    meets, joins = accs
     # Closure is monotone: a closure of M ∪ {x} that reaches an element
     # already known to generate L with M is all of L.
     generating = 0
     for x in bits(full & ~mask):
-        if _grow(L, mask, meets[:], joins[:], 1 << x, generating) != full:
+        if _grow(L, mask, 1 << x, generating) != full:
             return False
         generating |= 1 << x
     return True

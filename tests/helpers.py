@@ -848,7 +848,7 @@ def least_mi_on_chain(G, i, x):
     qualify is the top X (which is never meet-irreducible).
     """
     mi = G.lattice.irreducibles.mi
-    for k in range(G._pos(i, x), G.m + 1):
+    for k in range(G._position_rows[i][x - 1], G.m + 1):
         a = G.chain_elements[i][k]
         if a in mi:
             return a

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import re
+import sys
 import tracemalloc
 from itertools import permutations
 
@@ -879,6 +880,36 @@ def test_fast_path_memory_budget_at_m100000():
         # Complements and the OpCounter.
         assert 17 * len(fast) <= fast_kept <= 17 * len(fast) + 4096, (form, fast_kept)
         assert 25 * len(relabeled) <= relabel_kept <= 25 * len(relabeled) + 4096, (form, relabel_kept)
+
+
+def _line_events(call, *args) -> int:
+    """The Python line events that call(*args) runs, counted under sys.settrace."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_fast_path_runs_no_python_loop_over_the_points():
+    # Both entry points run whole-array passes, so they run as many Python
+    # lines at m = 10^5 as at m = 10^3; a loop over the points would run a
+    # hundred times as many at the larger size.
+    counts = {}
+    for m in (10**3, 10**5):
+        rng = random.Random(m)
+        a, b = (tuple(random_permutation(m, rng)) for _ in range(2))
+        counts[m] = _line_events(fast_complements, m, a), _line_events(decompose_and_run, m, (b, a))
+    assert counts[10**3] == counts[10**5], counts
 
 
 def test_fast_path_leaves_its_inputs_alone():

@@ -318,6 +318,37 @@ def test_cg_text_writes_only_checked_chains():
     with pytest.raises(BadPermutation, match=r"^points must be integers, got float64$"):
         format_cg_text(2, [(1.0, 2.0)])
     assert format_cg_text(3, [np.array([3, 1, 2]), (np.int32(2), 3, 1)]) == "3 2\n3 1 2\n2 3 1\n"
+    # With no chains m is still checked, as build_cg checks it: the text
+    # written is always text parse_cg_text reads.
+    for m, message in [(True, "ground set size True is not an integer"), (0, "ground set must be nonempty"),
+                       (2.5, "ground set size 2.5 is not an integer")]:
+        with pytest.raises(BadPermutation, match=f"^{re.escape(message)}$"):
+            format_cg_text(m, [])
+        with pytest.raises(BadPermutation, match=f"^{re.escape(message)}$"):
+            build_cg(m, [(1,)])
+    assert parse_cg_text(format_cg_text(np.int64(3), [])) == (3, [])
+
+
+# A spec keeps its points as given, but a tuple, a list and a numpy array of
+# the same points are one chain: specs compare and hash by their points.
+
+
+def test_chainspec_of_a_list_equals_that_of_a_tuple():
+    assert geometry.ChainSpec([1, 2]) == geometry.ChainSpec((1, 2))
+    assert geometry.ChainSpec([1, 2]) != geometry.ChainSpec((2, 1))
+    assert geometry.ChainSpec([1, 2]).perm == [1, 2]
+    assert geometry.ChainSpec((1, 2)) != (1, 2)
+
+
+def test_chainspec_of_a_list_hashes_as_that_of_a_tuple():
+    assert hash(geometry.ChainSpec([1, 2])) == hash(geometry.ChainSpec((1, 2)))
+    assert len({geometry.ChainSpec([1, 2]), geometry.ChainSpec((1, 2)), geometry.ChainSpec([2, 1])}) == 2
+
+
+def test_chainspecs_of_numpy_arrays_compare_by_their_points():
+    a, b = geometry.ChainSpec(np.array([1, 2])), geometry.ChainSpec(np.array([2, 1]))
+    assert a == geometry.ChainSpec(np.array([1, 2])) and a != b
+    assert a == geometry.ChainSpec((1, 2)) and hash(a) == hash(geometry.ChainSpec((1, 2)))
 
 
 # -- lemma 6.3 structural facts -------------------------------------------------
@@ -348,7 +379,7 @@ def lemma_63_assertions(G):
         assert L.interval(cx, c1) & L.interval(cx, c2) == {cx}
         # (6) the down set of a chain prefix splits at the closure
         for i, ci in ((0, c1), (1, c2)):
-            pos = G._pos(i, x)
+            pos = G._position_rows[i][x - 1]
             prev = G.chain_elements[i][pos - 1]
             down_ci = L.interval(L.bottom, ci)
             upper = L.interval(cx, ci)

@@ -292,10 +292,12 @@ def test_is_sublattice_matches_pairwise_check(small_corpus):
 
 
 def test_is_sublattice_matches_pairwise_check_past_n10():
-    # The up/down-set closedness test, the accumulator closure and the
-    # maximality test against their definitions on lattices up to n = 51:
-    # the rest of every oracle complement, every one-element flip of it, and
-    # 60 random subsets per lattice.
+    # The closedness test, the closure and the maximality test, all by
+    # covers, against their definitions on lattices up to n = 51: the rest
+    # of every oracle complement, every one-element flip of it, and 60
+    # random subsets per lattice.  A sublattice of L is one of its dual, so
+    # the dual view, whose covers are L's lower covers, gives the same
+    # answers.
     lattices = [G.lattice for m in range(1, 6) for G in all_cdim2_geometries(m)]
     for seed in (0, 7):
         lattices += doubled_sequences(depth=3, seed=seed, count=120)
@@ -310,14 +312,16 @@ def test_is_sublattice_matches_pairwise_check_past_n10():
         cases += [frozenset(rng.sample(range(L.n), rng.randint(1, L.n))) for _ in range(60)]
         for S in cases:
             closed = _pairwise_closed(L, S)
-            assert is_sublattice(L, S) == closed, (to_cover_text(L), sorted(S))
             maximal = (
                 closed
                 and S != everything
                 and all(closure_scheme_b(L, S | {x}) == everything for x in everything - S)
             )
-            assert is_maximal_sublattice(L, S) == maximal, (to_cover_text(L), sorted(S))
-            assert generate_sublattice(L, S) == closure_scheme_b(L, S), (to_cover_text(L), sorted(S))
+            generated = closure_scheme_b(L, S)
+            for K in (L, L.dual):
+                assert is_sublattice(K, S) == closed, (to_cover_text(L), K is L, sorted(S))
+                assert is_maximal_sublattice(K, S) == maximal, (to_cover_text(L), K is L, sorted(S))
+                assert generate_sublattice(K, S) == generated, (to_cover_text(L), K is L, sorted(S))
 
 
 @pytest.mark.parametrize("predicate", [is_sublattice, is_maximal_sublattice, generate_sublattice, observation_suite])
