@@ -180,8 +180,8 @@ def _sweep(claim: str, label: str, instances) -> CheckReport:
 # the claim needs.
 
 
-def _interval_bounds(L: Lattice, cmask: int):
-    """(a, b) with C = [a, b] when C is the interval [∧C, ∨C], else None.
+def _interval_fails(L: Lattice, cmask: int, w) -> bool:
+    """C is not the interval [∧C, ∨C].
 
     C = [∧C, ∨C] iff C has a least element a, a greatest element b, and
     [a, b] = C.  (⇐) A least element of C is its meet and a greatest one its
@@ -190,14 +190,7 @@ def _interval_bounds(L: Lattice, cmask: int):
     they are the least and the greatest element of C.
     """
     a, b = _least(L, cmask), _least(L.dual, cmask)
-    if a is None or b is None or L.interval_mask(a, b) != cmask:
-        return None
-    return a, b
-
-
-def _interval_fails(L: Lattice, cmask: int, w) -> bool:
-    """C is not the interval [meet C, join C]."""
-    return _interval_bounds(L, cmask) is None
+    return a is None or b is None or L.interval_mask(a, b) != cmask
 
 
 def _convex_fails(L: Lattice, cmask: int, w) -> bool:
@@ -256,12 +249,10 @@ def _lemma54_fails(L: Lattice, cmask: int, w) -> bool:
 
 
 def _distributive_fails(L: Lattice, cmask: int, w) -> bool:
-    """C is not an interval [a, b] with a its only join- and b its only meet-irreducible."""
-    bounds = _interval_bounds(L, cmask)
-    if bounds is None:
-        return True
-    info, (lo, hi) = L.irreducibles, bounds
-    return mask_of(info.ji) & cmask != 1 << lo or mask_of(info.mi) & cmask != 1 << hi
+    """C is not an interval [a, b] with a its only join- and b its only
+    meet-irreducible: on an interval, a is the least element and b the only
+    maximal one, so the rest is the q2 test."""
+    return _interval_fails(L, cmask, w) or _q2_fails(L, cmask, w)
 
 
 def _rest_is_sublattice(G: ConvexGeometry, cmask: int, w) -> bool:
@@ -466,15 +457,16 @@ def _lemma64_instances(corpus):
             continue
         L = G.lattice
         for j in range(1, G.m + 1):
-            # the successors x_i of C_i(j), and whether each lies in the other prefix
-            (x1, x2), inside = zip(G.successor(0, j), G.successor(1, j))
+            # Per chain i: |C_i(j)|, the successor x_i, and whether x_i lies
+            # in the other prefix C_i'(j).
+            (k1, x1, in1), (k2, x2, in2) = G._successors(j)
             if x1 is None or x2 is None:
                 continue
-            lo = G.point_closure(j)
-            intervals = [L.interval_mask(lo, G.chain_prefix_of_point(i, j)) for i in (0, 1)]
+            lo, inside = G._closures[j - 1], (in1, in2)
+            intervals = [L.interval_mask(lo, prefixes[k]) for prefixes, k in zip(G.chain_elements, (k1, k2))]
             w = {"j": j, "x1": x1, "x2": x2}
             if x1 == x2:
-                x_on = G.chain_member[G.point_closure(x1)]
+                x_on = G.chain_member[G._closures[x1 - 1]]
                 if not any(x_on):
                     yield G, "6.4(1a)", intervals[0] | intervals[1], w
                 else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress
@@ -57,10 +58,17 @@ class BadPermutation(ValueError):
 class ChainSpec:
     """A linear order on {1..m}: perm[k] is the (k+1)-st smallest point.
 
-    The points are kept as given; :meth:`validate` is their one check.  Specs
-    compare and hash by their points, in a tuple, list or numpy array alike."""
+    The points are kept as given, except that an iterator is read into a
+    tuple once, when the spec is built, so that ``==``, ``hash`` and
+    :meth:`validate` all see the same points; :meth:`validate` is their one
+    check.  Specs compare and hash by their points, in a tuple, list or
+    numpy array alike."""
 
     perm: tuple
+
+    def __post_init__(self):
+        if isinstance(self.perm, Iterator):
+            object.__setattr__(self, "perm", tuple(self.perm))
 
     def __eq__(self, other):
         return tuple(self.perm) == tuple(other.perm) if isinstance(other, ChainSpec) else NotImplemented
@@ -211,11 +219,11 @@ class ConvexGeometry:
         self.chains = tuple(ChainSpec(tuple(perm.tolist())) for perm, _ in read)
         # pos[i, p - 1] is the position of point p on chain i; (p) is the member at p's cell.
         pos = np.array([p for _, p in read])
-        self._points, coords, self._member_at = _members(pos, m)
+        self._points, coords, member_at = _members(pos, m)
         self._coords, self._position_rows = coords, pos.tolist()
-        self._closures = tuple(self._member_at(pos).tolist())
-        meet = self._member_at(np.minimum.outer(t, t) for t in coords)
-        join = self._member_at(np.maximum.outer(t, t) for t in coords)
+        self._closures = tuple(member_at(pos).tolist())
+        meet = member_at(np.minimum.outer(t, t) for t in coords)
+        join = member_at(np.maximum.outer(t, t) for t in coords)
         leq = np.less_equal.outer(coords[0], coords[0])
         for t in coords[1:]:
             leq &= np.less_equal.outer(t, t)
@@ -224,7 +232,7 @@ class ConvexGeometry:
         # at q on chain i and at m on every other chain.
         k = len(self.chains)
         self.chain_elements = tuple(
-            tuple(self._member_at((m,) * i + (np.arange(m + 1),) + (m,) * (k - 1 - i)).tolist())
+            tuple(member_at((m,) * i + (np.arange(m + 1),) + (m,) * (k - 1 - i)).tolist())
             for i in range(k)
         )
         if verify:

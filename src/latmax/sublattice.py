@@ -277,15 +277,12 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     it, and those that join to it lie below it, so they are all barred.
 
     The first violation is the first unresolved pair in the order: targets
-    z of C lowest id first, then the preimage pairs of z in table order.
-    The scan is resumable: each node carries a cursor (z, i) before which
-    every pair is resolved.  C only grows along a search path, so a
-    resolved pair stays resolved; a child resumes right after its parent's
-    branch pair, or at (e, 0) when the element e it added has a smaller id
-    than z, since e's own pairs are then the first unscanned ones.  A
-    forced pair may lie past the first violation; its element f leaves the
-    cursor where it is, or moves it to (f, 0) when f has a smaller id than
-    the cursor's target.  Forced moves never rescan the table: only a pair
+    t of C lowest id first, then the preimage pairs of t in table order.
+    Each node carries one number z, and every pair at a target below z is
+    resolved, so the scan starts at z.  C only grows along a search path,
+    so a resolved pair stays resolved: a child of a branch at target t
+    that adds e starts at min(e, t), and a forced move that adds f lowers z
+    to min(z, f).  Forced moves never rescan the table: only a pair
     whose target just joined C, or which holds an element that just
     stopped being admissible (the x that "x never" forbids), can have
     become violated with at most one admissible element, and forced moves
@@ -299,14 +296,12 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
     if L._oracle_complements is not None:
         return list(L._oracle_complements)
 
-    n = L.n
+    n, full, up, down = L.n, L.full_mask(), L.up_masks, L.down_masks
     leq, meet, join = L.leq.tolist(), L.meet.tolist(), L.join.tolist()
     # Preimage pairs per target, incomparable pairs only (comparable pairs
     # can never violate closure), each as the mask of its two elements: a
-    # pair is unresolved when its mask misses C.  ``others[x]`` lists the
-    # elements incomparable to x.
+    # pair is unresolved when its mask misses C.
     pre = [[] for _ in range(n)]
-    others = [[] for _ in range(n)]
     for x in range(n):
         leq_x, meet_x, join_x = leq[x], meet[x], join[x]
         for y in range(x + 1, n):
@@ -314,29 +309,25 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 pair = 1 << x | 1 << y
                 pre[meet_x[y]].append(pair)
                 pre[join_x[y]].append(pair)
-                others[x].append(y)
-                others[y].append(x)
 
     def violated_with(cmask: int, d: int) -> list:
         """The unresolved pairs holding d whose meet or join lies in C."""
         meet_d, join_d = meet[d], join[d]
         return [
             1 << d | 1 << o
-            for o in others[d]
-            if not (cmask >> o) & 1 and (cmask >> meet_d[o] | cmask >> join_d[o]) & 1
+            for o in bits(full & ~(up[d] | down[d] | cmask))
+            if (cmask >> meet_d[o] | cmask >> join_d[o]) & 1
         ]
 
-    def first_violation(cmask: int, z: int, i: int):
-        """(z, i) of the first unresolved pair at or after the cursor (z, i), or None."""
+    def first_violation(cmask: int, z: int):
+        """(t, pair) of the first unresolved pair at a target t >= z of C, or None."""
         rest = cmask >> z << z
         while rest:
-            z = (rest & -rest).bit_length() - 1
+            t = (rest & -rest).bit_length() - 1
             rest &= rest - 1
-            pairs = pre[z]
-            for i in range(i, len(pairs)):
-                if not cmask & pairs[i]:
-                    return z, i
-            i = 0
+            for pair in pre[t]:
+                if not cmask & pair:
+                    return t, pair
         return None
 
     # No seed is bottom or top, and no element added to C is bottom, top or
@@ -350,18 +341,16 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
 
     nodes = forced = branches = dead_ends = n_barred = n_forbidden = subsumed = 0
     found: list[int] = []
-    rest = L.full_mask()  # the seeds not yet visited, all barred
-    for seed in reversed(sorted(range(n), key=L.down_masks.__getitem__)):
+    rest = full  # the seeds not yet visited, all barred
+    for seed in reversed(sorted(range(n), key=down.__getitem__)):
         # Every C of this seed has the seed as its first element in the extension.
         rest ^= 1 << seed
         barred = blocked | rest
         if (ends >> seed) & 1:
             continue
-        # (C, forbidden elements, cursor target, cursor pair index, the
-        # element that just joined C, the element just forbidden or -1)
-        stack = [(1 << seed, 0, seed, 0, seed, -1)]
+        stack = [(1 << seed, 0, seed, seed, -1)]
         while stack:
-            cmask, forb, z, i, e, x = stack.pop()
+            cmask, forb, z, e, x = stack.pop()
             while True:
                 nodes += 1
                 dead = barred | forb
@@ -396,27 +385,23 @@ def maximal_complements_oracle(L: Lattice, bound=None) -> list:
                 if any(f & ~cmask == 0 for f in found):
                     subsumed += 1
                     break
-                if low < z:
-                    z, i = low, 0
-                viol = first_violation(cmask, z, i)
+                viol = first_violation(cmask, min(z, low))
                 if viol is None:
                     found.append(cmask)
                     break
                 branches += 1
-                z, i = viol
-                pair = pre[z][i]
+                t, pair = viol
                 x, y = (pair & -pair).bit_length() - 1, pair.bit_length() - 1
                 # "x joins C" waits on the stack; "y joins C, x never will"
                 # is searched first, in place, and x stays the element just
                 # forbidden.
-                stack.append((cmask | (1 << x), forb, *((x, 0) if x < z else (z, i + 1)), x, -1))
+                stack.append((cmask | (1 << x), forb, min(x, t), x, -1))
                 cmask |= 1 << y
                 forb |= 1 << x
-                z, i = (y, 0) if y < z else (z, i + 1)
-                e = y
+                z, e = min(y, t), y
 
     for c in found:
-        if not _is_maximal_mask(L, L.full_mask() & ~c):
+        if not _is_maximal_mask(L, full & ~c):
             raise InvariantViolation(f"oracle complement {list(bits(c))} leaves no maximal sublattice")
     result = sorted((frozenset(bits(c)) for c in found), key=sorted)
     L._oracle_stats = OracleStats(nodes, forced, branches, dead_ends, n_forbidden, n_barred, subsumed)
@@ -439,7 +424,8 @@ def frattini(L: Lattice, bound=None) -> frozenset:
 def strict_canonical_joinands(L: Lattice, C, x: int) -> frozenset:
     """Canonical joinands j of x whose whole interval [j, x] stays inside C.
 
-    A ValueError names an id of C outside 0..n-1.
+    A ValueError names an x, or an id of C, that is no element id 0..n-1,
+    and an x outside C.
     """
     return frozenset(bits(_strict_joinands(L, _mask_in(L, C), x)))
 
@@ -450,9 +436,10 @@ def _strict_joinands(L: Lattice, cmask: int, x: int) -> int:
     Reads the intervals [j, x] from the table that the lemma 4.2 and 5.4
     screens of ``latmax.checks`` read, so both apply one rule.
     """
-    if x < 0 or not cmask >> x & 1:
+    x = _check_id(L, x)
+    if not cmask >> x & 1:
         raise ValueError(f"element {x} not in the complement set")
-    pairs = _joinand_intervals(L)[_check_id(L, x)]
+    pairs = _joinand_intervals(L)[x]
     if pairs is None:
         raise NoCanonicalRep(f"no canonical representation at {x}")
     strict = 0

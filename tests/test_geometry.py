@@ -351,6 +351,15 @@ def test_chainspecs_of_numpy_arrays_compare_by_their_points():
     assert a == geometry.ChainSpec((1, 2)) and hash(a) == hash(geometry.ChainSpec((1, 2)))
 
 
+def test_chainspec_reads_an_iterator_once_when_built():
+    # Hashing or comparing the spec then leaves validate the same points.
+    s = geometry.ChainSpec(x for x in (2, 1))
+    assert hash(s) == hash(geometry.ChainSpec((2, 1))) and s == geometry.ChainSpec([2, 1])
+    perm, pos = s.validate(2)
+    assert perm.tolist() == [2, 1] and pos.tolist() == [2, 1]
+    assert geometry.ChainSpec(iter([1, 2])).perm == (1, 2)
+
+
 # -- lemma 6.3 structural facts -------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from latmax.corpus import (
     m3,
     n5,
     random_cdim_k,
+    random_permutation,
     sd_corpus,
 )
 from latmax.geometry import build_cg
@@ -214,6 +216,18 @@ def test_strict_canonical_joinands_error_paths(named_lattices):
     B2 = named_lattices["b2"]
     with pytest.raises(ValueError):
         strict_canonical_joinands(B2, {1}, 2)
+
+
+@pytest.mark.parametrize("x", [1.5, "1", None, 7, -1])
+def test_strict_canonical_joinands_names_what_is_no_element_id(named_lattices, x):
+    # The id is checked before C is read, so no TypeError leaks out.
+    B2 = named_lattices["b2"]
+    for strict in (strict_canonical_joinands, strict_canonical_meetands):
+        with pytest.raises(ValueError, match=re.escape(f"element id {x} is not in 0..3")):
+            strict(B2, [1, 2], x)
+    # An id of the lattice outside C keeps its own message.
+    with pytest.raises(ValueError, match="element 3 not in the complement set"):
+        strict_canonical_joinands(B2, [1, 2], 3)
 
 
 def test_strict_joinands_nonempty_on_maximal_complements():
@@ -438,14 +452,35 @@ def test_oracle_complements_do_not_change_under_a_renumbering():
             _b3_glued_with_cut_first,
             OracleStats(nodes=25, forced=0, branches=6, dead_ends=7, forbidden=0, barred=14, subsumed=0),
         ),
-        # A forced element below the cursor's target moves the cursor here:
-        # the seed 6 forces 4.
+        # A forced element below the cursor lowers it here: the seed 6
+        # forces 4.
         (
             lambda: from_cover_text("7\n0 1\n2 5\n3 4\n4 1\n5 3\n5 6\n6 0\n6 4\n"),
             OracleStats(nodes=6, forced=1, branches=0, dead_ends=2, forbidden=0, barred=5, subsumed=0),
         ),
+        # Hundreds of branches each, so a change to the branching order
+        # shows here too.
+        (
+            lambda: random_cdim_k(9, 6, seed=0).lattice,
+            OracleStats(
+                nodes=16_734, forced=15_748, branches=407, dead_ends=163, forbidden=14_176, barred=1_898, subsumed=383
+            ),
+        ),
+        (
+            lambda: build_cg(40, [tuple(range(1, 41)), random_permutation(40, random.Random(7040))]).lattice,
+            OracleStats(
+                nodes=33_505, forced=32_350, branches=365, dead_ends=662, forbidden=31_955, barred=1_719, subsumed=89
+            ),
+        ),
     ],
-    ids=["prod322", "two-chain-m5-reversed", "b3-glued-cut-first", "cursor-moved-down"],
+    ids=[
+        "prod322",
+        "two-chain-m5-reversed",
+        "b3-glued-cut-first",
+        "cursor-moved-down",
+        "k-chain-m9-k6",
+        "two-chain-m40",
+    ],
 )
 def test_oracle_search_statistics_are_pinned(build, stats):
     # A change to the search order or to a pruning rule shows here.
